@@ -116,10 +116,23 @@ def _parse_functionals(spec: str):
     return tuple(tolls)
 
 
+def _thread_count(text):
+    """A worker count: a positive integer, else a usage error."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"thread count must be a positive integer, got {text!r}")
+
+
 def _threads_default():
     env = os.environ.get("TRIEFRINGE_THREADS")
     if env:
-        return int(env)
+        try:
+            return _thread_count(env)
+        except argparse.ArgumentTypeError as exc:
+            raise _UsageError(f"TRIEFRINGE_THREADS: {exc}") from None
     return os.cpu_count() or 1
 
 
@@ -351,7 +364,10 @@ def _cmd_selftest(_args):
 
 def _build_parser():
     parser = _Parser(prog="triefringe", description=__doc__)
-    parser.add_argument("--threads", type=int, default=None, help="parallelism cap (default: cores)")
+    parser.add_argument(
+        "--threads", type=_thread_count, default=None,
+        help="parallelism cap, a positive integer (default: TRIEFRINGE_THREADS, else cores)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="asymptotic constants of the k-fringe counts")

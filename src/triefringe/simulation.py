@@ -22,6 +22,7 @@ back to explicit tree construction per replicate.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,7 +165,9 @@ class _PooledChars:
     fixed sequence of (n_r, 32) blocks as a standalone KeyBlock, so the
     materialized characters depend on neither the pooling nor the moment of
     deepening, and the engine sees exactly the trees the explicit-tree path
-    would build.
+    would build.  Deepening appends one row-major (total, 32) block to a
+    list; column t is column t % 32 of block t // 32, so no drawn block is
+    ever copied again.
     """
 
     def __init__(self, dist, rngs, counts):
@@ -174,24 +177,23 @@ class _PooledChars:
         self.rngs = rngs
         self.counts = counts
         self.width = KEY_BLOCK_WIDTH
-        total = int(np.sum(counts))
-        self.chars = np.empty((total, self.width), np.int8)
-        self._fill(self.chars)
+        self.total = int(np.sum(counts))
+        self.blocks = []
+        self._draw_block()
 
-    def _fill(self, block):
-        width = block.shape[1]
+    def _draw_block(self):
+        block = np.empty((self.total, self.width), np.int8)
         at = 0
         for rng, c in zip(self.rngs, self.counts):
             if c:
-                block[at : at + c] = self.dist.draw_chars(rng, (int(c), width))
+                block[at : at + c] = self.dist.draw_chars(rng, (int(c), self.width))
                 at += int(c)
+        self.blocks.append(block)
 
     def column(self, t):
-        while t >= self.chars.shape[1]:
-            extra = np.empty((self.chars.shape[0], self.width), np.int8)
-            self._fill(extra)
-            self.chars = np.concatenate([self.chars, extra], axis=1)
-        return self.chars[:, t]
+        while t >= len(self.blocks) * self.width:
+            self._draw_block()
+        return self.blocks[t // self.width][:, t % self.width]
 
 
 # ---------------------------------------------------------------------------
@@ -629,9 +631,13 @@ def _engine_capable(config) -> bool:
 
 
 def _chunk_bounds(config):
+    """Replicate ranges of ceil(R / reps_per_chunk) chunks whose sizes differ by
+    at most one, so no pool worker is left with a long tail chunk."""
     per = max(1.0, config.size if config.mode == "fixed" else config.size + 1.0)
     reps_per_chunk = max(1, int(_CHUNK_KEYS / per))
-    bounds = list(range(0, config.replicates, reps_per_chunk)) + [config.replicates]
+    R = config.replicates
+    n_chunks = -(-R // reps_per_chunk)
+    bounds = [i * R // n_chunks for i in range(n_chunks + 1)]
     return list(zip(bounds, bounds[1:]))
 
 
@@ -649,7 +655,12 @@ def _collect(config, want_roots=False, threads=1):
                 }
                 for fut, i in futures.items():
                     results[i] = fut.result()
-        except (OSError, PermissionError):  # sandboxed environments may forbid subprocesses
+        except (OSError, PermissionError) as exc:  # sandboxed environments may forbid subprocesses
+            warnings.warn(
+                f"process pool unavailable ({exc!r}); running {len(chunks)} chunks serially",
+                RuntimeWarning,
+                stacklevel=2,
+            )
             results = [worker(config, a, b, want_roots) for a, b in chunks]
     else:
         results = [worker(config, a, b, want_roots) for a, b in chunks]

@@ -23,6 +23,10 @@ from fractions import Fraction
 import numpy as np
 
 _PROB_SUM_TOL = 1e-12
+# characters are stored as int8, so the largest character is 127
+MAX_ALPHABET = 128
+# uniforms per threshold-counting slice in draw_chars: 512 KiB of float64
+_DRAW_SLICE = 1 << 16
 
 
 def _rational_from_float(x: float, tolerance: float, depth: int) -> Fraction | None:
@@ -57,9 +61,9 @@ def _rational_from_float(x: float, tolerance: float, depth: int) -> Fraction | N
 class SourceDistribution:
     """Character distribution of a memoryless source.
 
-    probs must have length >= 2, every entry strictly inside (0, 1), and sum
-    to 1 within 1e-12.  Instances are immutable and safe to share between
-    threads.
+    probs must have length between 2 and MAX_ALPHABET (128), every entry
+    strictly inside (0, 1), and sum to 1 within 1e-12.  Instances are
+    immutable and safe to share between threads.
     """
 
     probs: tuple[float, ...]
@@ -69,13 +73,18 @@ class SourceDistribution:
         probs = tuple(float(p) for p in self.probs)
         if len(probs) < 2:
             raise ValueError(f"alphabet size must be >= 2, got {len(probs)}")
+        if len(probs) > MAX_ALPHABET:
+            raise ValueError(
+                f"alphabet size must be <= {MAX_ALPHABET} (characters are int8), got {len(probs)}"
+            )
         for p in probs:
             if not (0.0 < p < 1.0):
                 raise ValueError(f"every probability must lie strictly in (0,1), got {p}")
         if abs(sum(probs) - 1.0) > _PROB_SUM_TOL:
             raise ValueError(f"probabilities must sum to 1 within {_PROB_SUM_TOL}, got {sum(probs)}")
         object.__setattr__(self, "probs", probs)
-        # cumulative sums of all but the last mass: searchsorted lands in 0..m-1
+        # cumulative sums of all but the last mass: the character of u is the
+        # number of these thresholds at or below u, which lands in 0..m-1
         object.__setattr__(self, "_cum_head", np.cumsum(np.asarray(probs[:-1])))
 
     @classmethod
@@ -139,11 +148,27 @@ class SourceDistribution:
         return CharStream(self, rng)
 
     def draw_chars(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """Vectorized character draw: int8 array of the given shape."""
+        """Vectorized character draw: int8 array of the given shape.
+
+        One ``rng.random(shape)`` call gives uniforms u; the character of u
+        is the number of cumulative thresholds c_j <= u, counted one
+        threshold at a time into the int8 result.  This equals
+        ``searchsorted(c, u, side="right")`` for every u, ties included.
+        It costs m-1 comparison passes, made slice by slice so that each
+        slice of u stays in cache across them, and beats the binary search
+        for every alphabet up to MAX_ALPHABET.
+        """
         u = rng.random(shape)
         if len(self.probs) == 2:
             return (u >= self.probs[0]).astype(np.int8)
-        return np.searchsorted(self._cum_head, u, side="right").astype(np.int8)
+        chars = np.zeros(u.shape, np.int8)
+        flat_u, flat_chars = u.reshape(-1), chars.reshape(-1)
+        # run each cache-sized slice through every threshold before the next
+        for at in range(0, flat_u.size, _DRAW_SLICE):
+            u_part, chars_part = flat_u[at : at + _DRAW_SLICE], flat_chars[at : at + _DRAW_SLICE]
+            for c in self._cum_head:
+                chars_part += u_part >= c
+        return chars
 
 
 class CharStream:

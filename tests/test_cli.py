@@ -76,6 +76,14 @@ class TestSimulate:
         assert code == 1
         assert "zeta" in err
 
+    def test_alphabet_limit_exit_code(self, capsys):
+        code, out, err = invoke(
+            capsys, "simulate", "--source", "uniform:129", "--n", "10",
+            "--replicates", "2", "--seed", "7", "--functional", "leaf",
+        )
+        assert code == 2 and out == ""
+        assert "128" in err
+
     def test_depth_error_exit_code(self, capsys):
         code, _, err = invoke(
             capsys, "simulate", "--source", "0.5,0.5", "--n", "64",
@@ -150,6 +158,24 @@ class TestTopLevel:
         code, _, err = invoke(capsys, "indnum", "--N", "10", "--frobnicate")
         assert code == 1
         assert "--frobnicate" in err
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    def test_bad_thread_count_is_usage_error(self, capsys, value):
+        code, out, err = invoke(capsys, "--threads", value, "indnum", "--N", "10")
+        assert code == 1 and out == ""
+        assert "--threads" in err and value in err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "2x"])
+    def test_bad_thread_env_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("TRIEFRINGE_THREADS", value)
+        code, out, err = invoke(capsys, "indnum", "--N", "10")
+        assert code == 1 and out == ""
+        assert "TRIEFRINGE_THREADS" in err
+
+    def test_thread_env_accepted(self, capsys, monkeypatch):
+        monkeypatch.setenv("TRIEFRINGE_THREADS", "2")
+        code, _, _ = invoke(capsys, "indnum", "--N", "10")
+        assert code == 0
 
     def test_selftest_passes(self, capsys):
         code, out, _ = invoke(capsys, "selftest")

@@ -64,12 +64,56 @@ class TestRun:
         from triefringe.simulation import _chunk_bounds
 
         # large enough that the run spans several chunks and really exercises
-        # the worker pool
-        cfg = SimulationConfig.fixed(BIN_SYM, 40_000, 64, 29, (phi_k(2), phi_alpha()))
-        assert len(_chunk_bounds(cfg)) > 1
+        # the worker pool; the second config does not divide evenly into
+        # chunks of the nominal size
+        for cfg in (
+            SimulationConfig.fixed(BIN_SYM, 40_000, 64, 29, (phi_k(2), phi_alpha())),
+            SimulationConfig.fixed(TERNARY, 50_000, 24, 29, (phi_k(2), phi_alpha())),
+        ):
+            assert len(_chunk_bounds(cfg)) > 1
+            seq = run(cfg, threads=1)
+            par = run(cfg, threads=3)
+            assert seq.as_dict() == par.as_dict()
+
+    def test_chunks_balanced(self):
+        from triefringe.simulation import _CHUNK_KEYS, _chunk_bounds
+
+        cfg = SimulationConfig.fixed(TERNARY, 50_000, 24, 1, ())
+        assert _chunk_bounds(cfg) == [(0, 12), (12, 24)]
+        for mode, size, R in (
+            ("fixed", 50_000, 24),
+            ("fixed", 40_000, 64),
+            ("fixed", 300_000, 7),
+            ("fixed", 10, 5),
+            ("fixed", 2_000_000, 3),
+            ("poisson", 1e5, 31),
+            ("poisson", 0.5, 1),
+        ):
+            chunks = _chunk_bounds(SimulationConfig(BIN_SYM, mode, float(size), R, 1, ()))
+            per = max(1.0, size if mode == "fixed" else size + 1.0)
+            reps_per_chunk = max(1, int(_CHUNK_KEYS / per))
+            assert len(chunks) == math.ceil(R / reps_per_chunk)
+            assert chunks[0][0] == 0 and chunks[-1][1] == R
+            assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+            sizes = [b - a for a, b in chunks]
+            assert max(sizes) - min(sizes) <= 1 and max(sizes) <= reps_per_chunk
+
+    def test_pool_fallback_warns(self, monkeypatch):
+        import concurrent.futures
+
+        from triefringe import simulation
+
+        def refuse(*args, **kwargs):
+            raise PermissionError("no subprocesses here")
+
+        cfg = SimulationConfig.fixed(TERNARY, 100, 30, 53, (phi_k(2), phi_alpha()))
+        monkeypatch.setattr(simulation, "_CHUNK_KEYS", 1000)
+        assert len(simulation._chunk_bounds(cfg)) == 3
         seq = run(cfg, threads=1)
-        par = run(cfg, threads=3)
-        assert seq.as_dict() == par.as_dict()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        with pytest.warns(RuntimeWarning, match="no subprocesses here"):
+            fallback = run(cfg, threads=2)
+        assert fallback.as_dict() == seq.as_dict()
 
     def test_histogram_partitions_nodes(self):
         cfg = SimulationConfig.fixed(TERNARY, 500, 30, 31, (phi_leaf(),))
@@ -103,7 +147,15 @@ class TestEngineMatchesExplicitTrees:
     """The vectorized forest engine must agree bit for bit with the
     explicit-tree path on every source, mode, and toll."""
 
-    SOURCES = (BIN_SYM, SKEWED, TERNARY, SourceDistribution((0.2, 0.3, 0.5)))
+    # the (0.05, 0.95) source grows keys past several 32-column character
+    # blocks even at these small key counts
+    SOURCES = (
+        BIN_SYM,
+        SKEWED,
+        TERNARY,
+        SourceDistribution((0.2, 0.3, 0.5)),
+        SourceDistribution((0.05, 0.95)),
+    )
 
     def test_patricia_values_histogram_and_roots(self):
         from triefringe.functionals import phi_shape
@@ -136,6 +188,22 @@ class TestEngineMatchesExplicitTrees:
             slow = _object_chunk(cfg, 0, 40)
             for key in ("pat", "trie", "trie_nodes"):
                 assert np.array_equal(fast[key], slow[key]), (key, d.probs)
+
+    def test_widest_alphabet_matches_explicit_tree(self):
+        # m = 128 is the largest alphabet whose characters fit in int8
+        from triefringe.functionals import evaluate_additive
+        from triefringe.simulation import _engine_chunk, replicate_rng
+        from triefringe.trees import build_patricia, random_key_set
+
+        d = SourceDistribution.uniform(128)
+        tolls = (phi_k(2), phi_k(3), phi_internal(), phi_leaf(), phi_alpha())
+        cfg = SimulationConfig.fixed(d, 3000, 2, 61, tolls)
+        fast = _engine_chunk(cfg, 0, 2)
+        keys = random_key_set(d, 3000, replicate_rng(61, 0))
+        pat = build_patricia(keys)
+        assert np.array_equal(fast["pat"][0], evaluate_additive(tolls, pat))
+        assert fast["pat_nodes"][0] == pat.node_count()
+        assert max(key[0] for key in keys.keys) == 127
 
     def test_fuzzed_configs(self):
         from hypothesis import given, settings

@@ -37,6 +37,11 @@ class TestValidation:
         assert SourceDistribution.parse("0.3,0.7").probs == (0.3, 0.7)
         assert SourceDistribution.parse("uniform:3").probs == TERNARY.probs
 
+    def test_alphabet_bound(self):
+        assert SourceDistribution.uniform(128).m == 128
+        with pytest.raises(ValueError, match="128"):
+            SourceDistribution.uniform(129)
+
 
 class TestEntropy:
     def test_uniform_binary(self):
@@ -163,3 +168,36 @@ class TestSampleStream:
         y = BIN_SYM.draw_chars(g2, n).astype(float)
         corr = np.corrcoef(x, y)[0, 1]
         assert abs(corr) < 4 / math.sqrt(n)
+
+
+class _FixedUniforms:
+    """Generator stub whose random(shape) returns preset values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, shape):
+        return self.values.reshape(shape)
+
+
+class TestDrawChars:
+    @pytest.mark.parametrize("spec", ["uniform:3", "uniform:8", "uniform:128", "0.2,0.3,0.5"])
+    def test_equals_binary_search(self, spec):
+        # threshold counting must agree with searchsorted(side="right") on
+        # every threshold, its float neighbours and the ends of [0, 1); the
+        # noise spans several counting slices, the last one partial
+        d = SourceDistribution.parse(spec)
+        c = d._cum_head
+        noise = np.random.default_rng(5).random(150_000)
+        u = np.concatenate(
+            [c, np.nextafter(c, 0.0), np.nextafter(c, 1.0), [0.0, np.nextafter(1.0, 0.0)], noise]
+        )
+        chars = d.draw_chars(_FixedUniforms(u), u.shape)
+        assert chars.dtype == np.int8
+        assert np.array_equal(chars, np.searchsorted(c, u, side="right").astype(np.int8))
+        assert chars.min() == 0 and chars.max() == d.m - 1
+        grid = u[: 2 * (u.size // 2)]
+        assert np.array_equal(
+            d.draw_chars(_FixedUniforms(grid), (2, grid.size // 2)).ravel(),
+            chars[: grid.size],
+        )
