@@ -93,8 +93,8 @@ def _emit(command, config, results, stream=None):
         "config": _round15(config),
         "results": _round15(results),
     }
-    json.dump(envelope, stream, indent=2)
-    stream.write("\n")
+    # encode before writing, so a NaN or infinity leaves no partial document
+    stream.write(json.dumps(envelope, indent=2, allow_nan=False) + "\n")
 
 
 def _parse_functionals(spec: str):
@@ -116,21 +116,35 @@ def _parse_functionals(spec: str):
     return tuple(tolls)
 
 
-def _thread_count(text):
-    """A worker count: a positive integer, else a usage error."""
+def _int_at_least(low):
+    """An argparse type: an integer >= low, else a usage error."""
+
+    def integer(text):
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+
+    return integer
+
+
+def _positive_float(text):
+    """An argparse type: a number > 0, else a usage error."""
     try:
-        if int(text) >= 1:
-            return int(text)
+        if float(text) > 0.0:
+            return float(text)
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"thread count must be a positive integer, got {text!r}")
+    raise argparse.ArgumentTypeError(f"must be a number > 0, got {text!r}")
 
 
 def _threads_default():
     env = os.environ.get("TRIEFRINGE_THREADS")
     if env:
         try:
-            return _thread_count(env)
+            return _int_at_least(1)(env)
         except argparse.ArgumentTypeError as exc:
             raise _UsageError(f"TRIEFRINGE_THREADS: {exc}") from None
     return os.cpu_count() or 1
@@ -365,7 +379,7 @@ def _cmd_selftest(_args):
 def _build_parser():
     parser = _Parser(prog="triefringe", description=__doc__)
     parser.add_argument(
-        "--threads", type=_thread_count, default=None,
+        "--threads", type=_int_at_least(1), default=None,
         help="parallelism cap, a positive integer (default: TRIEFRINGE_THREADS, else cores)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -391,7 +405,7 @@ def _build_parser():
 
     p = sub.add_parser("fringe-dist", help="empirical fringe-size distribution")
     p.add_argument("--source", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--replicates", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--kmax", type=int, default=64)
@@ -410,10 +424,10 @@ def _build_parser():
     p = sub.add_parser("oscillate", help="mean/lambda over a geometric lambda grid")
     p.add_argument("--source", required=True)
     p.add_argument("--functional", required=True)
-    p.add_argument("--lambda-min", dest="lambda_min", type=float, default=64.0)
-    p.add_argument("--periods", type=int, default=3)
-    p.add_argument("--points-per-period", type=int, default=8)
-    p.add_argument("--replicates", type=int, default=200)
+    p.add_argument("--lambda-min", dest="lambda_min", type=_positive_float, default=64.0)
+    p.add_argument("--periods", type=_int_at_least(1), default=3)
+    p.add_argument("--points-per-period", type=_int_at_least(1), default=8)
+    p.add_argument("--replicates", type=_int_at_least(2), default=200)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(fn=_cmd_oscillate)
 

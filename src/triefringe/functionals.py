@@ -30,7 +30,8 @@ _LEAF_SIG = "*"
 
 
 class _Stats:
-    """Per-node aggregates produced by the post-order pass."""
+    """Per-node aggregates: scalars from the post-order pass here, or one
+    numpy array per field (one entry per node) from the simulation engine."""
 
     __slots__ = ("leaf_count", "node_count", "outdeg", "essential", "shape_sig")
 
@@ -46,20 +47,26 @@ class _Stats:
 class TollFunction:
     """A shape-only toll: per-fringe-subtree contribution of an additive functional.
 
-    stats_fn evaluates the toll from node aggregates; chi is the value on a
-    single leaf.  Tolls wrapping a patricia toll for use on tries carry
-    pulled=True and gate on the root outdegree.
+    stats_fn evaluates the toll from node aggregates (leaf_count,
+    node_count, outdeg, essential, shape_sig); chi is the value on a single
+    leaf.  The same rule serves the explicit trees here and every toll of
+    the simulation engine, so it must be elementwise: given scalars it
+    returns a number, given equal-length numpy arrays (one entry per node)
+    it returns an array of values or a number for all of them.  shape_sig
+    is only compared with ``==`` against a nested signature, and is None
+    when needs_shape is 0.  For simulations with threads > 1 the rule must
+    be picklable: a module-level function, or a functools.partial of one,
+    as the built-in rules are.  Tolls wrapping a patricia toll for use on
+    tries carry pulled=True and gate on the root outdegree.
     """
 
     name: str
     chi: float
     stats_fn: callable = field(compare=False)
     shape_only: bool = True
-    dim: int = 1
     needs_shape: int = 0
     pulled: bool = False
     base: "TollFunction | None" = None
-    engine_key: tuple | None = None
 
     def value(self, tree) -> float:
         """phi applied to a whole tree (i.e. to the fringe at its root)."""
@@ -188,7 +195,6 @@ def pullback(phi: TollFunction) -> TollFunction:
         pulled=True,
         base=phi,
         needs_shape=phi.needs_shape,
-        engine_key=phi.engine_key,
     )
 
 
@@ -197,27 +203,27 @@ def pullback(phi: TollFunction) -> TollFunction:
 
 
 def _count_is(st, k):
-    return 1.0 if st.leaf_count == k else 0.0
+    return (st.leaf_count == k) * 1.0
 
 
 def _count_at_least(st, k):
-    return 1.0 if st.leaf_count >= k else 0.0
+    return (st.leaf_count >= k) * 1.0
 
 
 def _is_internal(st):
-    return 1.0 if st.node_count > 1 else 0.0
+    return (st.node_count > 1) * 1.0
 
 
 def _is_lone_leaf(st):
-    return 1.0 if st.node_count == 1 else 0.0
+    return (st.node_count == 1) * 1.0
 
 
 def _matches_signature(st, sig):
-    return 1.0 if st.shape_sig == sig else 0.0
+    return (st.shape_sig == sig) * 1.0
 
 
 def _is_essential(st):
-    return float(st.essential)
+    return st.essential * 1.0
 
 
 def phi_k(k: int) -> TollFunction:
@@ -228,7 +234,6 @@ def phi_k(k: int) -> TollFunction:
         name=f"k={k}",
         chi=1.0 if k == 1 else 0.0,
         stats_fn=partial(_count_is, k=k),
-        engine_key=("k", k),
     )
 
 
@@ -240,18 +245,17 @@ def phi_geq(k: int) -> TollFunction:
         name=f"geq={k}",
         chi=1.0 if k <= 1 else 0.0,
         stats_fn=partial(_count_at_least, k=k),
-        engine_key=("geq", k),
     )
 
 
 def phi_internal() -> TollFunction:
     """Indicator of fringe subtrees with more than one node: counts internal nodes."""
-    return TollFunction(name="internal", chi=0.0, stats_fn=_is_internal, engine_key=("internal",))
+    return TollFunction(name="internal", chi=0.0, stats_fn=_is_internal)
 
 
 def phi_leaf() -> TollFunction:
     """Indicator of the single-node fringe: counts leaves."""
-    return TollFunction(name="leaf", chi=1.0, stats_fn=_is_lone_leaf, engine_key=("leaf",))
+    return TollFunction(name="leaf", chi=1.0, stats_fn=_is_lone_leaf)
 
 
 def phi_shape(shape) -> TollFunction:
@@ -266,7 +270,6 @@ def phi_shape(shape) -> TollFunction:
         chi=1.0 if sig0 == _LEAF_SIG else 0.0,
         stats_fn=partial(_matches_signature, sig=sig0),
         needs_shape=k0,
-        engine_key=("shape", sig0),
     )
 
 
@@ -278,7 +281,7 @@ def phi_alpha() -> TollFunction:
     recursion phi(T) = max(0, 1 - sum_b phi(T^b)) computes the indicator
     bottom-up in the same pass as everything else.
     """
-    return TollFunction(name="alpha", chi=1.0, stats_fn=_is_essential, engine_key=("alpha",))
+    return TollFunction(name="alpha", chi=1.0, stats_fn=_is_essential)
 
 
 def independence_number(tree) -> int:

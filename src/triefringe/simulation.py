@@ -8,15 +8,17 @@ of the same keys).  Each replicate owns a generator derived by hashing
 seed regardless of chunking or worker count, and replicates are
 statistically independent.
 
-The built-in tolls never materialize tree objects: a replicate (or a whole
-pool of replicates, processed as one forest) is reduced level by level.
-Keys carrying the same character prefix form a group; groups with one key
-are leaves, groups with at least two are trie nodes that split on the next
-character column.  Patricia nodes are the groups without exactly one child
-group; group sizes give every fringe count, a bottom-up sweep gives the
-essentiality bits for the independence number, and bounded canonical
-signatures give fringe-shape counts.  Tolls without an engine mapping fall
-back to explicit tree construction per replicate.
+Every toll runs through one vectorized engine that never materializes
+tree objects: a replicate (or a whole pool of replicates, processed as one
+forest) is grouped level by level into one table of trie nodes.  Keys
+carrying the same character prefix form a group; groups with one key are
+leaves, groups with at least two are trie nodes that split on the next
+character column.  Bottom-up sweeps give every row the aggregates the
+explicit-tree evaluator computes per node (leaf count, node count,
+outdegree, essentiality bit, bounded shape signature), once for the trie
+fringe and once for the compressed fringe, and each toll's own rule runs
+elementwise on those columns.  Patricia nodes are the rows without exactly
+one child.
 """
 
 from __future__ import annotations
@@ -24,14 +26,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .asymptotics import psi_eval
-from .errors import DegenerateVariance, DepthExceeded
-from .functionals import TollFunction, evaluate_additive
+from .asymptotics import psi_eval, psi_for_k
+from .errors import DegenerateVariance, DepthExceeded, EmptyTree
+from .functionals import TollFunction, _count_is, _is_lone_leaf, _Stats
 from .source import SourceDistribution
-from .trees import DEFAULT_MAX_DEPTH, build_patricia, build_trie, random_key_set
+from .trees import DEFAULT_MAX_DEPTH, CharBlocks, shape_signature
 
 _LEAF_SIG = "*"
 _CHUNK_KEYS = 1 << 20
@@ -65,6 +68,8 @@ class SimulationConfig:
             raise ValueError(f"mode must be 'fixed' or 'poisson', got {self.mode!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.histogram_kmax < 1:
+            raise ValueError("histogram_kmax must be >= 1")
         if self.size < 0:
             raise ValueError("size must be nonnegative")
         if self.mode == "fixed" and self.size != int(self.size):
@@ -155,479 +160,217 @@ class SimulationSummary:
 
 
 # ---------------------------------------------------------------------------
-# pooled character matrix
+# the pooled forest as one node table
 
 
-class _PooledChars:
-    """Character rows for a pool of replicates, deepened 32 columns at a time.
+class _ShapeColumn:
+    """Shape ids of a view's fringes, interned in a memo shared by the views
+    of one forest: ``column == sig`` interns the nested signature ``sig`` and
+    compares ids elementwise.  Fringes above the shape cap carry id -1."""
 
-    Every replicate draws its own rows from its own generator in the same
-    fixed sequence of (n_r, 32) blocks as a standalone KeyBlock, so the
-    materialized characters depend on neither the pooling nor the moment of
-    deepening, and the engine sees exactly the trees the explicit-tree path
-    would build.  Deepening appends one row-major (total, 32) block to a
-    list; column t is column t % 32 of block t // 32, so no drawn block is
-    ever copied again.
-    """
+    def __init__(self, ids, memo):
+        self.ids = ids
+        self.memo = memo
 
-    def __init__(self, dist, rngs, counts):
-        from .trees import KEY_BLOCK_WIDTH
+    def _intern(self, sig):
+        if sig == _LEAF_SIG:
+            return 0
+        return self.memo.get(tuple((int(a), self._intern(sub)) for a, sub in sig), -2)
 
-        self.dist = dist
-        self.rngs = rngs
-        self.counts = counts
-        self.width = KEY_BLOCK_WIDTH
-        self.total = int(np.sum(counts))
-        self.blocks = []
-        self._draw_block()
-
-    def _draw_block(self):
-        block = np.empty((self.total, self.width), np.int8)
-        at = 0
-        for rng, c in zip(self.rngs, self.counts):
-            if c:
-                block[at : at + c] = self.dist.draw_chars(rng, (int(c), self.width))
-                at += int(c)
-        self.blocks.append(block)
-
-    def column(self, t):
-        while t >= len(self.blocks) * self.width:
-            self._draw_block()
-        return self.blocks[t // self.width][:, t % self.width]
-
-
-# ---------------------------------------------------------------------------
-# the level-by-level forest reduction
-
-
-class _Level:
-    __slots__ = ("count", "parent", "char", "rep", "child_count")
-
-    def __init__(self, count, parent, char, rep):
-        self.count = count
-        self.parent = parent
-        self.char = char
-        self.rep = rep
-        self.child_count = None
-
-
-def _build_levels(chars, counts, m, max_depth, rep_offset=0):
-    """Group keys level by level; returns the per-level node tables.
-
-    Nodes at depth t are the groups of keys agreeing on their first t
-    characters whose every proper ancestor group held >= 2 keys; that is
-    exactly the node set of the trie forest.
-    """
-    R = len(counts)
-    counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    rep_of_key = np.repeat(np.arange(R, dtype=np.int64), counts)
-
-    alive = np.flatnonzero(counts >= 1)
-    root_id = np.full(R, -1, dtype=np.int64)
-    root_id[alive] = np.arange(len(alive))
-    levels = [
-        _Level(
-            count=counts[alive].copy(),
-            parent=np.full(len(alive), -1, dtype=np.int64),
-            char=np.full(len(alive), -1, dtype=np.int64),
-            rep=alive.astype(np.int64),
-        )
-    ]
-    key_group = root_id[rep_of_key]
-    active = np.flatnonzero(counts[rep_of_key] >= 2)
-
-    t = 0
-    while active.size:
-        if t >= max_depth:
-            bad_rep = int(rep_of_key[active[0]]) + rep_offset
-            raise DepthExceeded(max_depth, replicate=bad_rep)
-        col = chars.column(t)[active].astype(np.int64)
-        codes = key_group[active] * m + col
-        # counting-sort style renumbering: new group ids run in (parent, char)
-        # order, so children of one node sit contiguously in alphabet order
-        occupancy = np.bincount(codes, minlength=len(levels[-1].count) * m)
-        occupied = np.flatnonzero(occupancy)
-        rank_of_code = np.cumsum(occupancy > 0) - 1
-        inverse = rank_of_code[codes]
-        level = _Level(
-            count=occupancy[occupied],
-            parent=occupied // m,
-            char=occupied % m,
-            rep=levels[-1].rep[occupied // m],
-        )
-        levels.append(level)
-        key_group[active] = inverse
-        active = active[level.count[inverse] >= 2]
-        t += 1
-
-    for lower, upper in zip(levels, levels[1:]):
-        lower.child_count = np.bincount(upper.parent, minlength=len(lower.count))
-    levels[-1].child_count = np.zeros(len(levels[-1].count), dtype=np.int64)
-    return levels
+    def __eq__(self, sig):
+        return self.ids == self._intern(sig)
 
 
 class _Forest:
-    """Derived statistics of one pooled forest of replicates."""
+    """The tries of a pool of replicates as one table of nodes.
 
-    def __init__(self, levels, R, counts, shape_cap=0):
-        self.levels = levels
+    A node is a group of keys agreeing on their first t characters whose
+    every proper ancestor group held >= 2 keys; groups with one key are
+    leaves.  Rows run level by level, rows offsets[t]..offsets[t+1] holding
+    depth t, and within a level in (parent, char) order, so the children of
+    a node are consecutive rows of the next level.  Columns: count (keys in
+    the fringe), parent row (-1 at roots), char, rep and child_count.
+    """
+
+    def __init__(self, chars, counts, m, max_depth, rep_offset=0):
+        R = len(counts)
+        rep_of_key = np.repeat(np.arange(R, dtype=np.int64), counts)
+        alive = np.flatnonzero(counts >= 1)
+        root_id = np.full(R, -1, dtype=np.int64)
+        root_id[alive] = np.arange(len(alive))
+        # per-level pieces of each column, joined once grouping ends
+        levels = {
+            "count": [counts[alive]],
+            "parent": [np.full(len(alive), -1)],
+            "char": [np.full(len(alive), -1, dtype=np.int8)],
+            "rep": [alive],
+        }
+        offsets = [0, len(alive)]
+        key_group = root_id[rep_of_key]
+        active = np.flatnonzero(counts[rep_of_key] >= 2)
+
+        t = 0
+        while active.size:
+            if t >= max_depth:
+                raise DepthExceeded(max_depth, replicate=int(rep_of_key[active[0]]) + rep_offset)
+            col = chars.column(t)[active].astype(np.int64)
+            codes = key_group[active] * m + col
+            # counting-sort style renumbering: new group ids run in (parent, char)
+            # order, so children of one node sit contiguously in alphabet order
+            occupancy = np.bincount(codes, minlength=(offsets[-1] - offsets[-2]) * m)
+            occupied = np.flatnonzero(occupancy)
+            inverse = (np.cumsum(occupancy > 0) - 1)[codes]
+            up = occupied // m
+            levels["count"].append(occupancy[occupied])
+            levels["parent"].append(up + offsets[-2])
+            levels["char"].append((occupied % m).astype(np.int8))
+            levels["rep"].append(levels["rep"][-1][up])
+            offsets.append(offsets[-1] + len(occupied))
+            key_group[active] = inverse
+            active = active[levels["count"][-1][inverse] >= 2]
+            t += 1
+
         self.R = R
-        self.counts = np.asarray(counts, dtype=np.float64)
-        self.shape_cap = shape_cap
-        self._pat_internal = [(lv.child_count >= 2) for lv in levels]
-        self._leaves = [(lv.count == 1) for lv in levels]
-        self._ess = None
-        self._pat_root_gid = None
-        self._pat_root_level = None
-        self._sig = None
-        self._sig_memo = None
-        # global patricia-node ids, level by level
-        self._pat_mask = [(lv.child_count != 1) for lv in levels]
-        sizes = [int(mask.sum()) for mask in self._pat_mask]
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        self.total_pat = int(offsets[-1])
-        self._gid = []
-        for lv, mask, off in zip(levels, self._pat_mask, offsets):
-            gid = np.full(len(lv.count), -1, dtype=np.int64)
-            gid[mask] = off + np.arange(mask.sum())
-            self._gid.append(gid)
+        self.offsets = offsets
+        for name, pieces in levels.items():
+            setattr(self, name, np.concatenate(pieces))
+            pieces.clear()  # frees this column's pieces before the next is joined
+        self.child_count = np.bincount(self.parent[offsets[1]:], minlength=len(self.count))
+        # a replicate's rows are consecutive within a level, so a per-replicate
+        # sum first adds up runs of equal rep, several times faster than a
+        # weighted bincount over every row
+        self.runs = np.flatnonzero(np.diff(self.rep, prepend=-1))
 
-    # -- aggregation helpers ------------------------------------------------
+    def per_rep(self, values):
+        """Per-replicate sum of one value per row."""
+        run_sums = np.add.reduceat(values, self.runs, dtype=np.float64)
+        return np.bincount(self.rep[self.runs], run_sums, minlength=self.R)
 
-    def _per_rep(self, masks):
+    def at_roots(self, values):
+        """Per-replicate value at the trie root; 0 for replicates without keys."""
         out = np.zeros(self.R)
-        for lv, mask in zip(self.levels, masks):
-            if mask is None or not mask.any():
-                continue
-            out += np.bincount(lv.rep[mask], minlength=self.R)
+        out[self.rep[: self.offsets[1]]] = values[: self.offsets[1]]
         return out
 
-    def _per_rep_weighted(self, level_values):
-        out = np.zeros(self.R)
-        for lv, vals in zip(self.levels, level_values):
-            if vals is None:
-                continue
-            out += np.bincount(lv.rep, weights=vals, minlength=self.R)
-        return out
-
-    # -- essentiality -------------------------------------------------------
-
-    def _pat_parents(self):
-        """Nearest patricia-internal strict ancestor (as global id) per node."""
-        parents = []
-        inherited = np.full(len(self.levels[0].count), -1, dtype=np.int64)
-        pass_down = np.where(self._pat_internal[0], self._gid[0], inherited)
-        parents.append(inherited)
-        for t in range(1, len(self.levels)):
-            lv = self.levels[t]
-            inherited = pass_down[lv.parent]
-            parents.append(inherited)
-            pass_down = np.where(self._pat_internal[t], self._gid[t], inherited)
-        return parents
-
-    def essentials(self):
-        """Essential bit per patricia node (indexed by global id), bottom-up."""
-        if self._ess is not None:
-            return self._ess
-        parents = self._pat_parents()
-        ess = np.zeros(self.total_pat)
-        child_sum = np.zeros(self.total_pat)
-        pat_root_gid = np.full(self.R, -1, dtype=np.int64)
-        pat_root_level = np.full(self.R, -1, dtype=np.int64)
-        for t in range(len(self.levels) - 1, -1, -1):
-            lv = self.levels[t]
-            mask = self._pat_mask[t]
-            if not mask.any():
-                continue
-            gids = self._gid[t][mask]
-            is_leaf = self._leaves[t][mask]
-            values = np.where(is_leaf, 1.0, np.maximum(0.0, 1.0 - child_sum[gids]))
-            ess[gids] = values
-            par = parents[t][mask]
-            have_parent = par >= 0
-            np.add.at(child_sum, par[have_parent], values[have_parent])
-            roots = ~have_parent
-            if roots.any():
-                pat_root_gid[lv.rep[mask][roots]] = gids[roots]
-                pat_root_level[lv.rep[mask][roots]] = t
-        self._ess = ess
-        self._pat_root_gid = pat_root_gid
-        self._pat_root_level = pat_root_level
-        return ess
-
-    def pat_root_gid(self):
-        self.essentials()
-        return self._pat_root_gid
+    def histogram(self, kmax):
+        """Counts of internal patricia fringes by size: k = 2..kmax plus overflow."""
+        internal = self.child_count >= 2
+        bins = self.rep[internal] * kmax + np.minimum(self.count[internal], kmax + 1) - 2
+        return np.bincount(bins, minlength=self.R * kmax).reshape(self.R, kmax).astype(np.float64)
 
     def pat_root_level(self):
-        """Depth of each replicate's patricia root = its root prefix length."""
-        self.essentials()
-        return self._pat_root_level
-
-    def trie_alpha_per_rep(self):
-        """Independence number of the plain trie, per replicate."""
-        child_sum = [np.zeros(len(lv.count)) for lv in self.levels]
-        out = np.zeros(self.R)
-        for t in range(len(self.levels) - 1, -1, -1):
-            lv = self.levels[t]
-            values = np.where(self._leaves[t], 1.0, np.maximum(0.0, 1.0 - child_sum[t]))
-            out += np.bincount(lv.rep, weights=values, minlength=self.R)
-            if t:
-                np.add.at(child_sum[t - 1], lv.parent, values)
+        """Depth of each replicate's patricia root (its root prefix length); -1 when empty."""
+        pat = np.flatnonzero(self.child_count != 1)
+        reps, first = np.unique(self.rep[pat], return_index=True)
+        out = np.full(self.R, -1, dtype=np.int64)
+        out[reps] = np.searchsorted(self.offsets, pat[first], side="right") - 1
         return out
 
-    # -- bounded canonical shapes --------------------------------------------
+    def view(self, compress, shape_cap, memo):
+        """Per-row aggregates of the fringe each row roots, as the oracle's _Stats.
 
-    def signatures(self):
-        """Per-node canonical patricia-shape ids for fringes of <= shape_cap keys.
-
-        Unary trie nodes pass their only child's id through, so every node's
-        id describes the *compressed* fringe; ids are interned in _sig_memo.
+        The trie view describes the trie fringe.  With compress, the
+        patricia view describes the compressed fringe: a unary row carries
+        its only child's node count, essential bit and shape id, and a
+        parent sums its children's values from there.  Only patricia rows
+        of this view enter a toll sum or root toll, and at those rows outdeg
+        is the row's own child count.  Shape ids are computed only for
+        shape_cap > 0.
         """
-        if self._sig is not None:
-            return self._sig
-        cap = self.shape_cap
-        memo = {_LEAF_SIG: 0}
-        sigs = [np.full(len(lv.count), -1, dtype=np.int64) for lv in self.levels]
-        for t in range(len(self.levels) - 1, -1, -1):
-            lv = self.levels[t]
-            sig_t = sigs[t]
-            sig_t[self._leaves[t]] = 0
-            if t + 1 < len(self.levels):
-                nxt = self.levels[t + 1]
-                starts = np.searchsorted(nxt.parent, np.arange(len(lv.count)))
-                ends = np.searchsorted(nxt.parent, np.arange(1, len(lv.count) + 1))
-                small = (lv.count >= 2) & (lv.count <= cap)
-                unary = small & (lv.child_count == 1)
-                sig_t[unary] = sigs[t + 1][starts[unary]]
-                for i in np.flatnonzero(small & (lv.child_count >= 2)):
-                    lo, hi = starts[i], ends[i]
-                    parts = tuple(
-                        (int(c), int(s)) for c, s in zip(nxt.char[lo:hi], sigs[t + 1][lo:hi])
-                    )
-                    sig_t[i] = memo.setdefault(parts, len(memo))
-        self._sig = sigs
-        self._sig_memo = memo
-        return sigs
+        unary = self.child_count == 1
+        nodes = (~unary if compress else np.ones(len(self.count), bool)).astype(np.float64)
+        essential = np.ones(len(self.count))
+        off = self.offsets
+        for t in range(len(off) - 3, -1, -1):
+            rows, kids = slice(off[t], off[t + 1]), slice(off[t + 1], off[t + 2])
+            up, size = self.parent[kids] - off[t], off[t + 1] - off[t]
+            nodes[rows] += np.bincount(up, nodes[kids], size)
+            below = np.bincount(up, essential[kids], size)
+            essential[rows] = np.where(compress & unary[rows], below, np.maximum(0.0, 1.0 - below))
+        shape = _ShapeColumn(self.signatures(shape_cap, compress, memo), memo) if shape_cap else None
+        return _Stats(self.count, nodes, self.child_count, essential, shape)
 
-    def shape_id(self, sig) -> int:
-        """Intern a functionals-style nested signature into this forest's id space."""
-        self.signatures()
-        if sig == _LEAF_SIG:
-            return 0
+    def signatures(self, cap, compress, memo):
+        """Per-row canonical shape ids of fringes of <= cap keys, interned in memo.
 
-        def convert(s):
-            if s == _LEAF_SIG:
-                return 0
-            parts = tuple((int(a), convert(sub)) for a, sub in s)
-            return self._sig_memo.get(parts, -2)
-
-        return convert(sig)
-
-    # -- functional extraction ------------------------------------------------
-
-    def pat_value(self, key):
-        kind = key[0]
-        if kind == "leaf":
-            return self.counts.copy()
-        if kind == "k":
-            k = key[1]
-            if k == 1:
-                return self.counts.copy()
-            return self._per_rep([(m & (lv.count == k)) for lv, m in zip(self.levels, self._pat_internal)])
-        if kind == "geq":
-            k = key[1]
-            base = self._per_rep([(m & (lv.count >= k)) for lv, m in zip(self.levels, self._pat_internal)])
-            if k <= 1:
-                base += self.counts
-            return base
-        if kind == "internal":
-            return self._per_rep(self._pat_internal)
-        if kind == "alpha":
-            ess = self.essentials()
-            return self._per_rep_weighted(
-                [np.where(mask, ess[gid], 0.0) for mask, gid in zip(self._pat_mask, self._gid)]
-            )
-        if kind == "shape":
-            target = self.shape_id(key[1])
-            if target == 0:
-                return self.counts.copy()
-            sigs = self.signatures()
-            return self._per_rep(
-                [(m & (s == target)) for lv, m, s in zip(self.levels, self._pat_internal, sigs)]
-            )
-        raise KeyError(key)
-
-    def trie_value(self, key):
-        kind = key[0]
-        if kind == "leaf":
-            return self.counts.copy()
-        if kind == "k":
-            k = key[1]
-            if k == 1:
-                return self.counts.copy()
-            return self._per_rep([lv.count == k for lv in self.levels])
-        if kind == "geq":
-            k = key[1]
-            return self._per_rep([lv.count >= max(k, 1) for lv in self.levels])
-        if kind == "internal":
-            return self._per_rep([lv.count >= 2 for lv in self.levels])
-        if kind == "alpha":
-            return self.trie_alpha_per_rep()
-        raise KeyError(f"no trie-side engine evaluation for {key!r}")
-
-    def root_toll_value(self, key):
-        """pulled_phi evaluated at each replicate's root: phi_p(root) * phi(pat root)."""
-        lv0 = self.levels[0]
-        out = np.zeros(self.R)
-        phi_p = lv0.child_count != 1
-        kind = key[0]
-        if kind == "k":
-            vals = phi_p & (lv0.count == key[1])
-        elif kind == "geq":
-            vals = phi_p & (lv0.count >= key[1])
-        elif kind == "internal":
-            vals = phi_p & (lv0.count >= 2)
-        elif kind == "leaf":
-            vals = phi_p & (lv0.count == 1)
-        elif kind == "alpha":
-            ess = self.essentials()
-            gid0 = self._gid[0]
-            vals = np.where(phi_p & (gid0 >= 0), ess[np.maximum(gid0, 0)], 0.0)
-        elif kind == "shape":
-            target = self.shape_id(key[1])
-            sig0 = self.signatures()[0]
-            if target == 0:
-                vals = phi_p & (lv0.count == 1)
-            else:
-                vals = phi_p & (sig0 == target)
-        else:
-            raise KeyError(key)
-        out[lv0.rep] = np.asarray(vals, dtype=np.float64)
-        return out
-
-    def pat_root_essential_per_rep(self):
-        """Essentiality of the patricia root per replicate (0 for empty trees).
-
-        This is the root *toll* of the independence-number functional on the
-        patricia trie itself, not gated by the trie root's outdegree: the
-        patricia root is the youngest trie node of the root's unary chain.
+        With compress, unary rows pass their only child's id through, so the
+        id describes the compressed fringe.
         """
-        ess = self.essentials()
-        gid = self.pat_root_gid()
-        out = np.zeros(self.R)
-        have = gid >= 0
-        out[have] = ess[gid[have]]
+        sig = np.where(self.count == 1, 0, -1)
+        first = self.offsets[1] + np.cumsum(self.child_count) - self.child_count
+        small = (self.count >= 2) & (self.count <= cap)
+        off = self.offsets
+        for t in range(len(off) - 3, -1, -1):
+            rows = off[t] + np.flatnonzero(small[off[t] : off[t + 1]])
+            if compress:
+                unary = self.child_count[rows] == 1
+                sig[rows[unary]] = sig[first[rows[unary]]]
+                rows = rows[~unary]
+            for i in rows.tolist():
+                lo, hi = first[i], first[i] + self.child_count[i]
+                parts = tuple(zip(self.char[lo:hi].tolist(), sig[lo:hi].tolist()))
+                sig[i] = memo.setdefault(parts, len(memo))
+        return sig
+
+
+def _rule_values(toll, view):
+    """The toll's rule on every row of a view, as floats."""
+    return np.broadcast_to(np.asarray(toll.stats_fn(view), dtype=np.float64), view.leaf_count.shape)
+
+
+def _toll_sums(forest, tolls, paired_trie=False, want_roots=False):
+    """Per-replicate sums of each toll over the patricia trie ("pat"), over the
+    trie ("trie"), and its pulled-back value at the trie root ("root")."""
+    shape = (forest.R, len(tolls))
+    out = {"pat": np.zeros(shape)}
+    if paired_trie:
+        out["trie"] = np.zeros(shape)
+    if want_roots:
+        out["root"] = np.zeros(shape)
+    if not tolls:
         return out
-
-    def pat_nodes_per_rep(self):
-        return self._per_rep(self._pat_mask)
-
-    def trie_nodes_per_rep(self):
-        return self._per_rep([np.ones(len(lv.count), dtype=bool) for lv in self.levels])
-
-    def histogram_per_rep(self, kmax):
-        """Counts of internal patricia fringes by size: k = 2..kmax plus overflow."""
-        nbins = kmax
-        out = np.zeros((self.R, nbins))
-        for lv, mask in zip(self.levels, self._pat_internal):
-            if not mask.any():
-                continue
-            ks = np.minimum(lv.count[mask], kmax + 1) - 2
-            flat = lv.rep[mask] * nbins + ks
-            out += np.bincount(flat, minlength=self.R * nbins).reshape(self.R, nbins)
-        return out
+    cap = max(t.needs_shape for t in tolls)
+    memo = {_LEAF_SIG: 0}
+    pat_rows = forest.child_count != 1
+    pat = forest.view(True, cap, memo)
+    for j, t in enumerate(tolls):
+        # zeroing the other rows costs less than selecting the patricia rows
+        gated = np.where(pat_rows, _rule_values(t, pat), 0.0)
+        out["pat"][:, j] = forest.per_rep(gated)
+        if want_roots:
+            out["root"][:, j] = forest.at_roots(gated)
+    if paired_trie:
+        pat = gated = None  # the two views are never held at once
+        trie = forest.view(False, cap, memo)
+        for j, t in enumerate(tolls):
+            out["trie"][:, j] = forest.per_rep(_rule_values(t, trie))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # chunked execution
 
 
-def _draw_counts(config, rngs):
+def _forest_of(config, start, stop):
+    """Key counts and forest of replicates [start, stop) of a config."""
+    rngs = [replicate_rng(config.master_seed, i) for i in range(start, stop)]
     if config.mode == "fixed":
-        return np.full(len(rngs), int(config.size), dtype=np.int64)
-    return np.array([rng.poisson(config.size) for rng in rngs], dtype=np.int64)
+        counts = np.full(len(rngs), int(config.size), dtype=np.int64)
+    else:
+        counts = np.array([rng.poisson(config.size) for rng in rngs], dtype=np.int64)
+    chars = CharBlocks(config.source, rngs, counts)
+    return counts, _Forest(chars, counts, config.source.m, config.max_depth, rep_offset=start)
 
 
 def _engine_chunk(config, start, stop, want_roots=False):
     """Run replicates [start, stop) through the forest engine."""
-    rngs = [replicate_rng(config.master_seed, i) for i in range(start, stop)]
-    counts = _draw_counts(config, rngs)
-    chars = _PooledChars(config.source, rngs, counts)
-    levels = _build_levels(chars, counts, config.source.m, config.max_depth, rep_offset=start)
-    cap = max((t.needs_shape for t in config.functionals), default=0)
-    forest = _Forest(levels, len(rngs), counts, shape_cap=cap)
-
-    keys = [t.engine_key for t in config.functionals]
-    out = {
-        "n": counts.astype(np.float64),
-        "pat": np.column_stack([forest.pat_value(k) for k in keys]) if keys else np.zeros((len(rngs), 0)),
-        "pat_nodes": forest.pat_nodes_per_rep(),
-        "trie_nodes": forest.trie_nodes_per_rep(),
-        "hist": forest.histogram_per_rep(config.histogram_kmax),
-    }
-    if config.paired_trie:
-        out["trie"] = np.column_stack([forest.trie_value(k) for k in keys])
-    if want_roots:
-        out["root"] = np.column_stack([forest.root_toll_value(k) for k in keys])
+    counts, forest = _forest_of(config, start, stop)
+    out = _toll_sums(forest, config.functionals, config.paired_trie, want_roots)
+    out["n"] = counts.astype(np.float64)
+    out["pat_nodes"] = forest.per_rep(forest.child_count != 1)
+    out["trie_nodes"] = forest.per_rep(np.ones(len(forest.count)))
+    out["hist"] = forest.histogram(config.histogram_kmax)
     return out
-
-
-def _object_chunk(config, start, stop, want_roots=False):
-    """Fallback path building explicit trees; supports arbitrary tolls."""
-    from .functionals import pullback
-
-    R = stop - start
-    tolls = list(config.functionals)
-    n_arr = np.zeros(R)
-    pat_vals = np.zeros((R, len(tolls)))
-    trie_vals = np.zeros((R, len(tolls))) if config.paired_trie else None
-    root_vals = np.zeros((R, len(tolls))) if want_roots else None
-    pat_nodes = np.zeros(R)
-    trie_nodes = np.zeros(R)
-    kmax = config.histogram_kmax
-    hist = np.zeros((R, kmax))
-
-    for j in range(R):
-        rng = replicate_rng(config.master_seed, start + j)
-        n = int(config.size) if config.mode == "fixed" else int(rng.poisson(config.size))
-        n_arr[j] = n
-        ks = random_key_set(config.source, n, rng)
-        try:
-            pat = build_patricia(ks, max_depth=config.max_depth)
-        except DepthExceeded as exc:
-            raise DepthExceeded(config.max_depth, replicate=start + j) from exc
-        pat_vals[j] = evaluate_additive(tolls, pat) if tolls else 0.0
-        pat_nodes[j] = pat.node_count()
-        for node in pat.nodes():
-            if node.children:
-                hist[j, min(node.leaf_count, kmax + 1) - 2] += 1
-        if config.paired_trie or want_roots:
-            trie = build_trie(ks, max_depth=config.max_depth)
-            trie_nodes[j] = trie.node_count()
-            if config.paired_trie:
-                trie_vals[j] = evaluate_additive(tolls, trie) if tolls else 0.0
-            if want_roots:
-                for c, t in enumerate(tolls):
-                    root_vals[j, c] = pullback(t).value(trie)
-        else:
-            trie_nodes[j] = np.nan
-
-    out = {"n": n_arr, "pat": pat_vals, "pat_nodes": pat_nodes, "trie_nodes": trie_nodes, "hist": hist}
-    if config.paired_trie:
-        out["trie"] = trie_vals
-    if want_roots:
-        out["root"] = root_vals
-    return out
-
-
-def _engine_capable(config) -> bool:
-    if any(t.engine_key is None or t.pulled for t in config.functionals):
-        return False
-    if config.paired_trie and any(t.engine_key[0] == "shape" for t in config.functionals):
-        return False
-    return True
 
 
 def _chunk_bounds(config):
@@ -642,16 +385,15 @@ def _chunk_bounds(config):
 
 
 def _collect(config, want_roots=False, threads=1):
-    worker = _engine_chunk if _engine_capable(config) else _object_chunk
     chunks = _chunk_bounds(config)
     results = [None] * len(chunks)
-    if threads > 1 and len(chunks) > 1 and worker is _engine_chunk:
+    if threads > 1 and len(chunks) > 1:
         import concurrent.futures as cf
 
         try:
             with cf.ProcessPoolExecutor(max_workers=threads) as pool:
                 futures = {
-                    pool.submit(worker, config, a, b, want_roots): i for i, (a, b) in enumerate(chunks)
+                    pool.submit(_engine_chunk, config, a, b, want_roots): i for i, (a, b) in enumerate(chunks)
                 }
                 for fut, i in futures.items():
                     results[i] = fut.result()
@@ -661,14 +403,13 @@ def _collect(config, want_roots=False, threads=1):
                 RuntimeWarning,
                 stacklevel=2,
             )
-            results = [worker(config, a, b, want_roots) for a, b in chunks]
+            results = [_engine_chunk(config, a, b, want_roots) for a, b in chunks]
     else:
-        results = [worker(config, a, b, want_roots) for a, b in chunks]
+        results = [_engine_chunk(config, a, b, want_roots) for a, b in chunks]
     merged = {}
     for key in results[0]:
         merged[key] = np.concatenate([r[key] for r in results])
     return merged
-
 
 # ---------------------------------------------------------------------------
 # moments
@@ -793,21 +534,13 @@ def sample_patricia_roots(d: SourceDistribution, n: int, replicates: int, master
     length of the patricia trie is the depth of the trie node it compresses
     to, which for k >= 2 keys follows Geom_0(1 - rho(k)).
     """
-    from .trees import shape_signature
-
-    rngs = [replicate_rng(master_seed, i) for i in range(replicates)]
-    counts = np.full(replicates, n, dtype=np.int64)
-    chars = _PooledChars(d, rngs, counts)
-    levels = _build_levels(chars, counts, d.m, DEFAULT_MAX_DEPTH)
-    forest = _Forest(levels, replicates, counts, shape_cap=n)
+    _, forest = _forest_of(SimulationConfig.fixed(d, n, replicates, master_seed, ()), 0, replicates)
+    memo = {_LEAF_SIG: 0}
     # the pass-through signature at the trie root is the patricia root's shape
-    sig0 = forest.signatures()[0]
-    root_sig = np.full(replicates, -3, dtype=np.int64)
-    root_sig[levels[0].rep] = sig0
+    sig = _ShapeColumn(forest.signatures(n, True, memo), memo)
     shape_index = np.full(replicates, -1, dtype=np.int64)
     for j, shape in enumerate(shapes):
-        target = forest.shape_id(shape_signature(shape))
-        shape_index[root_sig == target] = j
+        shape_index[forest.at_roots(sig == shape_signature(shape)) > 0] = j
     return shape_index, forest.pat_root_level()
 
 
@@ -818,12 +551,9 @@ def estimate_root_essential(d: SourceDistribution, n: int, replicates: int, mast
     root this is the toll of the patricia trie itself, so it stays positive
     even when every key shares its first character.
     """
-    rngs = [replicate_rng(master_seed, i) for i in range(replicates)]
-    counts = np.full(replicates, n, dtype=np.int64)
-    chars = _PooledChars(d, rngs, counts)
-    levels = _build_levels(chars, counts, d.m, DEFAULT_MAX_DEPTH)
-    forest = _Forest(levels, replicates, counts)
-    vals = forest.pat_root_essential_per_rep()
+    _, forest = _forest_of(SimulationConfig.fixed(d, n, replicates, master_seed, ()), 0, replicates)
+    # the patricia view at a trie root describes the patricia root
+    vals = forest.at_roots(forest.view(True, 0, None).essential)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicates))
 
 
@@ -881,6 +611,17 @@ def normality_diagnostics(samples, skew_threshold=None, kurtosis_threshold=None)
 # oscillation scan
 
 
+def _default_psi_e(d, toll):
+    """psi_E of the k-fringe tolls with k >= 2 (closed form) and of the leaf
+    count (zero), recognized by their rules; None for any other toll."""
+    rule = toll.stats_fn
+    if isinstance(rule, partial) and rule.func is _count_is and rule.keywords["k"] >= 2:
+        return psi_for_k(d, rule.keywords["k"], "E")
+    if rule is _is_lone_leaf:
+        return 0.0
+    return None
+
+
 @dataclass(frozen=True)
 class OscillationScan:
     log_lambda: np.ndarray
@@ -924,16 +665,11 @@ def oscillation_scan(
     a closed-form limit function (the k-fringe tolls and the leaf count);
     pass psi_e to supply one explicitly.
     """
-    from .asymptotics import psi_for_k
-
     d_p = d.periodicity()
     if period is None:
         period = d_p if d_p > 0 else math.log(2.0)
-    if psi_e is None and toll.engine_key is not None:
-        if toll.engine_key[0] == "k" and toll.engine_key[1] >= 2:
-            psi_e = psi_for_k(d, toll.engine_key[1], "E")
-        elif toll.engine_key[0] == "leaf":
-            psi_e = 0.0
+    if psi_e is None:
+        psi_e = _default_psi_e(d, toll)
     h = d.entropy()
     points = periods * points_per_period + 1
     logs = np.log(lam_min) + period * np.arange(points) / points_per_period
@@ -971,8 +707,14 @@ class FringeDistribution:
 
 
 def fringe_distribution(config: SimulationConfig, threads: int = 1) -> FringeDistribution:
-    """Per-replicate fringe-size masses (count of size-k fringes over node count)."""
+    """Per-replicate fringe-size masses (count of size-k fringes over node count).
+
+    Raises EmptyTree when a replicate has no keys, since its masses are 0/0.
+    """
     data = _collect(config, threads=threads)
+    empty = np.flatnonzero(data["n"] == 0)
+    if empty.size:
+        raise EmptyTree(f"replicate {empty[0]} has no keys, so its fringe masses are undefined")
     nodes = data["pat_nodes"]
     masses = data["hist"] / nodes[:, None]
     leaf_mass = data["n"] / nodes
@@ -1005,29 +747,18 @@ def slln_track(
     block), so the sequence tracks one realization of the almost-sure limit.
     Returns a list of (n, ratio, deviation) triples.
     """
-    from .asymptotics import psi_for_k
-
-    if psi_e is None and toll.engine_key is not None:
-        if toll.engine_key[0] == "k" and toll.engine_key[1] >= 2:
-            psi_e = psi_for_k(d, toll.engine_key[1], "E")
-        elif toll.engine_key[0] == "leaf":
-            psi_e = 0.0
+    if psi_e is None:
+        psi_e = _default_psi_e(d, toll)
     if psi_e is None:
         raise ValueError("no closed-form limit function for this toll; pass psi_e")
-    if toll.engine_key is None:
-        raise ValueError("slln_track supports engine-mapped tolls")
 
     n_grid = sorted(int(n) for n in n_grid)
-    n_max = n_grid[-1]
-    rng = replicate_rng(master_seed, 0)
-    chars = _PooledChars(d, [rng], np.array([n_max]))
+    chars = CharBlocks(d, [replicate_rng(master_seed, 0)], [n_grid[-1]])
     h = d.entropy()
     out = []
     for n in n_grid:
-        sub = _SlicedChars(chars, n)
-        levels = _build_levels(sub, np.array([n]), d.m, max_depth)
-        forest = _Forest(levels, 1, np.array([n]), shape_cap=toll.needs_shape)
-        phi = float(forest.pat_value(toll.engine_key)[0])
+        forest = _Forest(_SlicedChars(chars, n), np.array([n]), d.m, max_depth)
+        phi = float(_toll_sums(forest, (toll,))["pat"][0, 0])
         ratio = phi / n
         deviation = ratio - psi_eval(psi_e, math.log(n)) / h - toll.chi
         out.append((n, ratio, deviation))

@@ -451,32 +451,49 @@ class _BlockKey:
 KEY_BLOCK_WIDTH = 32
 
 
-class KeyBlock:
-    """n random keys drawn as a matrix, deepened 32 columns at a time.
+class CharBlocks:
+    """Random characters of the keys of one or more replicates, drawn 32 columns at a time.
 
-    All draws come from the single generator passed in, in a fixed sequence
-    of (n, 32) blocks, so the keys are reproducible and only as many
-    character columns are drawn as the deepest split requires (rounded up
-    to the block width).
+    Replicate r owns counts[r] consecutive rows and draws them from its own
+    generator in a fixed sequence of (counts[r], 32) blocks, so the
+    characters depend on neither the pooling of replicates nor the moment
+    of deepening; a replicate with no keys draws nothing.  Deepening
+    appends one row-major (total, 32) block to a list and column t is
+    column t % 32 of block t // 32, so no drawn block is copied again.
     """
 
-    def __init__(self, d: SourceDistribution, n: int, rng: np.random.Generator):
+    def __init__(self, d: SourceDistribution, rngs, counts):
         self.d = d
-        self.rng = rng
-        self.chars = d.draw_chars(rng, (n, KEY_BLOCK_WIDTH)) if n else np.zeros((0, KEY_BLOCK_WIDTH), np.int8)
+        self.rngs = rngs
+        self.counts = [int(c) for c in counts]
+        self.total = sum(self.counts)
+        self.blocks = []
+        self._draw_block()
+
+    def _draw_block(self):
+        block = np.empty((self.total, KEY_BLOCK_WIDTH), np.int8)
+        at = 0
+        for rng, c in zip(self.rngs, self.counts):
+            if c:
+                block[at : at + c] = self.d.draw_chars(rng, (c, KEY_BLOCK_WIDTH))
+                at += c
+        self.blocks.append(block)
+
+    def _block_of(self, t):
+        while t >= len(self.blocks) * KEY_BLOCK_WIDTH:
+            self._draw_block()
+        return self.blocks[t // KEY_BLOCK_WIDTH]
+
+    def column(self, t):
+        return self._block_of(t)[:, t % KEY_BLOCK_WIDTH]
 
     def char(self, row, i):
-        while i >= self.chars.shape[1]:
-            extra = self.d.draw_chars(self.rng, (self.chars.shape[0], KEY_BLOCK_WIDTH))
-            self.chars = np.concatenate([self.chars, extra], axis=1)
-        return int(self.chars[row, i])
-
-    def keys(self):
-        return [_BlockKey(self, r) for r in range(self.chars.shape[0])]
+        return int(self._block_of(i)[row, i % KEY_BLOCK_WIDTH])
 
 
 def random_key_set(d: SourceDistribution, n: int, rng: np.random.Generator) -> KeySet:
     """A KeySet of n lazily materialized random keys from the source."""
     ks = KeySet([], d.m)
-    ks.keys = KeyBlock(d, n, rng).keys()
+    block = CharBlocks(d, [rng], [n])
+    ks.keys = [_BlockKey(block, r) for r in range(n)]
     return ks

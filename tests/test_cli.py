@@ -154,6 +154,28 @@ class TestOscillate:
 
 
 class TestTopLevel:
+    @pytest.mark.parametrize(
+        "argv, code, named",
+        [
+            (("fringe-dist", "--source", "0.5,0.5", "--n", "0", "--replicates", "2", "--seed", "1"), 1, "--n"),
+            (("oscillate", "--source", "0.5,0.5", "--functional", "k=2", "--lambda-min", "0", "--seed", "1"),
+             1, "--lambda-min"),
+            (("oscillate", "--source", "0.5,0.5", "--functional", "k=2", "--replicates", "1", "--seed", "1"),
+             1, "--replicates"),
+            (("oscillate", "--source", "0.5,0.5", "--functional", "k=2", "--periods", "0", "--seed", "1"),
+             1, "--periods"),
+            (("oscillate", "--source", "0.5,0.5", "--functional", "k=2", "--points-per-period", "0", "--seed", "1"),
+             1, "--points-per-period"),
+            (("fringe-dist", "--source", "0.5,0.5", "--n", "5", "--replicates", "2", "--seed", "1", "--kmax", "0"),
+             2, "histogram_kmax"),
+        ],
+    )
+    def test_input_without_a_finite_answer_is_rejected(self, capsys, argv, code, named):
+        # each of these once printed NaN or -Infinity (not JSON) or numpy's own message
+        rc, out, err = invoke(capsys, *argv)
+        assert (rc, out) == (code, "")
+        assert named in err
+
     def test_unknown_flag_named(self, capsys):
         code, _, err = invoke(capsys, "indnum", "--N", "10", "--frobnicate")
         assert code == 1

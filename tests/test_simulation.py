@@ -11,7 +11,7 @@ from triefringe.asymptotics import (
     link_trie_patricia,
 )
 from triefringe.errors import DegenerateVariance, DepthExceeded
-from triefringe.functionals import phi_alpha, phi_internal, phi_k, phi_leaf
+from triefringe.functionals import TollFunction, phi_alpha, phi_internal, phi_k, phi_leaf, phi_shape
 from triefringe.simulation import (
     SimulationConfig,
     estimate_fX,
@@ -26,6 +26,45 @@ from triefringe.source import SourceDistribution
 BIN_SYM = SourceDistribution((0.5, 0.5))
 TERNARY = SourceDistribution.uniform(3)
 SKEWED = SourceDistribution((0.3, 0.7))
+
+
+def two_way(st):
+    """A rule no built-in toll uses: the fringe's root splits two ways."""
+    return (st.outdeg == 2) * 1.0
+
+
+TWO_WAY = TollFunction(name="two-way", chi=0.0, stats_fn=two_way)
+
+
+def explicit_chunk(config, start, stop):
+    """Reference for the engine: replicates [start, stop) built as explicit
+    tries and patricia tries from the same keys, evaluated node by node,
+    with every output the engine can give."""
+    from triefringe.functionals import evaluate_additive, pullback
+    from triefringe.simulation import replicate_rng
+    from triefringe.trees import build_patricia, build_trie, random_key_set
+
+    tolls = list(config.functionals)
+    kmax = config.histogram_kmax
+    out = {key: [] for key in ("n", "pat", "trie", "root", "pat_nodes", "trie_nodes", "hist")}
+    for i in range(start, stop):
+        rng = replicate_rng(config.master_seed, i)
+        n = int(config.size) if config.mode == "fixed" else int(rng.poisson(config.size))
+        ks = random_key_set(config.source, n, rng)
+        pat = build_patricia(ks, max_depth=config.max_depth)
+        trie = build_trie(ks, max_depth=config.max_depth)
+        hist = np.zeros(kmax)
+        for node in pat.nodes():
+            if node.children:
+                hist[min(node.leaf_count, kmax + 1) - 2] += 1
+        out["n"].append(n)
+        out["pat"].append(evaluate_additive(tolls, pat))
+        out["trie"].append(evaluate_additive(tolls, trie))
+        out["root"].append([pullback(t).value(trie) for t in tolls])
+        out["pat_nodes"].append(pat.node_count())
+        out["trie_nodes"].append(trie.node_count())
+        out["hist"].append(hist)
+    return {key: np.array(rows, dtype=np.float64) for key, rows in out.items()}
 
 
 class TestRun:
@@ -60,8 +99,10 @@ class TestRun:
         a, b = run(cfg), run(cfg)
         assert a.as_dict() == b.as_dict()
 
-    def test_threads_do_not_change_results(self):
+    def test_threads_do_not_change_results(self, monkeypatch):
+        from triefringe import simulation
         from triefringe.simulation import _chunk_bounds
+        from triefringe.trees import enumerate_patricia_shapes
 
         # large enough that the run spans several chunks and really exercises
         # the worker pool; the second config does not divide evenly into
@@ -74,6 +115,13 @@ class TestRun:
             seq = run(cfg, threads=1)
             par = run(cfg, threads=3)
             assert seq.as_dict() == par.as_dict()
+        # shape tolls and custom rules on the trie side travel to the workers
+        # too; small chunks keep the signature sweep short
+        monkeypatch.setattr(simulation, "_CHUNK_KEYS", 1000)
+        tolls = (phi_shape(enumerate_patricia_shapes(3, 2)[0]), TWO_WAY, phi_alpha())
+        cfg = SimulationConfig.fixed(SKEWED, 200, 24, 29, tolls, paired_trie=True)
+        assert len(_chunk_bounds(cfg)) > 1
+        assert run(cfg, threads=1).as_dict() == run(cfg, threads=3).as_dict()
 
     def test_chunks_balanced(self):
         from triefringe.simulation import _CHUNK_KEYS, _chunk_bounds
@@ -144,8 +192,8 @@ class TestRun:
 
 
 class TestEngineMatchesExplicitTrees:
-    """The vectorized forest engine must agree bit for bit with the
-    explicit-tree path on every source, mode, and toll."""
+    """The vectorized forest engine must agree bit for bit with explicit
+    trees built from the same keys, on every source, mode, and toll."""
 
     # the (0.05, 0.95) source grows keys past several 32-column character
     # blocks even at these small key counts
@@ -158,8 +206,7 @@ class TestEngineMatchesExplicitTrees:
     )
 
     def test_patricia_values_histogram_and_roots(self):
-        from triefringe.functionals import phi_shape
-        from triefringe.simulation import _engine_chunk, _object_chunk
+        from triefringe.simulation import _engine_chunk
         from triefringe.trees import enumerate_patricia_shapes
 
         tolls = (
@@ -174,18 +221,26 @@ class TestEngineMatchesExplicitTrees:
             for mode, size in (("fixed", 7.0), ("poisson", 5.0), ("fixed", 1.0), ("fixed", 0.0)):
                 cfg = SimulationConfig(d, mode, size, 50, 4242, tolls)
                 fast = _engine_chunk(cfg, 0, 50, want_roots=True)
-                slow = _object_chunk(cfg, 0, 50, want_roots=True)
-                for key in ("n", "pat", "pat_nodes", "hist", "root"):
+                slow = explicit_chunk(cfg, 0, 50)
+                for key in ("n", "pat", "pat_nodes", "trie_nodes", "hist", "root"):
                     assert np.array_equal(fast[key], slow[key]), (key, d.probs, mode, size)
 
     def test_paired_trie_values(self):
-        from triefringe.simulation import _engine_chunk, _object_chunk
+        from triefringe.simulation import _engine_chunk
+        from triefringe.trees import enumerate_patricia_shapes
 
-        tolls = (phi_k(2), phi_internal(), phi_leaf(), phi_alpha())
+        tolls = (
+            phi_k(2),
+            phi_internal(),
+            phi_leaf(),
+            phi_alpha(),
+            phi_shape(enumerate_patricia_shapes(3, 2)[1]),
+            TWO_WAY,
+        )
         for d in self.SOURCES:
             cfg = SimulationConfig.fixed(d, 9, 40, 99, tolls, paired_trie=True)
             fast = _engine_chunk(cfg, 0, 40)
-            slow = _object_chunk(cfg, 0, 40)
+            slow = explicit_chunk(cfg, 0, 40)
             for key in ("pat", "trie", "trie_nodes"):
                 assert np.array_equal(fast[key], slow[key]), (key, d.probs)
 
@@ -208,9 +263,18 @@ class TestEngineMatchesExplicitTrees:
     def test_fuzzed_configs(self):
         from hypothesis import given, settings
         from hypothesis import strategies as st
-        from triefringe.simulation import _engine_chunk, _object_chunk
+        from triefringe.simulation import _engine_chunk
+        from triefringe.trees import enumerate_patricia_shapes
 
-        tolls = (phi_k(2), phi_k(4), phi_internal(), phi_leaf(), phi_alpha())
+        tolls = (
+            phi_k(2),
+            phi_k(4),
+            phi_internal(),
+            phi_leaf(),
+            phi_alpha(),
+            phi_shape(enumerate_patricia_shapes(4, 2)[0]),
+            TWO_WAY,
+        )
 
         @settings(max_examples=40, deadline=None)
         @given(
@@ -224,7 +288,7 @@ class TestEngineMatchesExplicitTrees:
             mode = "fixed" if fixed else "poisson"
             cfg = SimulationConfig(d, mode, float(size), 12, seed, tolls, paired_trie=True)
             fast = _engine_chunk(cfg, 0, 12, want_roots=True)
-            slow = _object_chunk(cfg, 0, 12, want_roots=True)
+            slow = explicit_chunk(cfg, 0, 12)
             for key in ("n", "pat", "trie", "pat_nodes", "trie_nodes", "hist", "root"):
                 assert np.array_equal(fast[key], slow[key]), key
 
@@ -349,6 +413,12 @@ class TestFringeDistribution:
         masses = data["hist"].sum(axis=1) + data["n"]
         assert np.array_equal(masses, data["pat_nodes"])
 
+    def test_replicate_without_keys_rejected(self):
+        from triefringe.errors import EmptyTree
+
+        with pytest.raises(EmptyTree, match="replicate 0"):
+            fringe_distribution(SimulationConfig.poisson(BIN_SYM, 0.5, 8, 3, ()))
+
     def test_binary_k2_mass(self):
         cfg = SimulationConfig.fixed(BIN_SYM, 20000, 60, 109, ())
         fd = fringe_distribution(cfg)
@@ -374,6 +444,13 @@ class TestSllnTrack:
         for _n, ratio, dev in track:
             assert ratio == 1.0
             assert dev == pytest.approx(0.0, abs=1e-12)
+
+    def test_custom_rule(self):
+        # every internal node of a binary patricia trie splits two ways
+        track = slln_track(BIN_SYM, TWO_WAY, [2**j for j in range(4, 8)], 131, psi_e=BIN_SYM.entropy())
+        for n, ratio, dev in track:
+            assert ratio == (n - 1) / n
+            assert dev == pytest.approx(-1 / n, abs=1e-12)
 
     def test_k2_deviation_shrinks(self):
         small_n, large_n = [], []

@@ -146,6 +146,31 @@ class TestCompressAndPatricia:
         assert p.leaf_count() == 2
 
 
+class TestCharBlocks:
+    def test_key_set_reads_equal_pooled_columns(self):
+        from triefringe.trees import CharBlocks
+
+        # 100 characters reach into the fourth 32-column block
+        d = SourceDistribution((0.05, 0.95))
+        seeds, counts = (11, 12, 13), (6, 0, 9)
+        pooled = CharBlocks(d, [np.random.default_rng(s) for s in seeds], counts)
+        first_block = pooled.blocks[0]
+        columns = np.stack([pooled.column(t) for t in range(100)], axis=1)
+        assert len(pooled.blocks) == 4 and pooled.blocks[0] is first_block
+        # a replicate without keys draws nothing from its generator
+        assert pooled.rngs[1].random() == np.random.default_rng(12).random()
+        at = 0
+        for seed, n in zip(seeds, counts):
+            ks = random_key_set(d, n, np.random.default_rng(seed))
+            first = ks.keys[0].block.blocks[0] if n else None
+            # key by key, so blocks are added midway through the reads
+            reads = [[key[i] for i in range(100)] for key in ks.keys]
+            assert np.array_equal(np.array(reads, dtype=np.int8).reshape(n, 100), columns[at : at + n])
+            if n:
+                assert ks.keys[0].block.blocks[0] is first
+            at += n
+
+
 class TestFringe:
     def test_root_fringe_clears_prefix(self):
         p = build_patricia(DRAWN_KEYS, 2)
