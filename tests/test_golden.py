@@ -33,6 +33,7 @@ CLI_CASES = {
         "simulate", "--source", "0.5,0.5", "--n", "3000", "--replicates", "12", "--seed", "13",
         "--functional", TOLLS, "--paired-trie",
     ),
+    "fringe-dist-uniform:8": "9aefd8f9d403c06e8abcfba6c8bff96fe8206ab78e91831dee16428f672d69c7",
     "simulate-fixed-0.3,0.7": (
         "simulate", "--source", "0.3,0.7", "--n", "3000", "--replicates", "12", "--seed", "11",
         "--functional", TOLLS,
@@ -61,14 +62,25 @@ CLI_CASES = {
         "fringe-dist", "--source", "0.3,0.7", "--n", "5000", "--replicates", "8", "--seed", "14",
         "--kmax", "8",
     ),
+    # eight letters: grouping tables several levels deep in one pass
+    "fringe-dist-uniform:8": (
+        "fringe-dist", "--source", "uniform:8", "--n", "20000", "--replicates", "6", "--seed", "15",
+    ),
+    # keys that grow past several 32-column character blocks
+    "simulate-paired-0.05,0.95": (
+        "simulate", "--source", "0.05,0.95", "--n", "2000", "--replicates", "10", "--seed", "16",
+        "--functional", TOLLS, "--paired-trie",
+    ),
 }
 
 CLI_DIGESTS = {
     "fringe-dist-0.3,0.7": "29491afc04bfce93617ea4419c4a3c3792b9609b2c2d0f9c918319b7656f1621",
+    "fringe-dist-uniform:8": "9aefd8f9d403c06e8abcfba6c8bff96fe8206ab78e91831dee16428f672d69c7",
     "simulate-fixed-0.3,0.7": "373086dd5699b050ada07bda704b340dfa2caffb523b4b7ac3723e132999a107",
     "simulate-fixed-0.5,0.5": "3775b4a9ac33531316846cf95b68593e752b339562de88a5cfc2f6da37b6b55d",
     "simulate-fixed-uniform:3": "ee7fa523cf73ccc5deeb8b295e6a2a29846a070cbb4d1b753fde1bf1f19137b0",
     "simulate-paired-0.3,0.7": "bb89e06f022923acf9ded5c6b649c441e303bcdd305f439627c795b31c5c828d",
+    "simulate-paired-0.05,0.95": "51b5ef9ba74c8f80abe86d5ad93adbaa9bc57b4b344fa3f90ae395d9d47585d6",
     "simulate-paired-0.5,0.5": "99610ccfe1bafc5ca0913c7bf8016020c0ceed8a266e4f787171cf3152072b2f",
     "simulate-paired-uniform:3": "bbaf667850f748d4670335ac4bc751a78326d72ca237ab0854c87b093229eb8a",
     "simulate-poisson-0.3,0.7": "3b0210160c303548d8dd0cc8ce7e3c90c6fd2a344b4141e828f43eaa4fa16f72",
