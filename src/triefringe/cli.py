@@ -101,10 +101,13 @@ def _parse_functionals(spec: str):
     tolls = []
     for token in spec.split(","):
         token = token.strip()
-        if token.startswith("k="):
-            tolls.append(phi_k(int(token[2:])))
-        elif token.startswith("geq="):
-            tolls.append(phi_geq(int(token[4:])))
+        name, _, value = token.partition("=")
+        if name in ("k", "geq") and value:
+            try:
+                k = _int_at_least(1)(value)
+            except argparse.ArgumentTypeError as exc:
+                raise _UsageError(f"functional {token!r}: {exc}") from None
+            tolls.append(phi_k(k) if name == "k" else phi_geq(k))
         elif token == "internal":
             tolls.append(phi_internal())
         elif token == "leaf":
@@ -130,14 +133,43 @@ def _int_at_least(low):
     return integer
 
 
-def _positive_float(text):
-    """An argparse type: a number > 0, else a usage error."""
-    try:
-        if float(text) > 0.0:
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a number > 0, got {text!r}")
+def _int_list(text):
+    """An argparse type: a comma list of integers, else a usage error naming the token."""
+    values = []
+    for token in text.split(","):
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{token!r} in {text!r} is not an integer") from None
+    return values
+
+
+def _finite_number(low, strict=False):
+    """An argparse type: a finite number >= low (> low when strict), else a usage error."""
+
+    def number(text):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if math.isfinite(value) and (value > low if strict else value >= low):
+            return value
+        raise argparse.ArgumentTypeError(f"must be a finite number {'>' if strict else '>='} {low}, got {text!r}")
+
+    return number
+
+
+def _source_spec(text):
+    """An argparse type: a source spec, '0.5,0.5' or 'uniform:3', whose every
+    number parses, else a usage error naming the token.  The values
+    themselves are checked by SourceDistribution."""
+    uniform = text.strip().startswith("uniform:")
+    for token in [text.split(":", 1)[1]] if uniform else text.split(","):
+        try:
+            int(token) if uniform else float(token)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{token!r} in {text!r} is not a number") from None
+    return text
 
 
 def _threads_default():
@@ -156,7 +188,7 @@ def _threads_default():
 
 def _cmd_constants(args):
     d = SourceDistribution.parse(args.source)
-    ks = [int(tok) for tok in args.k.split(",")]
+    ks = args.k
     d_p = d.periodicity()
     per_k = []
     for k in ks:
@@ -385,26 +417,26 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="asymptotic constants of the k-fringe counts")
-    p.add_argument("--source", required=True)
-    p.add_argument("--k", required=True, help="comma list of fringe sizes, e.g. 2,3,4")
+    p.add_argument("--source", type=_source_spec, required=True)
+    p.add_argument("--k", type=_int_list, required=True, help="comma list of fringe sizes, e.g. 2,3,4")
     p.add_argument("--fourier", type=int, default=8)
     p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(fn=_cmd_constants)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo of additive functionals")
-    p.add_argument("--source", required=True)
+    p.add_argument("--source", type=_source_spec, required=True)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--lambda", dest="lam", type=_finite_number(0), default=None)
     p.add_argument("--replicates", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--functional", required=True)
     p.add_argument("--paired-trie", action="store_true")
-    p.add_argument("--max-depth", type=int, default=10_000)
+    p.add_argument("--max-depth", type=_int_at_least(1), default=10_000)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("fringe-dist", help="empirical fringe-size distribution")
-    p.add_argument("--source", required=True)
+    p.add_argument("--source", type=_source_spec, required=True)
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--replicates", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -417,14 +449,14 @@ def _build_parser():
 
     p = sub.add_parser("enumerate", help="patricia shapes of k keys with exact probabilities")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--source", required=True)
+    p.add_argument("--source", type=_source_spec, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("oscillate", help="mean/lambda over a geometric lambda grid")
-    p.add_argument("--source", required=True)
+    p.add_argument("--source", type=_source_spec, required=True)
     p.add_argument("--functional", required=True)
-    p.add_argument("--lambda-min", dest="lambda_min", type=_positive_float, default=64.0)
+    p.add_argument("--lambda-min", dest="lambda_min", type=_finite_number(0, strict=True), default=64.0)
     p.add_argument("--periods", type=_int_at_least(1), default=3)
     p.add_argument("--points-per-period", type=_int_at_least(1), default=8)
     p.add_argument("--replicates", type=_int_at_least(2), default=200)

@@ -10,10 +10,14 @@ statistically independent.
 
 Every toll runs through one vectorized engine that never materializes
 tree objects: a replicate (or a whole pool of replicates, processed as one
-forest) is grouped level by level into one table of trie nodes.  Keys
-carrying the same character prefix form a group; groups with one key are
-leaves, groups with at least two are trie nodes that split on the next
-character column.  Bottom-up sweeps give every row the aggregates the
+forest) is grouped into one table of trie nodes.  Keys carrying the same
+character prefix form a group; groups with one key are leaves, groups with
+at least two are trie nodes that split on the next character column.
+Grouping takes several levels per pass: each key still in a node of two
+or more keys is coded by that node and its next few characters, one
+bincount counts the keys of every cell of the deepest level, sums over
+blocks of m cells give the levels above it, and the occupied cells under
+nodes of two or more keys become the rows of each level.  Bottom-up sweeps give every row the aggregates the
 explicit-tree evaluator computes per node (leaf count, node count,
 outdegree, essentiality bit, bounded shape signature), once for the trie
 fringe and once for the compressed fringe, and each toll's own rule runs
@@ -70,8 +74,10 @@ class SimulationConfig:
             raise ValueError("replicates must be >= 1")
         if self.histogram_kmax < 1:
             raise ValueError("histogram_kmax must be >= 1")
-        if self.size < 0:
-            raise ValueError("size must be nonnegative")
+        if not (math.isfinite(self.size) and self.size >= 0):
+            raise ValueError(f"size must be finite and nonnegative, got {self.size}")
+        if self.max_depth < 1:
+            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.mode == "fixed" and self.size != int(self.size):
             raise ValueError("fixed mode needs an integer key count")
         if any(t.pulled for t in self.functionals):
@@ -190,14 +196,20 @@ class _Forest:
     depth t, and within a level in (parent, char) order, so the children of
     a node are consecutive rows of the next level.  Columns: count (keys in
     the fringe), parent row (-1 at roots), char, rep and child_count.
+
+    Construction groups several levels per pass.  At depth t, the g-th row
+    holding >= 2 keys gives each of its keys the code g*m^s plus the keys'
+    characters t..t+s-1 read as a base-m number; one bincount of the codes
+    is the table of depth t+s, and summing its blocks of m cells gives the
+    tables of the depths above.  The stride s is the largest whose table
+    has no more cells than there are coded keys (else 1), and never passes
+    max_depth.  The table is the same as grouping one level per pass, and
+    so are the character columns read.
     """
 
     def __init__(self, chars, counts, m, max_depth, rep_offset=0):
         R = len(counts)
-        rep_of_key = np.repeat(np.arange(R, dtype=np.int64), counts)
         alive = np.flatnonzero(counts >= 1)
-        root_id = np.full(R, -1, dtype=np.int64)
-        root_id[alive] = np.arange(len(alive))
         # per-level pieces of each column, joined once grouping ends
         levels = {
             "count": [counts[alive]],
@@ -206,29 +218,65 @@ class _Forest:
             "rep": [alive],
         }
         offsets = [0, len(alive)]
-        key_group = root_id[rep_of_key]
-        active = np.flatnonzero(counts[rep_of_key] >= 2)
+        # the rows of the deepest level holding >= 2 keys (numbered within
+        # the level), and for each key in one of them the rank of its row
+        # among those rows; `active` lists those keys, None while it is all
+        big = np.flatnonzero(levels["count"][0] >= 2)
+        group = np.repeat(np.arange(len(big)), levels["count"][0][big])
+        active = None if len(group) == counts.sum() else np.flatnonzero(np.repeat(counts >= 2, counts))
 
         t = 0
-        while active.size:
+        while big.size:
             if t >= max_depth:
-                raise DepthExceeded(max_depth, replicate=int(rep_of_key[active[0]]) + rep_offset)
-            col = chars.column(t)[active].astype(np.int64)
-            codes = key_group[active] * m + col
-            # counting-sort style renumbering: new group ids run in (parent, char)
-            # order, so children of one node sit contiguously in alphabet order
-            occupancy = np.bincount(codes, minlength=(offsets[-1] - offsets[-2]) * m)
-            occupied = np.flatnonzero(occupancy)
-            inverse = (np.cumsum(occupancy > 0) - 1)[codes]
-            up = occupied // m
-            levels["count"].append(occupancy[occupied])
-            levels["parent"].append(up + offsets[-2])
-            levels["char"].append((occupied % m).astype(np.int8))
-            levels["rep"].append(levels["rep"][-1][up])
-            offsets.append(offsets[-1] + len(occupied))
-            key_group[active] = inverse
-            active = active[levels["count"][-1][inverse] >= 2]
-            t += 1
+                # rows run in replicate order, so this names the first
+                # replicate with two keys still together at depth t
+                raise DepthExceeded(max_depth, replicate=int(levels["rep"][-1][big[0]]) + rep_offset)
+            # one pass groups `stride` levels: the largest stride whose table
+            # of (group, next stride characters) cells is no larger than the
+            # active key count.  By pigeonhole every level of the pass then
+            # holds a node with >= 2 keys, so a level-by-level scan would read
+            # the same columns, and a pass may cross a character block edge.
+            stride = 1
+            while len(big) * m ** (stride + 1) <= len(group):
+                stride += 1
+            stride = min(stride, max_depth - t)
+            code = group  # rebuilt below, so the codes may overwrite it
+            for u in range(t, t + stride):
+                col = chars.column(u)
+                code *= m
+                code += col if active is None else col[active]
+            tables = [np.bincount(code, minlength=len(big) * m**stride)]
+            for _ in range(stride - 1):
+                tables.append(tables[-1].reshape(-1, m).sum(axis=1))
+            # one level per table, coarsest first: its rows are the occupied
+            # cells under the parent level's rows `big`, in (parent, char)
+            # order, so the children of a node are consecutive rows.  `cells`
+            # holds the table cells of the rows `big`; the coarsest table is
+            # exactly one m-cell block per group.
+            cells = None
+            for table in reversed(tables):
+                block = table.reshape(-1, m)
+                if cells is not None:
+                    block = block[cells]
+                occupied = np.flatnonzero(block)
+                under, char = np.divmod(occupied, m)
+                up = big[under]
+                count = block.ravel()[occupied]
+                levels["count"].append(count)
+                levels["parent"].append(up + offsets[-2])
+                levels["char"].append(char.astype(np.int8))
+                levels["rep"].append(levels["rep"][-1][up])
+                offsets.append(offsets[-1] + len(occupied))
+                big = np.flatnonzero(count >= 2)
+                cells = occupied[big] if cells is None else cells[under[big]] * m + char[big]
+            # each key still in a row with >= 2 keys takes that row's rank
+            rank = np.full(len(tables[0]), -1)
+            rank[cells] = np.arange(len(cells))
+            group = rank[code]
+            keep = group >= 0
+            group = group[keep]
+            active = np.flatnonzero(keep) if active is None else active[keep]
+            t += stride
 
         self.R = R
         self.offsets = offsets
@@ -747,6 +795,8 @@ def slln_track(
     block), so the sequence tracks one realization of the almost-sure limit.
     Returns a list of (n, ratio, deviation) triples.
     """
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     if psi_e is None:
         psi_e = _default_psi_e(d, toll)
     if psi_e is None:

@@ -176,6 +176,31 @@ class TestTopLevel:
         assert (rc, out) == (code, "")
         assert named in err
 
+    SIM = ("--replicates", "2", "--seed", "1")
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("simulate", "--source", "0.5,0.5", "--n", "5", *SIM, "--functional", "k=2,k=x"), "'k=x'"),
+            (("simulate", "--source", "0.5,0.5", "--n", "5", *SIM, "--functional", "k=0"), "'k=0'"),
+            (("simulate", "--source", "0.5,0.5", "--n", "5", *SIM, "--functional", "geq=x"), "'geq=x'"),
+            (("simulate", "--source", "0.5,abc", "--n", "5", *SIM, "--functional", "k=2"), "'abc'"),
+            (("fringe-dist", "--source", "uniform:x", "--n", "5", *SIM), "'x'"),
+            (("constants", "--source", "0.5,0.5", "--k", "2,x"), "'x'"),
+            (("simulate", "--source", "0.5,0.5", "--lambda", "nan", *SIM, "--functional", "k=2"), "'nan'"),
+            (("simulate", "--source", "0.5,0.5", "--lambda", "inf", *SIM, "--functional", "k=2"), "'inf'"),
+            (("simulate", "--source", "0.5,0.5", "--n", "5", *SIM, "--functional", "k=2", "--max-depth", "-3"),
+             "--max-depth"),
+            (("simulate", "--source", "0.5,0.5", "--n", "5", *SIM, "--functional", "k=2", "--max-depth", "0"),
+             "--max-depth"),
+        ],
+    )
+    def test_malformed_token_is_usage_error(self, capsys, argv, named):
+        # each of these once exited 2 with Python's or numpy's own message
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error") and named in err
+
     def test_unknown_flag_named(self, capsys):
         code, _, err = invoke(capsys, "indnum", "--N", "10", "--frobnicate")
         assert code == 1

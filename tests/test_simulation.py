@@ -36,6 +36,80 @@ def two_way(st):
 TWO_WAY = TollFunction(name="two-way", chi=0.0, stats_fn=two_way)
 
 
+def pooled_keys(d, mode, size, replicates, seed):
+    """Key counts and character blocks of a pool of replicates, as the engine draws them."""
+    from triefringe.simulation import replicate_rng
+    from triefringe.trees import CharBlocks
+
+    rngs = [replicate_rng(seed, i) for i in range(replicates)]
+    counts = np.array([size if mode == "fixed" else rng.poisson(size) for rng in rngs], dtype=np.int64)
+    return CharBlocks(d, rngs, counts), counts
+
+
+def level_by_level(chars, counts, m, max_depth, rep_offset=0):
+    """Reference for the forest layout: keys grouped one trie level per pass.
+
+    Every active key is re-coded as (row, next char) at every level and the
+    occupied cells of one bincount become the next level's rows.  Returns
+    the engine's columns and offsets.
+    """
+    R = len(counts)
+    rep_of_key = np.repeat(np.arange(R, dtype=np.int64), counts)
+    alive = np.flatnonzero(counts >= 1)
+    root_id = np.full(R, -1, dtype=np.int64)
+    root_id[alive] = np.arange(len(alive))
+    levels = {
+        "count": [counts[alive]],
+        "parent": [np.full(len(alive), -1)],
+        "char": [np.full(len(alive), -1, dtype=np.int8)],
+        "rep": [alive],
+    }
+    offsets = [0, len(alive)]
+    key_group = root_id[rep_of_key]
+    active = np.flatnonzero(counts[rep_of_key] >= 2)
+    t = 0
+    while active.size:
+        if t >= max_depth:
+            raise DepthExceeded(max_depth, replicate=int(rep_of_key[active[0]]) + rep_offset)
+        col = chars.column(t)[active].astype(np.int64)
+        codes = key_group[active] * m + col
+        occupancy = np.bincount(codes, minlength=(offsets[-1] - offsets[-2]) * m)
+        occupied = np.flatnonzero(occupancy)
+        inverse = (np.cumsum(occupancy > 0) - 1)[codes]
+        up = occupied // m
+        levels["count"].append(occupancy[occupied])
+        levels["parent"].append(up + offsets[-2])
+        levels["char"].append((occupied % m).astype(np.int8))
+        levels["rep"].append(levels["rep"][-1][up])
+        offsets.append(offsets[-1] + len(occupied))
+        key_group[active] = inverse
+        active = active[levels["count"][-1][inverse] >= 2]
+        t += 1
+    out = {name: np.concatenate(pieces) for name, pieces in levels.items()}
+    out["child_count"] = np.bincount(out["parent"][offsets[1]:], minlength=len(out["count"]))
+    out["offsets"] = offsets
+    return out
+
+
+def stride_schedule(layout, m):
+    """(depth, stride) of each pass of the engine's grouping, read off a
+    reference layout: the largest stride whose table of cells is no larger
+    than the number of keys in rows with >= 2 keys, else 1."""
+    off, count = layout["offsets"], layout["count"]
+    passes, t = [], 0
+    while t + 1 < len(off):
+        big = count[off[t] : off[t + 1]]
+        big = big[big >= 2]
+        if not big.size:
+            break
+        stride = 1
+        while len(big) * m ** (stride + 1) <= big.sum():
+            stride += 1
+        passes.append((t, stride))
+        t += stride
+    return passes
+
+
 def explicit_chunk(config, start, stop):
     """Reference for the engine: replicates [start, stop) built as explicit
     tries and patricia tries from the same keys, evaluated node by node,
@@ -169,10 +243,34 @@ class TestRun:
         assert s.histogram_mean.sum() + s.mean_keys == pytest.approx(s.mean_pat_nodes, abs=1e-9)
 
     def test_depth_exceeded_carries_replicate(self):
-        cfg = SimulationConfig.fixed(BIN_SYM, 64, 8, 37, (phi_leaf(),), max_depth=3)
+        from triefringe.simulation import replicate_rng
+        from triefringe.trees import build_trie, random_key_set
+
+        cfg = SimulationConfig.fixed(BIN_SYM, 6, 40, 37, (phi_leaf(),), max_depth=6)
+        first = None
+        for i in range(cfg.replicates):
+            try:
+                build_trie(random_key_set(BIN_SYM, 6, replicate_rng(37, i)), max_depth=6)
+            except DepthExceeded:
+                first = i
+                break
+        assert first is not None and first > 0
         with pytest.raises(DepthExceeded) as err:
             run(cfg)
-        assert err.value.replicate is not None
+        assert err.value.replicate == first
+
+    @pytest.mark.parametrize("max_depth", [0, -3])
+    def test_depth_bound_below_one_rejected(self, max_depth):
+        with pytest.raises(ValueError, match="max_depth"):
+            SimulationConfig.fixed(BIN_SYM, 8, 2, 1, (phi_leaf(),), max_depth=max_depth)
+        with pytest.raises(ValueError, match="max_depth"):
+            slln_track(BIN_SYM, phi_leaf(), [4, 8], 1, max_depth=max_depth)
+
+    @pytest.mark.parametrize("size", [math.inf, math.nan])
+    def test_size_not_finite_rejected(self, size):
+        for mode in ("fixed", "poisson"):
+            with pytest.raises(ValueError, match="size"):
+                SimulationConfig(BIN_SYM, mode, size, 2, 1, ())
 
     def test_poisson_key_count(self):
         n = 2000
@@ -189,6 +287,77 @@ class TestRun:
         a, b = fixed.stats("k=2"), pois.stats("k=2")
         gap = abs(a.mean - b.mean)
         assert gap < 3 * math.hypot(a.se_mean, b.se_mean) + 0.05 * math.sqrt(n)
+
+
+class TestForestLayout:
+    """Grouping several trie levels per pass gives exactly the node table
+    of grouping one level per pass, reads the same character blocks, and
+    stops at the depth bound naming the same replicate."""
+
+    SOURCES = ("0.5,0.5", "0.3,0.7", "0.05,0.95", "0.2,0.3,0.5", "uniform:8", "uniform:128")
+    COLUMNS = ("count", "parent", "char", "rep", "child_count")
+
+    def assert_same_layout(self, d, mode, size, replicates, seed):
+        from triefringe.simulation import _Forest
+
+        chars, counts = pooled_keys(d, mode, size, replicates, seed)
+        forest = _Forest(chars, counts, d.m, 10_000)
+        ref_chars, _ = pooled_keys(d, mode, size, replicates, seed)
+        ref = level_by_level(ref_chars, counts, d.m, 10_000)
+        for name in self.COLUMNS:
+            got = getattr(forest, name)
+            assert got.dtype == ref[name].dtype and np.array_equal(got, ref[name]), name
+        assert forest.offsets == ref["offsets"]
+        assert len(chars.blocks) == len(ref_chars.blocks)
+        return ref
+
+    @pytest.mark.parametrize("spec", SOURCES)
+    @pytest.mark.parametrize("mode", ["fixed", "poisson"])
+    @pytest.mark.parametrize("size", [0, 1, 2, 7, 100, 5000])
+    def test_equals_level_by_level(self, spec, mode, size):
+        self.assert_same_layout(SourceDistribution.parse(spec), mode, size, 6, 271)
+
+    def test_cases_take_long_strides(self):
+        # six replicates of 5000 keys: the first pass groups 12 binary, 7
+        # ternary or 4 octal levels, and skewed keys take strides of 3 and
+        # more until they cross the edge of the first 32-column block
+        for spec in self.SOURCES[:-1]:
+            d = SourceDistribution.parse(spec)
+            chars, counts = pooled_keys(d, "fixed", 5000, 6, 271)
+            passes = stride_schedule(level_by_level(chars, counts, d.m, 10_000), d.m)
+            assert max(s for _, s in passes) >= 3, spec
+            if spec == "0.05,0.95":
+                assert any(t < 32 < t + s for t, s in passes)
+                assert len(chars.blocks) >= 3
+
+    def test_wide_alphabet_stride(self):
+        # 128 letters need 16384 keys per group for a stride of 2
+        d = SourceDistribution.uniform(128)
+        ref = self.assert_same_layout(d, "fixed", 20_000, 2, 277)
+        assert stride_schedule(ref, d.m)[0] == (0, 2)
+
+    def test_depth_bound_names_same_replicate(self):
+        from triefringe.simulation import _Forest, replicate_rng
+        from triefringe.trees import CharBlocks
+
+        # replicates of a few keys split at different depths, and the large
+        # last one makes the passes group up to seven levels at a time and
+        # cross column 32 inside a pass
+        d = SourceDistribution((0.05, 0.95))
+        counts = np.array([2, 3, 2, 0, 1, 2, 2, 3, 2, 2, 4, 2, 2, 3, 2, 2, 3000], dtype=np.int64)
+        named = set()
+        for max_depth in range(1, 41):
+            outcomes = []
+            for build in (_Forest, level_by_level):
+                chars = CharBlocks(d, [replicate_rng(283, i) for i in range(len(counts))], counts)
+                try:
+                    build(chars, counts, d.m, max_depth, rep_offset=50)
+                    outcomes.append((None, len(chars.blocks)))
+                except DepthExceeded as exc:
+                    outcomes.append((exc.replicate, len(chars.blocks)))
+            assert outcomes[0] == outcomes[1], max_depth
+            named.add(outcomes[0][0])
+        assert len(named) >= 2
 
 
 class TestEngineMatchesExplicitTrees:
