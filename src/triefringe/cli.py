@@ -188,10 +188,9 @@ def _threads_default():
 
 def _cmd_constants(args):
     d = SourceDistribution.parse(args.source)
-    ks = args.k
     d_p = d.periodicity()
     per_k = []
-    for k in ks:
+    for k in args.k:
         fv = fv_k_star(d, k, -1, tol=args.tol)
         sc = sigma_constants(d, k, M=args.fourier, tol=args.tol)
         fourier = []
@@ -219,7 +218,7 @@ def _cmd_constants(args):
         "d_p": d_p,
         "per_k": per_k,
     }
-    config = {"source": list(d.probs), "k": ks, "fourier": args.fourier, "tol": args.tol}
+    config = {"source": list(d.probs), "k": args.k, "fourier": args.fourier, "tol": args.tol}
     _emit("constants", config, results)
     return 0
 
@@ -419,8 +418,8 @@ def _build_parser():
     p = sub.add_parser("constants", help="asymptotic constants of the k-fringe counts")
     p.add_argument("--source", type=_source_spec, required=True)
     p.add_argument("--k", type=_int_list, required=True, help="comma list of fringe sizes, e.g. 2,3,4")
-    p.add_argument("--fourier", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--fourier", type=_int_at_least(0), default=8)
+    p.add_argument("--tol", type=_finite_number(0, strict=True), default=1e-12)
     p.set_defaults(fn=_cmd_constants)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo of additive functionals")

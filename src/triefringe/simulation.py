@@ -17,12 +17,12 @@ Grouping takes several levels per pass: each key still in a node of two
 or more keys is coded by that node and its next few characters, one
 bincount counts the keys of every cell of the deepest level, sums over
 blocks of m cells give the levels above it, and the occupied cells under
-nodes of two or more keys become the rows of each level.  Bottom-up sweeps give every row the aggregates the
-explicit-tree evaluator computes per node (leaf count, node count,
-outdegree, essentiality bit, bounded shape signature), once for the trie
-fringe and once for the compressed fringe, and each toll's own rule runs
-elementwise on those columns.  Patricia nodes are the rows without exactly
-one child.
+nodes of two or more keys become the rows of each level.  Bottom-up
+sweeps give every row the aggregates the explicit-tree evaluator computes
+per node (leaf count, node count, outdegree, essentiality bit, bounded
+shape signature), once for the trie fringe and once for the compressed
+fringe, and each toll's own rule runs elementwise on those columns.
+Patricia nodes are the rows without exactly one child.
 """
 
 from __future__ import annotations

@@ -187,6 +187,8 @@ class TestTopLevel:
             (("simulate", "--source", "0.5,abc", "--n", "5", *SIM, "--functional", "k=2"), "'abc'"),
             (("fringe-dist", "--source", "uniform:x", "--n", "5", *SIM), "'x'"),
             (("constants", "--source", "0.5,0.5", "--k", "2,x"), "'x'"),
+            (("constants", "--source", "0.5,0.5", "--k", "2", "--tol", "nan"), "--tol"),
+            (("constants", "--source", "0.5,0.5", "--k", "2", "--fourier", "-1"), "--fourier"),
             (("simulate", "--source", "0.5,0.5", "--lambda", "nan", *SIM, "--functional", "k=2"), "'nan'"),
             (("simulate", "--source", "0.5,0.5", "--lambda", "inf", *SIM, "--functional", "k=2"), "'inf'"),
             (("simulate", "--source", "0.5,0.5", "--n", "5", *SIM, "--functional", "k=2", "--max-depth", "-3"),
@@ -196,7 +198,8 @@ class TestTopLevel:
         ],
     )
     def test_malformed_token_is_usage_error(self, capsys, argv, named):
-        # each of these once exited 2 with Python's or numpy's own message
+        # each of these once exited 2 with Python's or numpy's own message,
+        # or, for --fourier -1, printed an empty Fourier series
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("usage error") and named in err
