@@ -2,11 +2,13 @@
 
 A seed fixes every simulated key, so the CLI's stdout and a run's summary
 must not change by a single byte across refactors of the engine.  Each
-digest is the sha256 of the exact stdout (or of the summary serialized
-with sorted keys); a deliberate change of the random stream regenerates
+digest is the sha256 of the exact stdout (or of a run's summary or the
+root statistics' outputs, serialized as JSON with sorted keys); a
+deliberate change of the random stream regenerates
 them and says so.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -14,9 +16,15 @@ import pytest
 
 from triefringe.cli import main
 from triefringe.functionals import TollFunction, phi_alpha, phi_k, phi_shape
-from triefringe.simulation import SimulationConfig, run
+from triefringe.simulation import (
+    SimulationConfig,
+    estimate_fX,
+    estimate_root_essential,
+    run,
+    sample_patricia_roots,
+)
 from triefringe.source import SourceDistribution
-from triefringe.trees import enumerate_patricia_shapes
+from triefringe.trees import enumerate_patricia_shapes, shape_probability
 
 TOLLS = "k=2,k=3,geq=2,internal,leaf,alpha"
 
@@ -33,7 +41,6 @@ CLI_CASES = {
         "simulate", "--source", "0.5,0.5", "--n", "3000", "--replicates", "12", "--seed", "13",
         "--functional", TOLLS, "--paired-trie",
     ),
-    "fringe-dist-uniform:8": "9aefd8f9d403c06e8abcfba6c8bff96fe8206ab78e91831dee16428f672d69c7",
     "simulate-fixed-0.3,0.7": (
         "simulate", "--source", "0.3,0.7", "--n", "3000", "--replicates", "12", "--seed", "11",
         "--functional", TOLLS,
@@ -107,6 +114,40 @@ def paired_shape_config():
 RUN_DIGEST = "732ed84129588dcc830977fea027ebc2f8eb7a5f01dbe5bb16157fcb018cb894"
 
 
+# root statistics: sources with short and long root prefixes and a
+# ternary one, at sizes with no key, one key and a few keys
+ROOT_CASES = [(spec, n) for spec in ("0.5,0.5", "0.05,0.95", "uniform:3") for n in (0, 1, 5)]
+ROOT_REPLICATES = 3000
+
+ROOT_DIGESTS = {
+    "0.5,0.5/n=0": "76e43804fa372df7bbc18f49b8857dbbd42394093736103880f51065e7e85eec",
+    "0.5,0.5/n=1": "84d5dee4fbc5f818a84a3a99ba665c3549831d86e0b1dd280f6cb13c74b8658e",
+    "0.5,0.5/n=5": "884a1e47464d48e3d1b53bab5e7e0e1bef32fe237f2e79d27a5f57ce9e97a24e",
+    "0.05,0.95/n=0": "76e43804fa372df7bbc18f49b8857dbbd42394093736103880f51065e7e85eec",
+    "0.05,0.95/n=1": "05257261428610734664edf56a63e6c6e5c41017dc21ded2717e237dacb65b07",
+    "0.05,0.95/n=5": "f6dc561d640ff74b9e343baf2ff994089e7cfe716bb6976148c3f90843c41471",
+    "uniform:3/n=0": "76e43804fa372df7bbc18f49b8857dbbd42394093736103880f51065e7e85eec",
+    "uniform:3/n=1": "53a79f9e14c93d8029621d54734c88d7e71dec3c11a359656747adb769f896b3",
+    "uniform:3/n=5": "a0375454c42514afc243cc66052c580cf36ba0f2246a9a1cad22171d4dc269c2",
+}
+
+
+def root_outputs(spec, n):
+    """sample_patricia_roots, estimate_root_essential and estimate_fX (at
+    lambda = n) of one source and size, as plain JSON values."""
+    d = SourceDistribution.parse(spec)
+    # the 20 likeliest shapes of n keys; 3-leaf shapes never match at n != 3
+    likeliest = sorted(enumerate_patricia_shapes(max(n, 1), d.m), key=lambda s: -shape_probability(s, d))
+    shapes = enumerate_patricia_shapes(3, d.m)[:2] + likeliest[:20]
+    shape_index, prefix = sample_patricia_roots(d, n, ROOT_REPLICATES, 31 + n, shapes)
+    tolls = (phi_k(2), phi_alpha(), TollFunction(name="two-way", chi=0.0, stats_fn=two_way))
+    return {
+        "roots": {"shape_index": shape_index.tolist(), "prefix_length": prefix.tolist()},
+        "alpha": list(estimate_root_essential(d, n, ROOT_REPLICATES, 41 + n)),
+        "fX": [dataclasses.asdict(estimate_fX(t, d, float(n), ROOT_REPLICATES, 51 + n)) for t in tolls],
+    }
+
+
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -120,3 +161,9 @@ def test_cli_stdout(case, capsys):
 def test_paired_shape_run():
     summary = run(paired_shape_config()).as_dict()
     assert _sha(json.dumps(summary, sort_keys=True)) == RUN_DIGEST
+
+
+@pytest.mark.parametrize("spec,n", ROOT_CASES)
+def test_root_statistics(spec, n):
+    text = json.dumps(root_outputs(spec, n), sort_keys=True)
+    assert _sha(text) == ROOT_DIGESTS[f"{spec}/n={n}"]
