@@ -36,9 +36,9 @@ import numpy as np
 
 from .asymptotics import psi_eval, psi_for_k
 from .errors import DegenerateVariance, DepthExceeded, EmptyTree
-from .functionals import TollFunction, _count_is, _is_lone_leaf, _Stats
+from .functionals import TollFunction, _count_is, _is_lone_leaf, _Stats, phi_alpha, phi_shape
 from .source import SourceDistribution
-from .trees import DEFAULT_MAX_DEPTH, CharBlocks, shape_signature
+from .trees import DEFAULT_MAX_DEPTH, CharBlocks
 
 _LEAF_SIG = "*"
 _CHUNK_KEYS = 1 << 20
@@ -294,25 +294,30 @@ class _Forest:
         run_sums = np.add.reduceat(values, self.runs, dtype=np.float64)
         return np.bincount(self.rep[self.runs], run_sums, minlength=self.R)
 
-    def at_roots(self, values):
-        """Per-replicate value at the trie root; 0 for replicates without keys."""
-        out = np.zeros(self.R)
-        out[self.rep[: self.offsets[1]]] = values[: self.offsets[1]]
-        return out
-
     def histogram(self, kmax):
         """Counts of internal patricia fringes by size: k = 2..kmax plus overflow."""
         internal = self.child_count >= 2
         bins = self.rep[internal] * kmax + np.minimum(self.count[internal], kmax + 1) - 2
         return np.bincount(bins, minlength=self.R * kmax).reshape(self.R, kmax).astype(np.float64)
 
-    def pat_root_level(self):
-        """Depth of each replicate's patricia root (its root prefix length); -1 when empty."""
-        pat = np.flatnonzero(self.child_count != 1)
-        reps, first = np.unique(self.rep[pat], return_index=True)
-        out = np.full(self.R, -1, dtype=np.int64)
-        out[reps] = np.searchsorted(self.offsets, pat[first], side="right") - 1
-        return out
+    def pat_roots(self):
+        """Row and depth of each replicate's patricia root, -1 for both when
+        the replicate has no keys.  The depth is the root prefix length."""
+        roots = self.offsets[1]
+        row = np.full(self.R, -1)
+        depth = np.full(self.R, -1, dtype=np.int64)
+        row[self.rep[:roots]] = np.arange(roots)
+        depth[self.rep[:roots]] = 0
+        # below the roots the parent column never decreases, since levels
+        # run in order and each level in parent order, so a unary row's only
+        # child is found by bisection
+        below = self.parent[roots:]
+        chain = self.rep[:roots][self.child_count[:roots] == 1]
+        while chain.size:
+            row[chain] = roots + np.searchsorted(below, row[chain])
+            depth[chain] += 1
+            chain = chain[self.child_count[row[chain]] == 1]
+        return row, depth
 
     def view(self, compress, shape_cap, memo):
         """Per-row aggregates of the fringe each row roots, as the oracle's _Stats.
@@ -366,15 +371,17 @@ def _rule_values(toll, view):
     return np.broadcast_to(np.asarray(toll.stats_fn(view), dtype=np.float64), view.leaf_count.shape)
 
 
-def _toll_sums(forest, tolls, paired_trie=False, want_roots=False):
-    """Per-replicate sums of each toll over the patricia trie ("pat"), over the
-    trie ("trie"), and its pulled-back value at the trie root ("root")."""
+def _toll_sums(forest, tolls, paired_trie=False):
+    """Per-replicate sums of each toll over the patricia trie ("pat") and over
+    the trie ("trie"), each toll's value at the patricia root, i.e. the toll
+    of P_n itself ("root"), and the depth of that root ("root_depth").  A
+    replicate without keys has root values 0 and root depth -1."""
     shape = (forest.R, len(tolls))
-    out = {"pat": np.zeros(shape)}
+    root_row, root_depth = forest.pat_roots()
+    has_root = root_row >= 0
+    out = {"pat": np.zeros(shape), "root": np.zeros(shape), "root_depth": root_depth}
     if paired_trie:
         out["trie"] = np.zeros(shape)
-    if want_roots:
-        out["root"] = np.zeros(shape)
     if not tolls:
         return out
     cap = max(t.needs_shape for t in tolls)
@@ -385,8 +392,7 @@ def _toll_sums(forest, tolls, paired_trie=False, want_roots=False):
         # zeroing the other rows costs less than selecting the patricia rows
         gated = np.where(pat_rows, _rule_values(t, pat), 0.0)
         out["pat"][:, j] = forest.per_rep(gated)
-        if want_roots:
-            out["root"][:, j] = forest.at_roots(gated)
+        out["root"][has_root, j] = gated[root_row[has_root]]
     if paired_trie:
         pat = gated = None  # the two views are never held at once
         trie = forest.view(False, cap, memo)
@@ -399,21 +405,16 @@ def _toll_sums(forest, tolls, paired_trie=False, want_roots=False):
 # chunked execution
 
 
-def _forest_of(config, start, stop):
-    """Key counts and forest of replicates [start, stop) of a config."""
+def _engine_chunk(config, start, stop):
+    """Run replicates [start, stop) through the forest engine."""
     rngs = [replicate_rng(config.master_seed, i) for i in range(start, stop)]
     if config.mode == "fixed":
         counts = np.full(len(rngs), int(config.size), dtype=np.int64)
     else:
         counts = np.array([rng.poisson(config.size) for rng in rngs], dtype=np.int64)
     chars = CharBlocks(config.source, rngs, counts)
-    return counts, _Forest(chars, counts, config.source.m, config.max_depth, rep_offset=start)
-
-
-def _engine_chunk(config, start, stop, want_roots=False):
-    """Run replicates [start, stop) through the forest engine."""
-    counts, forest = _forest_of(config, start, stop)
-    out = _toll_sums(forest, config.functionals, config.paired_trie, want_roots)
+    forest = _Forest(chars, counts, config.source.m, config.max_depth, rep_offset=start)
+    out = _toll_sums(forest, config.functionals, config.paired_trie)
     out["n"] = counts.astype(np.float64)
     out["pat_nodes"] = forest.per_rep(forest.child_count != 1)
     out["trie_nodes"] = forest.per_rep(np.ones(len(forest.count)))
@@ -432,7 +433,7 @@ def _chunk_bounds(config):
     return list(zip(bounds, bounds[1:]))
 
 
-def _collect(config, want_roots=False, threads=1):
+def _collect(config, threads=1):
     chunks = _chunk_bounds(config)
     results = [None] * len(chunks)
     if threads > 1 and len(chunks) > 1:
@@ -440,9 +441,7 @@ def _collect(config, want_roots=False, threads=1):
 
         try:
             with cf.ProcessPoolExecutor(max_workers=threads) as pool:
-                futures = {
-                    pool.submit(_engine_chunk, config, a, b, want_roots): i for i, (a, b) in enumerate(chunks)
-                }
+                futures = {pool.submit(_engine_chunk, config, a, b): i for i, (a, b) in enumerate(chunks)}
                 for fut, i in futures.items():
                     results[i] = fut.result()
         except (OSError, PermissionError) as exc:  # sandboxed environments may forbid subprocesses
@@ -451,9 +450,9 @@ def _collect(config, want_roots=False, threads=1):
                 RuntimeWarning,
                 stacklevel=2,
             )
-            results = [_engine_chunk(config, a, b, want_roots) for a, b in chunks]
+            results = [_engine_chunk(config, a, b) for a, b in chunks]
     else:
-        results = [_engine_chunk(config, a, b, want_roots) for a, b in chunks]
+        results = [_engine_chunk(config, a, b) for a, b in chunks]
     merged = {}
     for key in results[0]:
         merged[key] = np.concatenate([r[key] for r in results])
@@ -485,7 +484,7 @@ def _moment_stats(name, samples) -> FunctionalStats:
 def run(config: SimulationConfig, threads: int = 1) -> SimulationSummary:
     """Execute a simulation; deterministic in (config, master_seed) regardless
     of threads or chunking."""
-    data = _collect(config, want_roots=False, threads=threads)
+    data = _collect(config, threads=threads)
     names = [t.name for t in config.functionals]
     stats = tuple(_moment_stats(nm, data["pat"][:, j]) for j, nm in enumerate(names))
     trie_stats = None
@@ -543,8 +542,9 @@ def estimate_fX(toll: TollFunction, d: SourceDistribution, lam: float, replicate
     """
     base = toll.base if toll.pulled else toll
     config = SimulationConfig.poisson(d, lam, replicates, master_seed, (base,))
-    data = _collect(config, want_roots=True)
-    x = data["root"][:, 0]
+    data = _collect(config)
+    # the pulled toll vanishes where the trie root is unary
+    x = np.where(data["root_depth"] == 0, data["root"][:, 0], 0.0)
     y = data["pat"][:, 0]  # pulled functional of the trie = functional of its patricia trie
     n = data["n"]
     R = len(x)
@@ -582,14 +582,12 @@ def sample_patricia_roots(d: SourceDistribution, n: int, replicates: int, master
     length of the patricia trie is the depth of the trie node it compresses
     to, which for k >= 2 keys follows Geom_0(1 - rho(k)).
     """
-    _, forest = _forest_of(SimulationConfig.fixed(d, n, replicates, master_seed, ()), 0, replicates)
-    memo = {_LEAF_SIG: 0}
-    # the pass-through signature at the trie root is the patricia root's shape
-    sig = _ShapeColumn(forest.signatures(n, True, memo), memo)
+    tolls = tuple(phi_shape(shape) for shape in shapes)
+    data = _collect(SimulationConfig.fixed(d, n, replicates, master_seed, tolls))
     shape_index = np.full(replicates, -1, dtype=np.int64)
-    for j, shape in enumerate(shapes):
-        shape_index[forest.at_roots(sig == shape_signature(shape)) > 0] = j
-    return shape_index, forest.pat_root_level()
+    for j in range(len(tolls)):
+        shape_index[data["root"][:, j] > 0] = j
+    return shape_index, data["root_depth"]
 
 
 def estimate_root_essential(d: SourceDistribution, n: int, replicates: int, master_seed: int):
@@ -599,9 +597,7 @@ def estimate_root_essential(d: SourceDistribution, n: int, replicates: int, mast
     root this is the toll of the patricia trie itself, so it stays positive
     even when every key shares its first character.
     """
-    _, forest = _forest_of(SimulationConfig.fixed(d, n, replicates, master_seed, ()), 0, replicates)
-    # the patricia view at a trie root describes the patricia root
-    vals = forest.at_roots(forest.view(True, 0, None).essential)
+    vals = _collect(SimulationConfig.fixed(d, n, replicates, master_seed, (phi_alpha(),)))["root"][:, 0]
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicates))
 
 

@@ -113,14 +113,16 @@ def stride_schedule(layout, m):
 def explicit_chunk(config, start, stop):
     """Reference for the engine: replicates [start, stop) built as explicit
     tries and patricia tries from the same keys, evaluated node by node,
-    with every output the engine can give."""
+    with every output the engine can give and the pulled-back toll at the
+    trie root ("pulled_root")."""
     from triefringe.functionals import evaluate_additive, pullback
     from triefringe.simulation import replicate_rng
     from triefringe.trees import build_patricia, build_trie, random_key_set
 
     tolls = list(config.functionals)
     kmax = config.histogram_kmax
-    out = {key: [] for key in ("n", "pat", "trie", "root", "pat_nodes", "trie_nodes", "hist")}
+    keys = ("n", "pat", "trie", "root", "root_depth", "pulled_root", "pat_nodes", "trie_nodes", "hist")
+    out = {key: [] for key in keys}
     for i in range(start, stop):
         rng = replicate_rng(config.master_seed, i)
         n = int(config.size) if config.mode == "fixed" else int(rng.poisson(config.size))
@@ -134,7 +136,9 @@ def explicit_chunk(config, start, stop):
         out["n"].append(n)
         out["pat"].append(evaluate_additive(tolls, pat))
         out["trie"].append(evaluate_additive(tolls, trie))
-        out["root"].append([pullback(t).value(trie) for t in tolls])
+        out["root"].append([t.value(pat) for t in tolls])
+        out["root_depth"].append(-1 if pat.root is None else len(pat.root.prefix))
+        out["pulled_root"].append([pullback(t).value(trie) for t in tolls])
         out["pat_nodes"].append(pat.node_count())
         out["trie_nodes"].append(trie.node_count())
         out["hist"].append(hist)
@@ -360,6 +364,15 @@ class TestForestLayout:
         assert len(named) >= 2
 
 
+def assert_roots_match(fast, slow):
+    """Root outputs equal the explicit trees', and gating the root toll at
+    depth 0 gives the pulled-back toll at the trie root."""
+    assert np.array_equal(fast["root"], slow["root"])
+    assert np.array_equal(fast["root_depth"], slow["root_depth"])
+    pulled = np.where(fast["root_depth"][:, None] == 0, fast["root"], 0.0)
+    assert np.array_equal(pulled, slow["pulled_root"])
+
+
 class TestEngineMatchesExplicitTrees:
     """The vectorized forest engine must agree bit for bit with explicit
     trees built from the same keys, on every source, mode, and toll."""
@@ -389,10 +402,11 @@ class TestEngineMatchesExplicitTrees:
         for d in self.SOURCES:
             for mode, size in (("fixed", 7.0), ("poisson", 5.0), ("fixed", 1.0), ("fixed", 0.0)):
                 cfg = SimulationConfig(d, mode, size, 50, 4242, tolls)
-                fast = _engine_chunk(cfg, 0, 50, want_roots=True)
+                fast = _engine_chunk(cfg, 0, 50)
                 slow = explicit_chunk(cfg, 0, 50)
-                for key in ("n", "pat", "pat_nodes", "trie_nodes", "hist", "root"):
+                for key in ("n", "pat", "pat_nodes", "trie_nodes", "hist"):
                     assert np.array_equal(fast[key], slow[key]), (key, d.probs, mode, size)
+                assert_roots_match(fast, slow)
 
     def test_paired_trie_values(self):
         from triefringe.simulation import _engine_chunk
@@ -412,6 +426,7 @@ class TestEngineMatchesExplicitTrees:
             slow = explicit_chunk(cfg, 0, 40)
             for key in ("pat", "trie", "trie_nodes"):
                 assert np.array_equal(fast[key], slow[key]), (key, d.probs)
+            assert_roots_match(fast, slow)
 
     def test_widest_alphabet_matches_explicit_tree(self):
         # m = 128 is the largest alphabet whose characters fit in int8
@@ -456,12 +471,48 @@ class TestEngineMatchesExplicitTrees:
             d = SourceDistribution(tuple(w / sum(weights) for w in weights))
             mode = "fixed" if fixed else "poisson"
             cfg = SimulationConfig(d, mode, float(size), 12, seed, tolls, paired_trie=True)
-            fast = _engine_chunk(cfg, 0, 12, want_roots=True)
+            fast = _engine_chunk(cfg, 0, 12)
             slow = explicit_chunk(cfg, 0, 12)
-            for key in ("n", "pat", "trie", "pat_nodes", "trie_nodes", "hist", "root"):
+            for key in ("n", "pat", "trie", "pat_nodes", "trie_nodes", "hist"):
                 assert np.array_equal(fast[key], slow[key]), key
+            assert_roots_match(fast, slow)
 
         check()
+
+
+class TestRootStatistics:
+    def test_chunked_like_one_chunk(self, monkeypatch):
+        from triefringe import simulation
+        from triefringe.simulation import estimate_root_essential, sample_patricia_roots
+        from triefringe.trees import enumerate_patricia_shapes
+
+        shapes = enumerate_patricia_shapes(5, 2)
+        args = (SKEWED, 5, 600, 17)
+        whole_roots = sample_patricia_roots(*args, shapes)
+        whole_alpha = estimate_root_essential(*args)
+        calls = []
+        engine_chunk = simulation._engine_chunk
+
+        def counted(config, start, stop):
+            calls.append((start, stop))
+            return engine_chunk(config, start, stop)
+
+        monkeypatch.setattr(simulation, "_CHUNK_KEYS", 1000)
+        monkeypatch.setattr(simulation, "_engine_chunk", counted)
+        roots = sample_patricia_roots(*args, shapes)
+        assert len(calls) > 1
+        calls.clear()
+        alpha = estimate_root_essential(*args)
+        assert len(calls) > 1
+        assert all(np.array_equal(a, b) for a, b in zip(roots, whole_roots))
+        assert alpha == whole_alpha
+
+    def test_empty_shape_rejected(self):
+        from triefringe.simulation import sample_patricia_roots
+        from triefringe.trees import PatriciaTrie
+
+        with pytest.raises(ValueError, match="empty tree"):
+            sample_patricia_roots(BIN_SYM, 3, 10, 1, [PatriciaTrie(None, 2, 0)])
 
 
 class TestPoissonizedVariance:
