@@ -23,6 +23,11 @@ per node (leaf count, node count, outdegree, essentiality bit, bounded
 shape signature), once for the trie fringe and once for the compressed
 fringe, and each toll's own rule runs elementwise on those columns.
 Patricia nodes are the rows without exactly one child.
+
+The root statistics (sample_patricia_roots, estimate_root_essential and
+the root toll of estimate_fX) run on the same chunked engine: each
+replicate's patricia root is found by following unary rows down from its
+trie root, and every toll is also read at that row.
 """
 
 from __future__ import annotations
@@ -36,17 +41,22 @@ import numpy as np
 
 from .asymptotics import psi_eval, psi_for_k
 from .errors import DegenerateVariance, DepthExceeded, EmptyTree
-from .functionals import TollFunction, _count_is, _is_lone_leaf, _Stats, phi_alpha, phi_shape
+from .functionals import _LEAF_SIG, TollFunction, _count_is, _is_lone_leaf, _Stats, phi_alpha, phi_shape
 from .source import SourceDistribution
 from .trees import DEFAULT_MAX_DEPTH, CharBlocks
 
-_LEAF_SIG = "*"
 _CHUNK_KEYS = 1 << 20
 
 
 def replicate_rng(master_seed: int, index: int) -> np.random.Generator:
     """The generator owned by one replicate: hash of (master_seed, index)."""
     return np.random.default_rng(np.random.SeedSequence(entropy=(master_seed & (2**64 - 1), index)))
+
+
+def _check_replicates(replicates):
+    """A standard error needs two replicates."""
+    if replicates < 2:
+        raise ValueError(f"replicates must be >= 2 for a standard error, got {replicates}")
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +550,7 @@ def estimate_fX(toll: TollFunction, d: SourceDistribution, lam: float, replicate
     Standard errors come from the per-replicate influence values of each
     estimator.
     """
+    _check_replicates(replicates)
     base = toll.base if toll.pulled else toll
     config = SimulationConfig.poisson(d, lam, replicates, master_seed, (base,))
     data = _collect(config)
@@ -578,7 +589,8 @@ def sample_patricia_roots(d: SourceDistribution, n: int, replicates: int, master
     """Per-replicate structure of P_n: which of `shapes` it equals, and its root prefix length.
 
     Returns (shape_index, prefix_length) integer arrays; the shape index is
-    -1 where the tree matches none of the given shapes.  The root prefix
+    -1 where the tree matches none of the given shapes, and an empty shape
+    raises ValueError as phi_shape does.  The root prefix
     length of the patricia trie is the depth of the trie node it compresses
     to, which for k >= 2 keys follows Geom_0(1 - rho(k)).
     """
@@ -597,6 +609,7 @@ def estimate_root_essential(d: SourceDistribution, n: int, replicates: int, mast
     root this is the toll of the patricia trie itself, so it stays positive
     even when every key shares its first character.
     """
+    _check_replicates(replicates)
     vals = _collect(SimulationConfig.fixed(d, n, replicates, master_seed, (phi_alpha(),)))["root"][:, 0]
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicates))
 
@@ -709,6 +722,7 @@ def oscillation_scan(
     a closed-form limit function (the k-fringe tolls and the leaf count);
     pass psi_e to supply one explicitly.
     """
+    _check_replicates(replicates)
     d_p = d.periodicity()
     if period is None:
         period = d_p if d_p > 0 else math.log(2.0)
@@ -798,7 +812,10 @@ def slln_track(
     if psi_e is None:
         raise ValueError("no closed-form limit function for this toll; pass psi_e")
 
-    n_grid = sorted(int(n) for n in n_grid)
+    grid = list(n_grid)
+    if not grid or not all(float(n).is_integer() and n >= 1 for n in grid):
+        raise ValueError(f"n_grid must be a nonempty grid of integers >= 1, got {grid}")
+    n_grid = sorted(int(n) for n in grid)
     chars = CharBlocks(d, [replicate_rng(master_seed, 0)], [n_grid[-1]])
     h = d.entropy()
     out = []

@@ -79,8 +79,6 @@ class PatriciaNode:
 class _Tree:
     """Shared wrapper: root node (None = empty tree), alphabet size, key count."""
 
-    node_cls = None
-
     def __init__(self, root, m, num_keys):
         self.root = root
         self.m = m
@@ -136,15 +134,11 @@ class _Tree:
 
 
 class Trie(_Tree):
-    node_cls = TrieNode
-
     def has_unary_nodes(self):
         return any(len(node.children) == 1 for node in self.nodes())
 
 
 class PatriciaTrie(_Tree):
-    node_cls = PatriciaNode
-
     def validate(self):
         """Check the structural invariant: no node of outdegree exactly 1."""
         for node in self.nodes():
@@ -212,8 +206,10 @@ def build_trie(keys, m=None, max_depth: int = DEFAULT_MAX_DEPTH) -> Trie:
     """Build the trie of a key set by splitting on successive characters.
 
     The empty set gives the empty tree, a singleton a lone leaf; otherwise
-    the root splits the keys by their first character and recurses.  Raises
-    DepthExceeded when two keys agree on ``max_depth`` characters.
+    the root splits the keys by their first character and recurses.  Chains
+    of unary nodes are built in a loop, so the recursion is only as deep as
+    the patricia trie.  Raises DepthExceeded when two keys agree on
+    ``max_depth`` characters.
     """
     ks = _as_keyset(keys, m)
     if max_depth < 1:
@@ -222,13 +218,21 @@ def build_trie(keys, m=None, max_depth: int = DEFAULT_MAX_DEPTH) -> Trie:
     def build(indices, depth):
         if len(indices) == 1:
             return TrieNode(key_index=indices[0])
-        if depth >= max_depth:
-            raise DepthExceeded(max_depth)
-        groups = {}
-        for i in indices:
-            groups.setdefault(ks.keys[i][depth], []).append(i)
-        children = {a: build(sub, depth + 1) for a, sub in sorted(groups.items())}
-        return TrieNode(children=children)
+        chain = []  # characters of the unary nodes above the first split
+        while True:
+            if depth >= max_depth:
+                raise DepthExceeded(max_depth)
+            groups = {}
+            for i in indices:
+                groups.setdefault(ks.keys[i][depth], []).append(i)
+            depth += 1
+            if len(groups) >= 2:
+                break
+            chain.append(next(iter(groups)))
+        node = TrieNode(children={a: build(sub, depth) for a, sub in sorted(groups.items())})
+        for a in reversed(chain):
+            node = TrieNode(children={a: node})
+        return node
 
     root = None if not ks.keys else build(list(range(len(ks.keys))), 0)
     return Trie(root, ks.m, len(ks.keys))

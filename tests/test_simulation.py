@@ -514,6 +514,18 @@ class TestRootStatistics:
         with pytest.raises(ValueError, match="empty tree"):
             sample_patricia_roots(BIN_SYM, 3, 10, 1, [PatriciaTrie(None, 2, 0)])
 
+    @pytest.mark.parametrize("call", ["estimate_fX", "estimate_root_essential", "oscillation_scan"])
+    def test_one_replicate_rejected(self, call):
+        from triefringe.simulation import estimate_root_essential
+
+        calls = {
+            "estimate_fX": lambda: estimate_fX(phi_k(2), BIN_SYM, 5.0, 1, 1),
+            "estimate_root_essential": lambda: estimate_root_essential(BIN_SYM, 5, 1, 1),
+            "oscillation_scan": lambda: oscillation_scan(BIN_SYM, phi_k(2), 8.0, 1, 1, 1, 1),
+        }
+        with pytest.raises(ValueError, match="replicates must be >= 2"):
+            calls[call]()
+
 
 class TestPoissonizedVariance:
     def test_variance_over_lambda_matches_sigma_hat(self):
@@ -659,6 +671,11 @@ class TestFringeDistribution:
 
 
 class TestSllnTrack:
+    @pytest.mark.parametrize("n_grid", [[], [0], [16, 0], [-4], [2.5]])
+    def test_grid_without_an_answer_rejected(self, n_grid):
+        with pytest.raises(ValueError, match="n_grid must be a nonempty grid of integers >= 1"):
+            slln_track(BIN_SYM, phi_leaf(), n_grid, 1)
+
     def test_leaf_toll_exact_zero(self):
         track = slln_track(BIN_SYM, phi_leaf(), [2**j for j in range(4, 10)], 131)
         for _n, ratio, dev in track:

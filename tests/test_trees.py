@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triefringe.errors import DepthExceeded, InvalidPath, LimitExceeded, UnaryNode
+from triefringe.functionals import evaluate_additive, phi_leaf
 from triefringe.source import SourceDistribution
 from triefringe.trees import (
     KeySet,
@@ -81,6 +82,18 @@ class TestBuildTrie:
     def test_agreement_below_bound_ok(self):
         t = build_trie(["000", "001"], 2, max_depth=3)
         assert t.leaf_count() == 2
+
+    def test_unary_chain_deeper_than_recursion_limit(self):
+        keys = ["0" * 1500 + "0", "0" * 1500 + "1"]
+        t = build_trie(keys, 2)
+        assert t.node_count() == 1503
+        assert compress(t) == build_patricia(keys, 2)
+        assert evaluate_additive(phi_leaf(), t) == 2
+        # the depth bound is where build_patricia puts it too
+        for build in (build_trie, build_patricia):
+            with pytest.raises(DepthExceeded):
+                build(keys, 2, max_depth=1500)
+            assert build(keys, 2, max_depth=1501).leaf_count() == 2
 
 
 class TestCompressAndPatricia:
