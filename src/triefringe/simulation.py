@@ -422,8 +422,8 @@ def _engine_chunk(config, start, stop):
         counts = np.full(len(rngs), int(config.size), dtype=np.int64)
     else:
         counts = np.array([rng.poisson(config.size) for rng in rngs], dtype=np.int64)
-    chars = CharBlocks(config.source, rngs, counts)
-    forest = _Forest(chars, counts, config.source.m, config.max_depth, rep_offset=start)
+    # the character blocks are freed once the forest is built, before any toll
+    forest = _Forest(CharBlocks(config.source, rngs, counts), counts, config.source.m, config.max_depth, start)
     out = _toll_sums(forest, config.functionals, config.paired_trie)
     out["n"] = counts.astype(np.float64)
     out["pat_nodes"] = forest.per_rep(forest.child_count != 1)

@@ -15,10 +15,12 @@ from triefringe.functionals import TollFunction, phi_alpha, phi_internal, phi_k,
 from triefringe.simulation import (
     SimulationConfig,
     estimate_fX,
+    estimate_root_essential,
     fringe_distribution,
     normality_diagnostics,
     oscillation_scan,
     run,
+    sample_patricia_roots,
     slln_track,
 )
 from triefringe.source import SourceDistribution
@@ -483,7 +485,6 @@ class TestEngineMatchesExplicitTrees:
 class TestRootStatistics:
     def test_chunked_like_one_chunk(self, monkeypatch):
         from triefringe import simulation
-        from triefringe.simulation import estimate_root_essential, sample_patricia_roots
         from triefringe.trees import enumerate_patricia_shapes
 
         shapes = enumerate_patricia_shapes(5, 2)
@@ -508,7 +509,6 @@ class TestRootStatistics:
         assert alpha == whole_alpha
 
     def test_empty_shape_rejected(self):
-        from triefringe.simulation import sample_patricia_roots
         from triefringe.trees import PatriciaTrie
 
         with pytest.raises(ValueError, match="empty tree"):
@@ -516,8 +516,6 @@ class TestRootStatistics:
 
     @pytest.mark.parametrize("call", ["estimate_fX", "estimate_root_essential", "oscillation_scan"])
     def test_one_replicate_rejected(self, call):
-        from triefringe.simulation import estimate_root_essential
-
         calls = {
             "estimate_fX": lambda: estimate_fX(phi_k(2), BIN_SYM, 5.0, 1, 1),
             "estimate_root_essential": lambda: estimate_root_essential(BIN_SYM, 5, 1, 1),
