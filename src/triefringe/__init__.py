@@ -20,7 +20,7 @@ from .errors import (
     TrieFringeError,
     UnaryNode,
 )
-from .source import CharStream, SourceDistribution
+from .source import SourceDistribution
 from .trees import (
     KeySet,
     PatriciaTrie,

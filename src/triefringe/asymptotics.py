@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy import integrate
 
 from .errors import Aperiodic, NonConvergent, PoleAt
 from .source import SourceDistribution
@@ -469,6 +468,10 @@ def mellin_numeric(f, s: complex, decay_zero: float, decay_inf="exp", rel_tol: f
     convergence.  Integration runs in u = log t, split at t = 1, which
     turns the t^(i Im s) oscillation into a fixed frequency.
     """
+    # imported here, not at module level: scipy takes most of the package's
+    # import time, and only this quadrature oracle needs it
+    from scipy import integrate
+
     s = complex(s)
     if s.real + decay_zero <= 0:
         raise NonConvergent(f"integral diverges at 0: Re(s)={s.real}, decay {decay_zero}")

@@ -424,9 +424,9 @@ def _build_parser():
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo of additive functionals")
     p.add_argument("--source", type=_source_spec, required=True)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_int_at_least(0), default=None)
     p.add_argument("--lambda", dest="lam", type=_finite_number(0), default=None)
-    p.add_argument("--replicates", type=int, required=True)
+    p.add_argument("--replicates", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--functional", required=True)
     p.add_argument("--paired-trie", action="store_true")
@@ -437,17 +437,17 @@ def _build_parser():
     p = sub.add_parser("fringe-dist", help="empirical fringe-size distribution")
     p.add_argument("--source", type=_source_spec, required=True)
     p.add_argument("--n", type=_int_at_least(1), required=True)
-    p.add_argument("--replicates", type=int, required=True)
+    p.add_argument("--replicates", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--kmax", type=int, default=64)
+    p.add_argument("--kmax", type=_int_at_least(1), default=64)
     p.set_defaults(fn=_cmd_fringe_dist)
 
     p = sub.add_parser("indnum", help="essential-node probabilities and ratio bounds")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_int_at_least(2), required=True)
     p.set_defaults(fn=_cmd_indnum)
 
     p = sub.add_parser("enumerate", help="patricia shapes of k keys with exact probabilities")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
     p.add_argument("--source", type=_source_spec, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_enumerate)

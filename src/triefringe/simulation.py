@@ -214,7 +214,9 @@ class _Forest:
     tables of the depths above.  The stride s is the largest whose table
     has no more cells than there are coded keys (else 1), and never passes
     max_depth.  The table is the same as grouping one level per pass, and
-    so are the character columns read.
+    so are the character columns read.  Columns are read only at the keys
+    still in a row with >= 2 keys, so a character block past the first is
+    drawn only for those keys.
     """
 
     def __init__(self, chars, counts, m, max_depth, rep_offset=0):
@@ -252,9 +254,8 @@ class _Forest:
             stride = min(stride, max_depth - t)
             code = group  # rebuilt below, so the codes may overwrite it
             for u in range(t, t + stride):
-                col = chars.column(u)
                 code *= m
-                code += col if active is None else col[active]
+                code += chars.column(u, active)
             tables = [np.bincount(code, minlength=len(big) * m**stride)]
             for _ in range(stride - 1):
                 tables.append(tables[-1].reshape(-1, m).sum(axis=1))
@@ -829,11 +830,15 @@ def slln_track(
 
 
 class _SlicedChars:
-    """A row-prefix view of a pooled character matrix (shared deepening)."""
+    """A row-prefix view of a pooled character matrix (shared deepening).
+
+    It reads whole columns of the shared blocks, because a larger key set
+    of the grid reads rows that a smaller one no longer needs."""
 
     def __init__(self, inner, rows):
         self.inner = inner
         self.rows = rows
 
-    def column(self, t):
-        return self.inner.column(t)[: self.rows]
+    def column(self, t, active=None):
+        col = self.inner.column(t)[: self.rows]
+        return col if active is None else col[active]

@@ -139,14 +139,6 @@ class SourceDistribution:
         gcd_num = math.gcd(*(r.numerator * (lcm_den // r.denominator) for r in ratios))
         return ref * gcd_num / lcm_den
 
-    def sample_stream(self, rng: np.random.Generator) -> "CharStream":
-        """Lazy infinite character stream; deterministic given rng state.
-
-        The stream owns its generator: parallel consumers must derive
-        independent generators (e.g. via SeedSequence spawning).
-        """
-        return CharStream(self, rng)
-
     def draw_chars(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Vectorized character draw: int8 array of the given shape.
 
@@ -170,24 +162,3 @@ class SourceDistribution:
                 chars_part += u_part >= c
         return chars
 
-
-class CharStream:
-    """Infinite i.i.d. character sequence, materialized on demand."""
-
-    _BLOCK = 64
-
-    def __init__(self, dist: SourceDistribution, rng: np.random.Generator):
-        self._dist = dist
-        self._rng = rng
-        self._buf: list[int] = []
-
-    def __getitem__(self, i: int) -> int:
-        while i >= len(self._buf):
-            self._buf.extend(self._dist.draw_chars(self._rng, self._BLOCK).tolist())
-        return self._buf[i]
-
-    def prefix(self, n: int) -> tuple[int, ...]:
-        """The first n characters as a tuple."""
-        if n > 0:
-            self[n - 1]
-        return tuple(self._buf[:n])

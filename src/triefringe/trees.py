@@ -134,8 +134,7 @@ class _Tree:
 
 
 class Trie(_Tree):
-    def has_unary_nodes(self):
-        return any(len(node.children) == 1 for node in self.nodes())
+    """A trie; unlike a patricia trie it may contain nodes of outdegree 1."""
 
 
 class PatriciaTrie(_Tree):
@@ -453,6 +452,10 @@ class _BlockKey:
 
 
 KEY_BLOCK_WIDTH = 32
+# a gap of fewer rows than this between two rows a block needs is drawn
+# with them: skipping it costs an advance and one more draw call, about as
+# much as drawing a few dozen rows
+_SKIP_MIN_ROWS = 16
 
 
 class CharBlocks:
@@ -462,37 +465,81 @@ class CharBlocks:
     generator in a fixed sequence of (counts[r], 32) blocks, so the
     characters depend on neither the pooling of replicates nor the moment
     of deepening; a replicate with no keys draws nothing.  Deepening
-    appends one row-major (total, 32) block to a list and column t is
-    column t % 32 of block t // 32, so no drawn block is copied again.
+    appends one row-major block to a list and column t is column t % 32 of
+    block t // 32, so no drawn block is copied again.
+
+    A read may name the rows it needs (``active``, ascending; None is every
+    row), and a block past the first is drawn only for the rows named by
+    the read that first reaches it: each run of those rows is drawn where
+    a full draw would put it, and the generator is advanced over the rows
+    between runs and after the last one, so it ends where a full draw
+    leaves it.  A sparse block keeps the slot of each row it holds, and
+    every later read of it must name a subset of those rows, as a forest
+    does while its keys separate.  The first block holds every row.
     """
 
     def __init__(self, d: SourceDistribution, rngs, counts):
         self.d = d
         self.rngs = rngs
         self.counts = [int(c) for c in counts]
-        self.total = sum(self.counts)
+        self.starts = np.cumsum([0] + self.counts)
+        self.total = int(self.starts[-1])
         self.blocks = []
-        self._draw_block()
+        self.slots = []
+        self._draw_block(None)
 
-    def _draw_block(self):
-        block = np.empty((self.total, KEY_BLOCK_WIDTH), np.int8)
+    def _runs(self, active):
+        """Per replicate, the (first, end) runs of its rows that a block draws:
+        all of them, or the rows in ``active`` joined across short gaps."""
+        if active is None:
+            return [[(0, c)] if c else [] for c in self.counts]
+        runs = []
+        bounds = np.searchsorted(active, self.starts).tolist()
+        for r, start in enumerate(self.starts[:-1].tolist()):
+            local = active[bounds[r] : bounds[r + 1]] - start
+            if not local.size:
+                runs.append([])
+                continue
+            cut = np.flatnonzero(np.diff(local) > _SKIP_MIN_ROWS) + 1
+            firsts, ends = local[np.r_[0, cut]], local[np.r_[cut - 1, -1]] + 1
+            runs.append(list(zip(firsts.tolist(), ends.tolist())))
+        return runs
+
+    def _draw_block(self, active):
+        width = KEY_BLOCK_WIDTH
+        runs = self._runs(active)
+        block = np.empty((sum(hi - lo for rep in runs for lo, hi in rep), width), np.int8)
+        # a sparse block's slot of each drawn row; other entries are never read
+        slot = None if active is None else np.empty(self.total, np.intp)
         at = 0
-        for rng, c in zip(self.rngs, self.counts):
-            if c:
-                block[at : at + c] = self.d.draw_chars(rng, (c, KEY_BLOCK_WIDTH))
-                at += c
+        for rng, start, c, rep in zip(self.rngs, self.starts.tolist(), self.counts, runs):
+            row = 0  # the row the generator stands at
+            for lo, hi in rep:
+                # Python ints: advance overflows on some numpy integer deltas
+                if lo > row:
+                    rng.bit_generator.advance(width * (lo - row))
+                block[at : at + hi - lo] = self.d.draw_chars(rng, (hi - lo, width))
+                if slot is not None:
+                    slot[start + lo : start + hi] = np.arange(at, at + hi - lo)
+                at += hi - lo
+                row = hi
+            if c > row:
+                rng.bit_generator.advance(width * (c - row))
         self.blocks.append(block)
+        self.slots.append(slot)
 
-    def _block_of(self, t):
+    def column(self, t, active=None):
+        """Column t at the rows ``active`` (ascending; None for every row)."""
         while t >= len(self.blocks) * KEY_BLOCK_WIDTH:
-            self._draw_block()
-        return self.blocks[t // KEY_BLOCK_WIDTH]
-
-    def column(self, t):
-        return self._block_of(t)[:, t % KEY_BLOCK_WIDTH]
+            self._draw_block(active)
+        col = self.blocks[t // KEY_BLOCK_WIDTH][:, t % KEY_BLOCK_WIDTH]
+        slot = self.slots[t // KEY_BLOCK_WIDTH]
+        if slot is not None:
+            return col[slot[active]]
+        return col if active is None else col[active]
 
     def char(self, row, i):
-        return int(self._block_of(i)[row, i % KEY_BLOCK_WIDTH])
+        return int(self.column(i)[row])
 
 
 def random_key_set(d: SourceDistribution, n: int, rng: np.random.Generator) -> KeySet:

@@ -166,8 +166,6 @@ class TestTopLevel:
              1, "--periods"),
             (("oscillate", "--source", "0.5,0.5", "--functional", "k=2", "--points-per-period", "0", "--seed", "1"),
              1, "--points-per-period"),
-            (("fringe-dist", "--source", "0.5,0.5", "--n", "5", "--replicates", "2", "--seed", "1", "--kmax", "0"),
-             2, "histogram_kmax"),
         ],
     )
     def test_input_without_a_finite_answer_is_rejected(self, capsys, argv, code, named):
@@ -195,6 +193,14 @@ class TestTopLevel:
              "--max-depth"),
             (("simulate", "--source", "0.5,0.5", "--n", "5", *SIM, "--functional", "k=2", "--max-depth", "0"),
              "--max-depth"),
+            (("indnum", "--N", "1"), "--N"),
+            (("indnum", "--N", "0"), "--N"),
+            (("enumerate", "--k", "0", "--source", "0.5,0.5"), "--k"),
+            (("simulate", "--source", "0.5,0.5", "--n", "5", "--replicates", "0", "--seed", "1", "--functional", "k=2"),
+             "--replicates"),
+            (("fringe-dist", "--source", "0.5,0.5", "--n", "5", "--replicates", "0", "--seed", "1"), "--replicates"),
+            (("simulate", "--source", "0.5,0.5", "--n", "-1", *SIM, "--functional", "k=2"), "--n"),
+            (("fringe-dist", "--source", "0.5,0.5", "--n", "5", *SIM, "--kmax", "0"), "--kmax"),
         ],
     )
     def test_malformed_token_is_usage_error(self, capsys, argv, named):
@@ -231,6 +237,20 @@ class TestTopLevel:
         code, out, _ = invoke(capsys, "selftest")
         assert code == 0
         assert out.count("PASS") == 5 and "FAIL" not in out
+
+    def test_cold_start_loads_no_scipy(self):
+        # scipy is most of the import time and only the quadrature oracle
+        # (mellin_numeric, run by selftest) needs it
+        probe = (
+            "import sys, triefringe.cli\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+            "assert triefringe.cli.main(['selftest']) == 0\n"
+            "assert 'scipy.integrate' in sys.modules\n"
+        )
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.count("PASS") == 5
 
     def test_byte_identical_stdout(self):
         argv = [

@@ -366,6 +366,44 @@ class TestForestLayout:
         assert len(named) >= 2
 
 
+class TestSparseBlocks:
+    """Character blocks past the first are drawn only for the keys still in a
+    node of two or more keys, and every character the forest reads is the
+    one a full draw gives."""
+
+    @pytest.mark.parametrize(
+        "spec, mode, size, replicates, seed",
+        [
+            ("0.3,0.7", "fixed", 10_000, 20, 11),
+            ("0.05,0.95", "poisson", 300, 8, 12),
+            ("0.1,0.1,0.8", "fixed", 2_000, 5, 13),
+        ],
+    )
+    def test_forest_reads_equal_full_draw(self, spec, mode, size, replicates, seed):
+        from triefringe.simulation import _Forest
+
+        d = SourceDistribution.parse(spec)
+        chars, counts = pooled_keys(d, mode, size, replicates, seed)
+        full, _ = pooled_keys(d, mode, size, replicates, seed)
+        reads = []
+        sparse_column = chars.column
+
+        def checked(t, active=None):
+            got = sparse_column(t, active)
+            want = full.column(t)
+            assert np.array_equal(got, want if active is None else want[active]), t
+            reads.append(t)
+            return got
+
+        chars.column = checked
+        _Forest(chars, counts, d.m, 10_000)
+        assert reads and len(chars.blocks) >= 2
+        if spec == "0.3,0.7":
+            # 48 keys are still together at depth 32: the second block draws a
+            # few runs of rows instead of all 200000
+            assert len(chars.blocks) == 2 and chars.blocks[1].size < 10**5
+
+
 def assert_roots_match(fast, slow):
     """Root outputs equal the explicit trees', and gating the root toll at
     depth 0 gives the pulled-back toll at the trie root."""

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triefringe.source import SourceDistribution
+from triefringe.trees import KEY_BLOCK_WIDTH, CharBlocks, random_key_set
 
 BIN_SYM = SourceDistribution((0.5, 0.5))
 TERNARY = SourceDistribution.uniform(3)
@@ -145,16 +146,17 @@ class TestPeriodicity:
 
 
 class TestSampleStream:
+    """Sampled key characters: random_key_set keys and CharBlocks rows."""
+
     def test_deterministic(self):
-        s1 = BIN_SYM.sample_stream(np.random.default_rng(7))
-        s2 = BIN_SYM.sample_stream(np.random.default_rng(7))
-        assert s1.prefix(8) == s2.prefix(8)
+        k1, k2 = (random_key_set(BIN_SYM, 1, np.random.default_rng(7)).keys[0] for _ in range(2))
+        assert [k1[i] for i in range(8)] == [k2[i] for i in range(8)]
 
     def test_frequencies_within_four_se(self):
         n = 10**6
         d = SKEWED
         rng = np.random.default_rng(123)
-        chars = d.draw_chars(rng, n)
+        chars = CharBlocks(d, [rng], [n // KEY_BLOCK_WIDTH]).blocks[0]
         for a, p in enumerate(d.probs):
             freq = float(np.mean(chars == a))
             se = math.sqrt(p * (1 - p) / n)
@@ -163,9 +165,9 @@ class TestSampleStream:
     def test_independent_streams_uncorrelated(self):
         n = 10**5
         parent = np.random.SeedSequence(2024)
-        g1, g2 = [np.random.default_rng(s) for s in parent.spawn(2)]
-        x = BIN_SYM.draw_chars(g1, n).astype(float)
-        y = BIN_SYM.draw_chars(g2, n).astype(float)
+        rows = n // KEY_BLOCK_WIDTH
+        pooled = CharBlocks(BIN_SYM, [np.random.default_rng(s) for s in parent.spawn(2)], [rows, rows])
+        x, y = pooled.blocks[0].reshape(2, n).astype(float)
         corr = np.corrcoef(x, y)[0, 1]
         assert abs(corr) < 4 / math.sqrt(n)
 

@@ -142,8 +142,8 @@ class TestCompressAndPatricia:
 
     def test_builds_from_lazy_character_streams(self):
         d = SourceDistribution((0.5, 0.5))
-        parent = np.random.SeedSequence(314)
-        streams = [d.sample_stream(np.random.default_rng(s)) for s in parent.spawn(12)]
+        # random keys are lazy streams: rows of a block that deepens on reading
+        streams = random_key_set(d, 12, np.random.default_rng(314)).keys
         ks = KeySet(streams, d.m)
         p = build_patricia(ks)
         p.validate()
@@ -152,7 +152,7 @@ class TestCompressAndPatricia:
 
     def test_mixed_finite_and_stream_keys(self):
         d = SourceDistribution((0.5, 0.5))
-        stream = d.sample_stream(np.random.default_rng(9))
+        (stream,) = random_key_set(d, 1, np.random.default_rng(9)).keys
         ks = KeySet([(0, 0, 0, 0, 0, 0), stream], d.m)
         # the stream disagrees with the finite key early with overwhelming probability
         p = build_patricia(ks, max_depth=64)
@@ -182,6 +182,54 @@ class TestCharBlocks:
             if n:
                 assert ks.keys[0].block.blocks[0] is first
             at += n
+
+    # counts: fixed, and uneven with a replicate that has no keys
+    COUNTS = ((40, 40, 40), (37, 0, 90, 5))
+
+    @staticmethod
+    def row_sets(counts):
+        from triefringe.trees import _SKIP_MIN_ROWS as skip
+
+        total = sum(counts)
+        scattered = np.unique(np.random.default_rng(5).integers(0, total, total // 5))
+        # rows skip - 1 apart leave a gap too short to skip, skip + 1 apart one just long enough
+        gaps = [3, 3 + skip, 3 + 2 * skip + 1]
+        return {
+            "empty": [],
+            "single": [total // 2],
+            "scattered": scattered,
+            "gaps": gaps,
+            "ends": [0, counts[0] - 1, total - 1],
+            "all": np.arange(total),
+        }
+
+    @pytest.mark.parametrize("spec", ["0.5,0.5", "0.3,0.7", "uniform:3", "0.05,0.95"])
+    @pytest.mark.parametrize("counts", COUNTS)
+    def test_sparse_blocks_equal_full_draw(self, spec, counts):
+        from triefringe.trees import _SKIP_MIN_ROWS, KEY_BLOCK_WIDTH, CharBlocks
+
+        d = SourceDistribution.parse(spec)
+        seeds = range(21, 21 + len(counts))
+        full = CharBlocks(d, [np.random.default_rng(s) for s in seeds], counts)
+        want = np.stack([full.column(t) for t in range(3 * KEY_BLOCK_WIDTH)], axis=1)
+        for name, rows in self.row_sets(counts).items():
+            rows = np.asarray(rows, dtype=np.intp)
+            sparse = CharBlocks(d, [np.random.default_rng(s) for s in seeds], counts)
+            # block 0 holds every row; block 1 is drawn at the rows of its first read
+            for t in range(2 * KEY_BLOCK_WIDTH):
+                assert np.array_equal(sparse.column(t, rows), want[rows, t]), (name, t)
+            # a later read of block 1 may name any subset of those rows
+            assert np.array_equal(sparse.column(40, rows[::3]), want[rows[::3], 40]), name
+            drawn = len(sparse.blocks[1])
+            if name == "gaps":
+                assert drawn == _SKIP_MIN_ROWS + 2  # rows 3..3 + skip, then one row
+            elif name != "all":
+                assert drawn < sum(counts)
+            # the generators end where a full draw leaves them: block 2 is the full draw
+            for t in range(2 * KEY_BLOCK_WIDTH, 3 * KEY_BLOCK_WIDTH):
+                assert np.array_equal(sparse.column(t), want[:, t]), (name, t)
+            for a, b in zip(sparse.rngs, full.rngs):
+                assert a.bit_generator.state == b.bit_generator.state, name
 
 
 class TestFringe:
