@@ -482,8 +482,8 @@ class CharBlocks:
         self.d = d
         self.rngs = rngs
         self.counts = [int(c) for c in counts]
-        self.starts = np.cumsum([0] + self.counts)
-        self.total = int(self.starts[-1])
+        self.starts = [0, *itertools.accumulate(self.counts)]
+        self.total = self.starts[-1]
         self.blocks = []
         self.slots = []
         self._draw_block(None)
@@ -495,7 +495,7 @@ class CharBlocks:
             return [[(0, c)] if c else [] for c in self.counts]
         runs = []
         bounds = np.searchsorted(active, self.starts).tolist()
-        for r, start in enumerate(self.starts[:-1].tolist()):
+        for r, start in enumerate(self.starts[:-1]):
             local = active[bounds[r] : bounds[r + 1]] - start
             if not local.size:
                 runs.append([])
@@ -512,7 +512,7 @@ class CharBlocks:
         # a sparse block's slot of each drawn row; other entries are never read
         slot = None if active is None else np.empty(self.total, np.intp)
         at = 0
-        for rng, start, c, rep in zip(self.rngs, self.starts.tolist(), self.counts, runs):
+        for rng, start, c, rep in zip(self.rngs, self.starts, self.counts, runs):
             row = 0  # the row the generator stands at
             for lo, hi in rep:
                 # Python ints: advance overflows on some numpy integer deltas
