@@ -14,6 +14,7 @@ from .errors import (
     EmptyTree,
     InvalidPath,
     LimitExceeded,
+    MissingDependency,
     NonConvergent,
     PoleAt,
     ShapeDependence,

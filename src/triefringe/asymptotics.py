@@ -35,7 +35,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import Aperiodic, NonConvergent, PoleAt
+from .errors import Aperiodic, MissingDependency, NonConvergent, PoleAt
 from .source import SourceDistribution
 from .trees import shape_probability
 
@@ -469,8 +469,13 @@ def mellin_numeric(f, s: complex, decay_zero: float, decay_inf="exp", rel_tol: f
     turns the t^(i Im s) oscillation into a fixed frequency.
     """
     # imported here, not at module level: scipy takes most of the package's
-    # import time, and only this quadrature oracle needs it
-    from scipy import integrate
+    # import time, only this quadrature oracle needs it, and it is optional
+    try:
+        from scipy import integrate
+    except ImportError as exc:
+        raise MissingDependency(
+            "mellin_numeric needs scipy, an optional dependency: pip install 'triefringe[oracle]'"
+        ) from exc
 
     s = complex(s)
     if s.real + decay_zero <= 0:

@@ -58,3 +58,7 @@ class Aperiodic(TrieFringeError):
 
 class DegenerateVariance(TrieFringeError):
     """Moment diagnostics requested for a sample with zero variance."""
+
+
+class MissingDependency(TrieFringeError, ImportError):
+    """An optional dependency of one routine is not installed."""

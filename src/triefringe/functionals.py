@@ -258,13 +258,18 @@ def phi_leaf() -> TollFunction:
     return TollFunction(name="leaf", chi=1.0, stats_fn=_is_lone_leaf)
 
 
-def phi_shape(shape) -> TollFunction:
-    """Indicator of fringe subtrees structurally equal to a fixed shape."""
+def _shape_key(shape):
+    """A shape's nested signature and key count; the empty tree is rejected."""
     sig0 = shape_signature(shape)
     if sig0 == ():
         raise ValueError("the empty tree is not a shape")
     root = shape.root if hasattr(shape, "root") else shape
-    k0 = root.leaf_count
+    return sig0, root.leaf_count
+
+
+def phi_shape(shape) -> TollFunction:
+    """Indicator of fringe subtrees structurally equal to a fixed shape."""
+    sig0, k0 = _shape_key(shape)
     return TollFunction(
         name=f"shape[{k0}]",
         chi=1.0 if sig0 == _LEAF_SIG else 0.0,

@@ -41,7 +41,7 @@ import numpy as np
 
 from .asymptotics import psi_eval, psi_for_k
 from .errors import DegenerateVariance, DepthExceeded, EmptyTree
-from .functionals import _LEAF_SIG, TollFunction, _count_is, _is_lone_leaf, _Stats, phi_alpha, phi_shape
+from .functionals import _LEAF_SIG, TollFunction, _count_is, _is_lone_leaf, _shape_key, _Stats, phi_alpha
 from .source import SourceDistribution
 from .trees import DEFAULT_MAX_DEPTH, CharBlocks
 
@@ -258,7 +258,13 @@ class _Forest:
                 code += chars.column(u, active)
             tables = [np.bincount(code, minlength=len(big) * m**stride)]
             for _ in range(stride - 1):
-                tables.append(tables[-1].reshape(-1, m).sum(axis=1))
+                # blocks of m cells summed as m - 1 adds of strided columns,
+                # several times faster than reshape(-1, m).sum(axis=1)
+                finer = tables[-1]
+                coarser = finer[0::m] + finer[1::m]
+                for c in range(2, m):
+                    coarser += finer[c::m]
+                tables.append(coarser)
             # one level per table, coarsest first: its rows are the occupied
             # cells under the parent level's rows `big`, in (parent, char)
             # order, so the children of a node are consecutive rows.  `cells`
@@ -268,9 +274,12 @@ class _Forest:
             for table in reversed(tables):
                 block = table.reshape(-1, m)
                 if cells is not None:
-                    block = block[cells]
-                occupied = np.flatnonzero(block)
-                under, char = np.divmod(occupied, m)
+                    block = np.take(block, cells, axis=0)
+                # a boolean mask, // and one subtraction are several times
+                # faster than flatnonzero of the ints and divmod
+                occupied = np.flatnonzero(block != 0)
+                under = occupied // m
+                char = occupied - under * m
                 up = big[under]
                 count = block.ravel()[occupied]
                 levels["count"].append(count)
@@ -285,8 +294,8 @@ class _Forest:
             rank[cells] = np.arange(len(cells))
             group = rank[code]
             keep = group >= 0
-            group = group[keep]
-            active = np.flatnonzero(keep) if active is None else active[keep]
+            group = np.compress(keep, group)
+            active = np.flatnonzero(keep) if active is None else np.compress(keep, active)
             t += stride
 
         self.R = R
@@ -297,18 +306,31 @@ class _Forest:
         self.child_count = np.bincount(self.parent[offsets[1]:], minlength=len(self.count))
         # a replicate's rows are consecutive within a level, so a per-replicate
         # sum first adds up runs of equal rep, several times faster than a
-        # weighted bincount over every row
-        self.runs = np.flatnonzero(np.diff(self.rep, prepend=-1))
+        # weighted bincount over every row; a run starts at row 0 and where
+        # rep changes (no run in an empty table)
+        edge = np.empty(len(self.rep), bool)
+        edge[:1] = True
+        np.not_equal(self.rep[1:], self.rep[:-1], out=edge[1:])
+        self.runs = np.flatnonzero(edge)
 
     def per_rep(self, values):
         """Per-replicate sum of one value per row."""
         run_sums = np.add.reduceat(values, self.runs, dtype=np.float64)
         return np.bincount(self.rep[self.runs], run_sums, minlength=self.R)
 
+    def rows_per_rep(self):
+        """Per-replicate row count (trie nodes), summed from the run lengths."""
+        return np.bincount(self.rep[self.runs], np.diff(self.runs, append=len(self.rep)), minlength=self.R)
+
     def histogram(self, kmax):
         """Counts of internal patricia fringes by size: k = 2..kmax plus overflow."""
-        internal = self.child_count >= 2
-        bins = self.rep[internal] * kmax + np.minimum(self.count[internal], kmax + 1) - 2
+        internal = np.flatnonzero(self.child_count >= 2)
+        bins = np.take(self.count, internal)
+        np.minimum(bins, kmax + 1, out=bins)
+        bins -= 2
+        rep = np.take(self.rep, internal)
+        rep *= kmax
+        bins += rep
         return np.bincount(bins, minlength=self.R * kmax).reshape(self.R, kmax).astype(np.float64)
 
     def pat_roots(self):
@@ -397,15 +419,19 @@ def _toll_sums(forest, tolls, paired_trie=False):
         return out
     cap = max(t.needs_shape for t in tolls)
     memo = {_LEAF_SIG: 0}
-    pat_rows = forest.child_count != 1
+    unary = np.flatnonzero(forest.child_count == 1)
     pat = forest.view(True, cap, memo)
+    gated = np.empty(len(forest.count))
     for j, t in enumerate(tolls):
-        # zeroing the other rows costs less than selecting the patricia rows
-        gated = np.where(pat_rows, _rule_values(t, pat), 0.0)
+        # a copy with its unary rows zeroed costs less than np.where or
+        # selecting the patricia rows, leaves the rule's array (which may be
+        # a column of the view) intact, and sums a non-finite value there as 0
+        np.copyto(gated, _rule_values(t, pat))
+        gated[unary] = 0.0
         out["pat"][:, j] = forest.per_rep(gated)
         out["root"][has_root, j] = gated[root_row[has_root]]
     if paired_trie:
-        pat = gated = None  # the two views are never held at once
+        pat = gated = unary = None  # the two views are never held at once
         trie = forest.view(False, cap, memo)
         for j, t in enumerate(tolls):
             out["trie"][:, j] = forest.per_rep(_rule_values(t, trie))
@@ -428,7 +454,7 @@ def _engine_chunk(config, start, stop):
     out = _toll_sums(forest, config.functionals, config.paired_trie)
     out["n"] = counts.astype(np.float64)
     out["pat_nodes"] = forest.per_rep(forest.child_count != 1)
-    out["trie_nodes"] = forest.per_rep(np.ones(len(forest.count)))
+    out["trie_nodes"] = forest.rows_per_rep()
     out["hist"] = forest.histogram(config.histogram_kmax)
     return out
 
@@ -595,12 +621,29 @@ def sample_patricia_roots(d: SourceDistribution, n: int, replicates: int, master
     length of the patricia trie is the depth of the trie node it compresses
     to, which for k >= 2 keys follows Geom_0(1 - rho(k)).
     """
-    tolls = tuple(phi_shape(shape) for shape in shapes)
-    data = _collect(SimulationConfig.fixed(d, n, replicates, master_seed, tolls))
-    shape_index = np.full(replicates, -1, dtype=np.int64)
-    for j in range(len(tolls)):
-        shape_index[data["root"][:, j] > 0] = j
-    return shape_index, data["root_depth"]
+    keys = [_shape_key(shape) for shape in shapes]
+    toll = TollFunction(
+        name="shape-index",
+        chi=0.0,
+        stats_fn=partial(_shape_index, sigs=tuple(sig for sig, _ in keys)),
+        needs_shape=max((k for _, k in keys), default=1),
+    )
+    data = _collect(SimulationConfig.fixed(d, n, replicates, master_seed, (toll,)))
+    return data["root"][:, 0].astype(np.int64) - 1, data["root_depth"]
+
+
+def _shape_index(st, sigs):
+    """1 + the index of the last of `sigs` each fringe's shape equals, else 0.
+
+    A lookup table over the forest's interned shape ids, one entry past the
+    memo for the id -1 of fringes above the cap."""
+    column = st.shape_sig
+    table = np.zeros(len(column.memo) + 1)
+    for j, sig in enumerate(sigs):
+        i = column._intern(sig)
+        if i >= 0:
+            table[i] = j + 1
+    return table[column.ids]
 
 
 def estimate_root_essential(d: SourceDistribution, n: int, replicates: int, master_seed: int):

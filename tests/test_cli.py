@@ -252,6 +252,29 @@ class TestTopLevel:
         assert done.returncode == 0, done.stderr
         assert done.stdout.count("PASS") == 5
 
+    def test_oracle_without_scipy_names_the_extra(self):
+        # scipy is an optional extra: blocking it leaves the engine working,
+        # and the quadrature oracle raises an ImportError naming the extra
+        probe = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import triefringe.cli\n"
+            "from triefringe.asymptotics import mellin_numeric\n"
+            "try:\n"
+            "    mellin_numeric(lambda t: t * 2.718281828 ** -t, 1.0, decay_zero=1)\n"
+            "except ImportError as exc:\n"
+            "    assert 'triefringe[oracle]' in str(exc), exc\n"
+            "else:\n"
+            "    raise AssertionError('no ImportError')\n"
+            "args = ['simulate', '--source', '0.5,0.5', '--n', '50', '--replicates', '2',\n"
+            "        '--seed', '1', '--functional', 'k=2']\n"
+            "assert triefringe.cli.main(args) == 0\n"
+            "sys.exit(triefringe.cli.main(['selftest']))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert done.returncode == 2, done.stderr
+        assert "triefringe[oracle]" in done.stderr
+
     def test_byte_identical_stdout(self):
         argv = [
             sys.executable, "-m", "triefringe.cli",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -404,6 +405,78 @@ class TestSparseBlocks:
             assert len(chars.blocks) == 2 and chars.blocks[1].size < 10**5
 
 
+class TestEmptyForest:
+    """Replicates without keys have no rows, and every per-replicate output
+    still has one entry per replicate, equal to the explicit trees'."""
+
+    @pytest.mark.parametrize("counts", [[0, 0], [0, 3, 0, 5]])
+    def test_outputs_have_one_entry_per_replicate(self, counts):
+        from triefringe.simulation import _Forest, replicate_rng
+        from triefringe.trees import CharBlocks, build_patricia, build_trie, random_key_set
+
+        counts = np.array(counts, dtype=np.int64)
+        R, kmax = len(counts), 4
+        rngs = [replicate_rng(31, i) for i in range(R)]
+        forest = _Forest(CharBlocks(SKEWED, rngs, counts), counts, SKEWED.m, 10_000)
+        trie_nodes = forest.per_rep(np.ones(len(forest.count)))
+        pat_nodes = forest.per_rep(forest.child_count != 1)
+        hist = forest.histogram(kmax)
+        row, depth = forest.pat_roots()
+        assert trie_nodes.shape == pat_nodes.shape == row.shape == depth.shape == (R,)
+        assert hist.shape == (R, kmax)
+        assert np.array_equal(forest.rows_per_rep(), trie_nodes)
+        for i, n in enumerate(counts.tolist()):
+            if n == 0:
+                assert trie_nodes[i] == pat_nodes[i] == 0 and not hist[i].any()
+                assert row[i] == depth[i] == -1
+                continue
+            keys = random_key_set(SKEWED, n, replicate_rng(31, i))
+            pat = build_patricia(keys)
+            assert trie_nodes[i] == build_trie(keys).node_count()
+            assert pat_nodes[i] == pat.node_count()
+            assert hist[i].sum() == sum(1 for node in pat.nodes() if node.children)
+            assert depth[i] == len(pat.root.prefix) and forest.count[row[i]] == n
+
+
+def _inf_on_unary(st):
+    return np.where(st.outdeg == 1, np.inf, 1.0)
+
+
+def _node_count(st):
+    return st.node_count
+
+
+class TestTollGate:
+    """A toll counts only at patricia rows: whatever its rule gives on a
+    unary row, even a non-finite value or one of the view's own columns,
+    the sums and root values are the explicit patricia trie's."""
+
+    def check(self, tolls, paired_trie=False, replicates=6):
+        from triefringe.simulation import _engine_chunk
+
+        cfg = SimulationConfig.fixed(SKEWED, 60, replicates, 53, tolls, paired_trie=paired_trie)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = _engine_chunk(cfg, 0, replicates)
+        slow = explicit_chunk(cfg, 0, replicates)
+        for key in ("pat", "pat_nodes", "hist") + (("trie",) if paired_trie else ()):
+            assert np.array_equal(fast[key], slow[key]), key
+        assert_roots_match(fast, slow)
+        return fast
+
+    def test_non_finite_value_on_unary_rows_counts_zero(self):
+        inf_unary = TollFunction(name="inf-unary", chi=1.0, stats_fn=_inf_on_unary)
+        fast = self.check((inf_unary,))
+        assert np.all(np.isfinite(fast["pat"]))
+        assert np.array_equal(fast["pat"][:, 0], fast["pat_nodes"])
+
+    @pytest.mark.parametrize("paired_trie", [False, True])
+    def test_rule_returning_a_view_column(self, paired_trie):
+        node_count = TollFunction(name="node-count", chi=1.0, stats_fn=_node_count)
+        fast = self.check((node_count, phi_internal(), node_count), paired_trie)
+        assert np.array_equal(fast["pat"][:, 0], fast["pat"][:, 2])
+
+
 def assert_roots_match(fast, slow):
     """Root outputs equal the explicit trees', and gating the root toll at
     depth 0 gives the pulled-back toll at the trie root."""
@@ -545,6 +618,28 @@ class TestRootStatistics:
         assert len(calls) > 1
         assert all(np.array_equal(a, b) for a, b in zip(roots, whole_roots))
         assert alpha == whole_alpha
+
+    def test_shape_index_is_last_matching_shape(self):
+        # the index toll gives what one phi_shape toll per shape read at the
+        # root gives, with repeated shapes and shapes of other key counts
+        from triefringe.simulation import _engine_chunk
+        from triefringe.trees import enumerate_patricia_shapes
+
+        four = enumerate_patricia_shapes(4, 2)
+        shapes = [*four, four[0], *enumerate_patricia_shapes(3, 2), four[2]]
+        found = {}
+        for n in (4, 1, 0):
+            index, depth = sample_patricia_roots(SKEWED, n, 300, 19, shapes)
+            found[n] = set(index.tolist())
+            cfg = SimulationConfig.fixed(SKEWED, n, 300, 19, tuple(phi_shape(s) for s in shapes))
+            ref = _engine_chunk(cfg, 0, 300)
+            want = np.full(300, -1)
+            for j in range(len(shapes)):
+                want[ref["root"][:, j] > 0] = j
+            assert index.dtype == np.int64 and np.array_equal(index, want), n
+            assert np.array_equal(depth, ref["root_depth"])
+        # every 4-key shape occurs, and four[0] and four[2] read as their repeats
+        assert found == {4: {1, 3, 4, 5, 8}, 1: {-1}, 0: {-1}}
 
     def test_empty_shape_rejected(self):
         from triefringe.trees import PatriciaTrie
