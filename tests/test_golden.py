@@ -114,6 +114,24 @@ def paired_shape_config():
 RUN_DIGEST = "732ed84129588dcc830977fea027ebc2f8eb7a5f01dbe5bb16157fcb018cb894"
 
 
+# every 3- and 4-leaf shape of the source's alphabet, on the patricia and
+# the trie fringe: a ternary source, and a skewed one whose tries are
+# mostly unary chains
+SHAPE_RUN_CASES = {"uniform:3": 22, "0.05,0.95": 23}
+
+SHAPE_RUN_DIGESTS = {
+    "uniform:3": "712b9d2ec273da8df12bce0d6ea85ac30ef55fa3b918e069c98e1d31622be6b1",
+    "0.05,0.95": "9631df95279a847936ad156b969ae1cc4bf2b4bf09d190564636a3dad254a84e",
+}
+
+
+def shape_run_config(spec):
+    d = SourceDistribution.parse(spec)
+    shapes = enumerate_patricia_shapes(3, d.m) + enumerate_patricia_shapes(4, d.m)
+    tolls = tuple(phi_shape(s) for s in shapes)
+    return SimulationConfig.fixed(d, 60, 30, SHAPE_RUN_CASES[spec], tolls, paired_trie=True)
+
+
 # root statistics: sources with short and long root prefixes and a
 # ternary one, at sizes with no key, one key and a few keys
 ROOT_CASES = [(spec, n) for spec in ("0.5,0.5", "0.05,0.95", "uniform:3") for n in (0, 1, 5)]
@@ -148,6 +166,17 @@ def root_outputs(spec, n):
     }
 
 
+def unmatched_roots():
+    """sample_patricia_roots at six keys against shapes of three and four."""
+    d = SourceDistribution.parse("0.3,0.7")
+    shapes = enumerate_patricia_shapes(3, 2) + enumerate_patricia_shapes(4, 2)
+    shape_index, prefix = sample_patricia_roots(d, 6, ROOT_REPLICATES, 61, shapes)
+    return {"shape_index": shape_index.tolist(), "prefix_length": prefix.tolist()}
+
+
+UNMATCHED_ROOTS_DIGEST = "35e7863225722e66c7397ad9280b43c2374a4e548a427caf7f8b251958c75c95"
+
+
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -161,6 +190,16 @@ def test_cli_stdout(case, capsys):
 def test_paired_shape_run():
     summary = run(paired_shape_config()).as_dict()
     assert _sha(json.dumps(summary, sort_keys=True)) == RUN_DIGEST
+
+
+@pytest.mark.parametrize("spec", sorted(SHAPE_RUN_CASES))
+def test_shape_run(spec):
+    summary = run(shape_run_config(spec)).as_dict()
+    assert _sha(json.dumps(summary, sort_keys=True)) == SHAPE_RUN_DIGESTS[spec]
+
+
+def test_unmatched_roots():
+    assert _sha(json.dumps(unmatched_roots(), sort_keys=True)) == UNMATCHED_ROOTS_DIGEST
 
 
 @pytest.mark.parametrize("spec,n", ROOT_CASES)
