@@ -17,7 +17,6 @@ from .errors import (
     MissingDependency,
     NonConvergent,
     PoleAt,
-    ShapeDependence,
     TrieFringeError,
     UnaryNode,
 )

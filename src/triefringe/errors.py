@@ -32,10 +32,6 @@ class UnaryNode(TrieFringeError):
     """A tree expected to be prefix-compressed contains a node of outdegree 1."""
 
 
-class ShapeDependence(TrieFringeError):
-    """A toll that may read prefix attributes cannot be pulled back to tries."""
-
-
 class EmptyTree(TrieFringeError):
     """Operation undefined on the empty tree."""
 

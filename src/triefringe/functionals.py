@@ -3,8 +3,9 @@
 An additive functional Phi sums a toll function phi over all fringe
 subtrees: Phi(T) = sum_{v in T} phi(T^v), equivalently the recursion
 Phi(T) = phi(T) + sum_a Phi(T^a) with Phi(empty) = 0.  Tolls here are
-shape-only (they never read common-prefix attributes), which is what makes
-a patricia toll pull back to the trie built from the same keys:
+shape-only (a toll reads only the aggregates below, never a common prefix),
+which is what makes a patricia toll pull back to the trie built from the
+same keys:
 
     pulled_phi(T) = 0                      if T's root has exactly one child
                     phi(compress(T))       otherwise
@@ -12,8 +13,9 @@ a patricia toll pull back to the trie built from the same keys:
 and then Phi(compress(T)) = pulled_Phi(T) for every trie T.
 
 Evaluation is a single post-order pass with memoized per-node aggregates
-(leaf counts, essentiality bits, bounded shape signatures), so a batch of
-tolls costs one traversal.  chi denotes a toll's value on a lone leaf.
+(leaf counts, essentiality bits, and the nested shape signature, whose
+tuples share their children's), so a batch of tolls costs one traversal.
+chi denotes a toll's value on a lone leaf.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import EmptyTree, LimitExceeded, ShapeDependence
+from .errors import EmptyTree, LimitExceeded
 from .trees import Trie, shape_signature
 
 _LEAF_SIG = "*"
@@ -53,8 +55,8 @@ class TollFunction:
     the simulation engine, so it must be elementwise: given scalars it
     returns a number, given equal-length numpy arrays (one entry per node)
     it returns an array of values or a number for all of them.  shape_sig
-    is only compared with ``==`` against a nested signature, and is None
-    when needs_shape is 0.  For simulations with threads > 1 the rule must
+    is only compared with ``==`` against a nested signature, of any size.
+    For simulations with threads > 1 the rule must
     be picklable: a module-level function, or a functools.partial of one,
     as the built-in rules are.  Tolls wrapping a patricia toll for use on
     tries carry pulled=True and gate on the root outdegree.
@@ -63,8 +65,6 @@ class TollFunction:
     name: str
     chi: float
     stats_fn: callable = field(compare=False)
-    shape_only: bool = True
-    needs_shape: int = 0
     pulled: bool = False
     base: "TollFunction | None" = None
 
@@ -76,10 +76,6 @@ class TollFunction:
 
     def __repr__(self):
         return f"TollFunction({self.name!r})"
-
-
-def _toll_cap(tolls):
-    return max((t.needs_shape for t in tolls), default=0)
 
 
 def evaluate_additive(tolls, tree, _root_toll_only=False):
@@ -97,7 +93,6 @@ def evaluate_additive(tolls, tree, _root_toll_only=False):
             raise ValueError(f"{t.name} is a pulled-back toll and applies to tries only")
 
     want_pat = is_trie and any(t.pulled for t in toll_list)
-    cap = _toll_cap(toll_list)
     totals = np.zeros(len(toll_list))
 
     if tree.root is None:
@@ -106,13 +101,11 @@ def evaluate_additive(tolls, tree, _root_toll_only=False):
     def node_stats(chars, child_stats):
         outdeg = len(child_stats)
         if outdeg == 0:
-            return _Stats(1, 1, 0, 1, _LEAF_SIG if cap >= 1 else None)
+            return _Stats(1, 1, 0, 1, _LEAF_SIG)
         leaf_count = sum(s.leaf_count for s in child_stats)
         node_count = 1 + sum(s.node_count for s in child_stats)
         essential = max(0, 1 - sum(s.essential for s in child_stats))
-        sig = None
-        if cap and leaf_count <= cap:
-            sig = tuple((a, s.shape_sig) for a, s in zip(chars, child_stats))
+        sig = tuple((a, s.shape_sig) for a, s in zip(chars, child_stats))
         return _Stats(leaf_count, node_count, outdeg, essential, sig)
 
     def pat_project(chars, direct, child_pats):
@@ -122,9 +115,7 @@ def evaluate_additive(tolls, tree, _root_toll_only=False):
             return direct
         node_count = 1 + sum(s.node_count for s in child_pats)
         essential = max(0, 1 - sum(s.essential for s in child_pats))
-        sig = None
-        if cap and direct.leaf_count <= cap:
-            sig = tuple((a, s.shape_sig) for a, s in zip(chars, child_pats))
+        sig = tuple((a, s.shape_sig) for a, s in zip(chars, child_pats))
         return _Stats(direct.leaf_count, node_count, direct.outdeg, essential, sig)
 
     def apply_tolls(direct, pat, out):
@@ -180,12 +171,10 @@ def evaluate_summed(toll, tree) -> float:
 def pullback(phi: TollFunction) -> TollFunction:
     """The trie toll inducing phi's functional on the compressed tree.
 
-    Requires a shape-only toll; the result is zero on trees whose root has
-    exactly one child and phi(compress(T)) elsewhere, so that the induced
-    functional on any trie equals phi's functional on its patricia trie.
+    The result is zero on trees whose root has exactly one child and
+    phi(compress(T)) elsewhere, so that the induced functional on any trie
+    equals phi's functional on its patricia trie.
     """
-    if not phi.shape_only:
-        raise ShapeDependence(f"{phi.name} may depend on prefix attributes and has no pullback")
     if phi.pulled:
         raise ValueError("toll is already a pullback")
     return TollFunction(
@@ -194,7 +183,6 @@ def pullback(phi: TollFunction) -> TollFunction:
         stats_fn=phi.stats_fn,
         pulled=True,
         base=phi,
-        needs_shape=phi.needs_shape,
     )
 
 
@@ -274,7 +262,6 @@ def phi_shape(shape) -> TollFunction:
         name=f"shape[{k0}]",
         chi=1.0 if sig0 == _LEAF_SIG else 0.0,
         stats_fn=partial(_matches_signature, sig=sig0),
-        needs_shape=k0,
     )
 
 

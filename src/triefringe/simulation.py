@@ -19,10 +19,11 @@ bincount counts the keys of every cell of the deepest level, sums over
 blocks of m cells give the levels above it, and the occupied cells under
 nodes of two or more keys become the rows of each level.  Bottom-up
 sweeps give every row the aggregates the explicit-tree evaluator computes
-per node (leaf count, node count, outdegree, essentiality bit, bounded
-shape signature), once for the trie fringe and once for the compressed
-fringe, and each toll's own rule runs elementwise on those columns.
-Patricia nodes are the rows without exactly one child.
+per node (leaf count, node count, outdegree, essentiality bit), once for
+the trie fringe and once for the compressed fringe, and each toll's own
+rule runs elementwise on those columns.  A toll's shape comparison is a
+structural match on the table itself.  Patricia nodes are the rows without
+exactly one child.
 
 The root statistics (sample_patricia_roots, estimate_root_essential and
 the root toll of estimate_fX) run on the same chunked engine: each
@@ -180,21 +181,81 @@ class SimulationSummary:
 
 
 class _ShapeColumn:
-    """Shape ids of a view's fringes, interned in a memo shared by the views
-    of one forest: ``column == sig`` interns the nested signature ``sig`` and
-    compares ids elementwise.  Fringes above the shape cap carry id -1."""
+    """The fringe shapes of one view's rows: ``column == sig`` is True at the
+    rows whose fringe has the nested signature ``sig``.
 
-    def __init__(self, ids, memo):
-        self.ids = ids
-        self.memo = memo
+    A row matches sig when it holds as many keys as sig has leaves, has
+    len(sig) children, and its i-th child row (children are consecutive
+    rows in character order, as in a signature) has character a_i and
+    matches sub_i.  In the patricia view a child row stands for the row its
+    unary chain ends at, and only rows with other than one child match, so
+    unary rows read False.  The rows matching each subshape are kept,
+    sorted, as are the children of the rows of each key and child count, so
+    a column costs nothing until something compares it.
+    """
 
-    def _intern(self, sig):
+    def __init__(self, forest, compress):
+        self.forest = forest
+        self.compress = compress
+        self.matched = {}
+        self.families = {}
+
+    def rows(self, sig):
+        """The sorted rows whose fringe has shape sig."""
+        found = self._lookup(sig)[0]
+        return np.flatnonzero(self.forest.count == 1) if found is None else found
+
+    def _lookup(self, sig):
+        hit = self.matched.get(sig)
+        if hit is None:
+            hit = self.matched[sig] = self._match(sig)
+        return hit
+
+    def _family(self, keys, degree):
+        """The rows of `keys` keys and `degree` children, and the characters
+        and (chain end) rows of their children, one line per child."""
+        family = self.families.get((keys, degree))
+        if family is None:
+            f = self.forest
+            rows = np.flatnonzero((f.count == keys) & (f.child_count == degree))
+            kids = f.first_child(rows) + np.arange(degree)[:, None]
+            chars = f.char[kids]
+            if self.compress:
+                kids = f.chain_ends(kids.ravel())[0].reshape(kids.shape)
+            family = self.families[(keys, degree)] = rows, chars, kids
+        return family
+
+    def _match(self, sig):
+        """The sorted rows of shape sig (None for a leaf, whose rows are read
+        off the count column) and its leaf count, 0 for what is no signature."""
         if sig == _LEAF_SIG:
-            return 0
-        return self.memo.get(tuple((int(a), self._intern(sub)) for a, sub in sig), -2)
+            return None, 1
+        nothing = np.empty(0, np.int64)
+        if not isinstance(sig, tuple) or any(not isinstance(part, tuple) or len(part) != 2 for part in sig):
+            return nothing, 0
+        subs = [self._lookup(sub) for _, sub in sig]
+        keys = sum(k for _, k in subs) if all(k for _, k in subs) else 0
+        if not keys or (self.compress and len(sig) == 1):
+            return nothing, keys
+        rows, chars, kids = self._family(keys, len(sig))
+        sel = np.flatnonzero(chars[0] == sig[0][0])
+        for i, ((a, _), (found, _)) in enumerate(zip(sig, subs)):
+            if i:
+                sel = sel[chars[i, sel] == a]
+            kid = kids[i, sel]
+            if found is None:
+                sel = sel[self.forest.count[kid] == 1]
+            elif found.size and sel.size:
+                at = np.minimum(np.searchsorted(found, kid), found.size - 1)
+                sel = sel[found[at] == kid]
+            else:
+                return nothing, keys
+        return rows[sel], keys
 
     def __eq__(self, sig):
-        return self.ids == self._intern(sig)
+        match = np.zeros(len(self.forest.count), bool)
+        match[self.rows(sig)] = True
+        return match
 
 
 class _Forest:
@@ -333,35 +394,43 @@ class _Forest:
         bins += rep
         return np.bincount(bins, minlength=self.R * kmax).reshape(self.R, kmax).astype(np.float64)
 
+    def first_child(self, rows):
+        """The first child row of each of `rows`, which must have children.
+        Below the roots the parent column never decreases, since levels run
+        in order and each level in parent order, so bisection finds it."""
+        return self.offsets[1] + np.searchsorted(self.parent[self.offsets[1] :], rows)
+
+    def chain_ends(self, rows):
+        """The row each of `rows` reaches by following unary rows down, and
+        the number of unary rows passed on the way."""
+        end = np.array(rows, dtype=np.int64)
+        steps = np.zeros(len(end), dtype=np.int64)
+        chain = np.flatnonzero(self.child_count[end] == 1)
+        while chain.size:
+            end[chain] = self.first_child(end[chain])
+            steps[chain] += 1
+            chain = chain[self.child_count[end[chain]] == 1]
+        return end, steps
+
     def pat_roots(self):
         """Row and depth of each replicate's patricia root, -1 for both when
         the replicate has no keys.  The depth is the root prefix length."""
         roots = self.offsets[1]
         row = np.full(self.R, -1)
         depth = np.full(self.R, -1, dtype=np.int64)
-        row[self.rep[:roots]] = np.arange(roots)
-        depth[self.rep[:roots]] = 0
-        # below the roots the parent column never decreases, since levels
-        # run in order and each level in parent order, so a unary row's only
-        # child is found by bisection
-        below = self.parent[roots:]
-        chain = self.rep[:roots][self.child_count[:roots] == 1]
-        while chain.size:
-            row[chain] = roots + np.searchsorted(below, row[chain])
-            depth[chain] += 1
-            chain = chain[self.child_count[row[chain]] == 1]
+        row[self.rep[:roots]], depth[self.rep[:roots]] = self.chain_ends(np.arange(roots))
         return row, depth
 
-    def view(self, compress, shape_cap, memo):
+    def view(self, compress):
         """Per-row aggregates of the fringe each row roots, as the oracle's _Stats.
 
         The trie view describes the trie fringe.  With compress, the
         patricia view describes the compressed fringe: a unary row carries
-        its only child's node count, essential bit and shape id, and a
-        parent sums its children's values from there.  Only patricia rows
-        of this view enter a toll sum or root toll, and at those rows outdeg
-        is the row's own child count.  Shape ids are computed only for
-        shape_cap > 0.
+        its only child's node count and essential bit, and a parent sums
+        its children's values from there.  Only patricia rows of this view
+        enter a toll sum or root toll, and at those rows outdeg is the row's
+        own child count.  The shape column compares shapes on the table
+        itself (see _ShapeColumn).
         """
         unary = self.child_count == 1
         nodes = (~unary if compress else np.ones(len(self.count), bool)).astype(np.float64)
@@ -372,31 +441,11 @@ class _Forest:
             up, size = self.parent[kids] - off[t], off[t + 1] - off[t]
             nodes[rows] += np.bincount(up, nodes[kids], size)
             below = np.bincount(up, essential[kids], size)
-            essential[rows] = np.where(compress & unary[rows], below, np.maximum(0.0, 1.0 - below))
-        shape = _ShapeColumn(self.signatures(shape_cap, compress, memo), memo) if shape_cap else None
-        return _Stats(self.count, nodes, self.child_count, essential, shape)
-
-    def signatures(self, cap, compress, memo):
-        """Per-row canonical shape ids of fringes of <= cap keys, interned in memo.
-
-        With compress, unary rows pass their only child's id through, so the
-        id describes the compressed fringe.
-        """
-        sig = np.where(self.count == 1, 0, -1)
-        first = self.offsets[1] + np.cumsum(self.child_count) - self.child_count
-        small = (self.count >= 2) & (self.count <= cap)
-        off = self.offsets
-        for t in range(len(off) - 3, -1, -1):
-            rows = off[t] + np.flatnonzero(small[off[t] : off[t + 1]])
+            essential[rows] = np.maximum(0.0, 1.0 - below)
             if compress:
-                unary = self.child_count[rows] == 1
-                sig[rows[unary]] = sig[first[rows[unary]]]
-                rows = rows[~unary]
-            for i in rows.tolist():
-                lo, hi = first[i], first[i] + self.child_count[i]
-                parts = tuple(zip(self.char[lo:hi].tolist(), sig[lo:hi].tolist()))
-                sig[i] = memo.setdefault(parts, len(memo))
-        return sig
+                lone = np.flatnonzero(unary[rows])
+                essential[off[t] + lone] = below[lone]
+        return _Stats(self.count, nodes, self.child_count, essential, _ShapeColumn(self, compress))
 
 
 def _rule_values(toll, view):
@@ -417,10 +466,8 @@ def _toll_sums(forest, tolls, paired_trie=False):
         out["trie"] = np.zeros(shape)
     if not tolls:
         return out
-    cap = max(t.needs_shape for t in tolls)
-    memo = {_LEAF_SIG: 0}
     unary = np.flatnonzero(forest.child_count == 1)
-    pat = forest.view(True, cap, memo)
+    pat = forest.view(True)
     gated = np.empty(len(forest.count))
     for j, t in enumerate(tolls):
         # a copy with its unary rows zeroed costs less than np.where or
@@ -432,7 +479,7 @@ def _toll_sums(forest, tolls, paired_trie=False):
         out["root"][has_root, j] = gated[root_row[has_root]]
     if paired_trie:
         pat = gated = unary = None  # the two views are never held at once
-        trie = forest.view(False, cap, memo)
+        trie = forest.view(False)
         for j, t in enumerate(tolls):
             out["trie"][:, j] = forest.per_rep(_rule_values(t, trie))
     return out
@@ -621,29 +668,18 @@ def sample_patricia_roots(d: SourceDistribution, n: int, replicates: int, master
     length of the patricia trie is the depth of the trie node it compresses
     to, which for k >= 2 keys follows Geom_0(1 - rho(k)).
     """
-    keys = [_shape_key(shape) for shape in shapes]
-    toll = TollFunction(
-        name="shape-index",
-        chi=0.0,
-        stats_fn=partial(_shape_index, sigs=tuple(sig for sig, _ in keys)),
-        needs_shape=max((k for _, k in keys), default=1),
-    )
+    sigs = tuple(_shape_key(shape)[0] for shape in shapes)
+    toll = TollFunction(name="shape-index", chi=0.0, stats_fn=partial(_shape_index, sigs=sigs))
     data = _collect(SimulationConfig.fixed(d, n, replicates, master_seed, (toll,)))
     return data["root"][:, 0].astype(np.int64) - 1, data["root_depth"]
 
 
 def _shape_index(st, sigs):
-    """1 + the index of the last of `sigs` each fringe's shape equals, else 0.
-
-    A lookup table over the forest's interned shape ids, one entry past the
-    memo for the id -1 of fringes above the cap."""
-    column = st.shape_sig
-    table = np.zeros(len(column.memo) + 1)
+    """1 + the index of the last of `sigs` each fringe's shape equals, else 0."""
+    index = np.zeros(len(st.leaf_count))
     for j, sig in enumerate(sigs):
-        i = column._intern(sig)
-        if i >= 0:
-            table[i] = j + 1
-    return table[column.ids]
+        index[st.shape_sig.rows(sig)] = j + 1
+    return index
 
 
 def estimate_root_essential(d: SourceDistribution, n: int, replicates: int, master_seed: int):

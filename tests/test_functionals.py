@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from triefringe.errors import EmptyTree, LimitExceeded, ShapeDependence
+from triefringe.errors import EmptyTree, LimitExceeded
 from triefringe.functionals import (
     TollFunction,
     brute_force_independence,
@@ -131,11 +131,6 @@ class TestPullback:
             lhs = evaluate_additive(pulled, t)
             rhs = evaluate_additive(tolls, p)
             assert np.array_equal(lhs, rhs)
-
-    def test_shape_dependence_rejected(self):
-        shady = TollFunction(name="prefix-peek", chi=0.0, stats_fn=lambda st: 0.0, shape_only=False)
-        with pytest.raises(ShapeDependence):
-            pullback(shady)
 
     def test_pullback_requires_trie(self):
         p = build_patricia(DRAWN_KEYS, 2)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -37,6 +38,18 @@ def two_way(st):
 
 
 TWO_WAY = TollFunction(name="two-way", chi=0.0, stats_fn=two_way)
+
+# the binary 3-leaf shape whose left child is the cherry
+THREE_LEAF = ((0, ((0, "*"), (1, "*"))), (1, "*"))
+
+
+def three_leaf(st):
+    """A custom shape rule: it compares shape_sig and declares no size."""
+    return (st.shape_sig == THREE_LEAF) * 1.0
+
+
+def matches(st, sig):
+    return (st.shape_sig == sig) * 1.0
 
 
 def pooled_keys(d, mode, size, replicates, seed):
@@ -197,7 +210,7 @@ class TestRun:
             par = run(cfg, threads=3)
             assert seq.as_dict() == par.as_dict()
         # shape tolls and custom rules on the trie side travel to the workers
-        # too; small chunks keep the signature sweep short
+        # too, in small chunks
         monkeypatch.setattr(simulation, "_CHUNK_KEYS", 1000)
         tolls = (phi_shape(enumerate_patricia_shapes(3, 2)[0]), TWO_WAY, phi_alpha())
         cfg = SimulationConfig.fixed(SKEWED, 200, 24, 29, tolls, paired_trie=True)
@@ -523,8 +536,11 @@ class TestEngineMatchesExplicitTrees:
 
     def test_paired_trie_values(self):
         from triefringe.simulation import _engine_chunk
-        from triefringe.trees import enumerate_patricia_shapes
+        from triefringe.trees import build_trie, enumerate_patricia_shapes
 
+        # a ternary shape, and a trie shape whose 0-child is unary: the
+        # latter is the fringe of some trie node but of no patricia node
+        unary = build_trie(["000", "001", "1"], 2)
         tolls = (
             phi_k(2),
             phi_internal(),
@@ -532,7 +548,10 @@ class TestEngineMatchesExplicitTrees:
             phi_alpha(),
             phi_shape(enumerate_patricia_shapes(3, 2)[1]),
             TWO_WAY,
+            phi_shape(enumerate_patricia_shapes(3, 3)[16]),
+            phi_shape(unary),
         )
+        found = {"pat": np.zeros(len(tolls)), "trie": np.zeros(len(tolls))}
         for d in self.SOURCES:
             cfg = SimulationConfig.fixed(d, 9, 40, 99, tolls, paired_trie=True)
             fast = _engine_chunk(cfg, 0, 40)
@@ -540,6 +559,10 @@ class TestEngineMatchesExplicitTrees:
             for key in ("pat", "trie", "trie_nodes"):
                 assert np.array_equal(fast[key], slow[key]), (key, d.probs)
             assert_roots_match(fast, slow)
+            for key in found:
+                found[key] += fast[key].sum(axis=0)
+        assert found["pat"][-2] > 0 and found["trie"][-2] > 0
+        assert found["pat"][-1] == 0 and found["trie"][-1] > 0
 
     def test_widest_alphabet_matches_explicit_tree(self):
         # m = 128 is the largest alphabet whose characters fit in int8
@@ -591,6 +614,65 @@ class TestEngineMatchesExplicitTrees:
             assert_roots_match(fast, slow)
 
         check()
+
+
+class TestShapeColumn:
+    """``shape_sig == sig`` matches the nested signature on the node table:
+    any rule may compare it with a shape of any size, and a malformed
+    signature matches nothing, on the engine as on the explicit trees."""
+
+    def test_custom_rule_equals_phi_shape(self, monkeypatch):
+        from triefringe import simulation
+
+        custom, builtin = (
+            SimulationConfig.fixed(SKEWED, 40, 60, 71, (toll,), paired_trie=True)
+            for toll in (TollFunction("three-leaf", 0.0, three_leaf), phi_shape(build_shape(THREE_LEAF)))
+        )
+        want, oracle = explicit_chunk(builtin, 0, 60), explicit_chunk(custom, 0, 60)
+        for key in ("pat", "trie", "root"):
+            assert np.array_equal(oracle[key], want[key]), key
+        assert want["pat"].sum() > 0 and want["trie"].sum() > 0
+        monkeypatch.setattr(simulation, "_CHUNK_KEYS", 1000)
+        assert len(simulation._chunk_bounds(custom)) > 1
+        for threads in (1, 3):
+            for cfg in (custom, builtin):
+                fast = simulation._collect(cfg, threads=threads)
+                for key in ("pat", "trie", "root"):
+                    assert np.array_equal(fast[key], want[key]), (key, threads, cfg.functionals)
+
+    @pytest.mark.parametrize("d", [SKEWED, TERNARY])
+    def test_malformed_signatures_match_nothing(self, d):
+        from triefringe.simulation import _engine_chunk
+
+        bad = (
+            (),
+            ((1, "*"), (0, "*")),
+            ((0, "*"), (0, "*")),
+            ((0, "*"), (d.m, "*")),
+            ((0, ((1, "*"), (0, "*"))), (1, "*")),
+            ((0, ()), (1, "*")),
+        )
+        cherry = ((0, "*"), (1, "*"))
+        tolls = tuple(TollFunction(repr(sig), 0.0, partial(matches, sig=sig)) for sig in (cherry, *bad))
+        cfg = SimulationConfig.fixed(d, 12, 20, 73, tolls, paired_trie=True)
+        fast = _engine_chunk(cfg, 0, 20)
+        slow = explicit_chunk(cfg, 0, 20)
+        for key in ("pat", "trie", "root"):
+            assert np.array_equal(fast[key], slow[key]), key
+            assert not fast[key][:, 1:].any(), key
+        assert fast["pat"][:, 0].sum() > 0 and fast["trie"][:, 0].sum() > 0
+
+
+def build_shape(sig):
+    """The patricia trie of a nested signature, one key per leaf."""
+    from triefringe.trees import build_patricia
+
+    def keys(sub, prefix):
+        if sub == "*":
+            return [prefix]
+        return [key for a, part in sub for key in keys(part, prefix + str(a))]
+
+    return build_patricia(keys(sig, ""), 2)
 
 
 class TestRootStatistics:
