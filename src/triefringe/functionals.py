@@ -56,10 +56,10 @@ class TollFunction:
     returns a number, given equal-length numpy arrays (one entry per node)
     it returns an array of values or a number for all of them.  shape_sig
     is only compared with ``==`` against a nested signature, of any size.
-    For simulations with threads > 1 the rule must
-    be picklable: a module-level function, or a functools.partial of one,
-    as the built-in rules are.  Tolls wrapping a patricia toll for use on
-    tries carry pulled=True and gate on the root outdegree.
+    For simulations with threads > 1 the rule must be picklable: a
+    module-level function, or a functools.partial of one, as the built-in
+    rules are.  Tolls wrapping a patricia toll for use on tries carry
+    pulled=True and gate on the root outdegree.
     """
 
     name: str
@@ -109,14 +109,7 @@ def evaluate_additive(tolls, tree, _root_toll_only=False):
         return _Stats(leaf_count, node_count, outdeg, essential, sig)
 
     def pat_project(chars, direct, child_pats):
-        if direct.outdeg == 1:
-            return child_pats[0]
-        if direct.outdeg == 0:
-            return direct
-        node_count = 1 + sum(s.node_count for s in child_pats)
-        essential = max(0, 1 - sum(s.essential for s in child_pats))
-        sig = tuple((a, s.shape_sig) for a, s in zip(chars, child_pats))
-        return _Stats(direct.leaf_count, node_count, direct.outdeg, essential, sig)
+        return child_pats[0] if direct.outdeg == 1 else node_stats(chars, child_pats)
 
     def apply_tolls(direct, pat, out):
         for j, t in enumerate(toll_list):

@@ -19,11 +19,10 @@ bincount counts the keys of every cell of the deepest level, sums over
 blocks of m cells give the levels above it, and the occupied cells under
 nodes of two or more keys become the rows of each level.  Bottom-up
 sweeps give every row the aggregates the explicit-tree evaluator computes
-per node (leaf count, node count, outdegree, essentiality bit), once for
-the trie fringe and once for the compressed fringe, and each toll's own
-rule runs elementwise on those columns.  A toll's shape comparison is a
-structural match on the table itself.  Patricia nodes are the rows without
-exactly one child.
+per node (leaf count, node count, outdegree, essentiality bit, shape), once
+for the trie fringe and once for the compressed fringe, and each toll's own
+rule runs elementwise on those columns; shapes are matched on the table.
+Patricia nodes are the rows without exactly one child.
 
 The root statistics (sample_patricia_roots, estimate_root_essential and
 the root toll of estimate_fX) run on the same chunked engine: each
@@ -180,82 +179,71 @@ class SimulationSummary:
 # the pooled forest as one node table
 
 
+_NO_MATCH = (np.empty(0, np.int64), 0)
+
+
 class _ShapeColumn:
     """The fringe shapes of one view's rows: ``column == sig`` is True at the
     rows whose fringe has the nested signature ``sig``.
 
-    A row matches sig when it holds as many keys as sig has leaves, has
-    len(sig) children, and its i-th child row (children are consecutive
-    rows in character order, as in a signature) has character a_i and
-    matches sub_i.  In the patricia view a child row stands for the row its
-    unary chain ends at, and only rows with other than one child match, so
-    unary rows read False.  The rows matching each subshape are kept,
-    sorted, as are the children of the rows of each key and child count, so
-    a column costs nothing until something compares it.
+    A row matches sig when it holds as many keys as sig has leaves and its
+    len(sig) children, consecutive rows in character order as in a
+    signature, carry sig's characters and match its subshapes.  In the
+    patricia view a child stands for the row its unary chain ends at, and
+    no unary row matches.  Matches are kept per subshape, so a column costs
+    nothing until something compares it.
     """
 
     def __init__(self, forest, compress):
         self.forest = forest
         self.compress = compress
-        self.matched = {}
+        self.matched = {_LEAF_SIG: (None, 1)}  # leaves are read off the count column
         self.families = {}
-
-    def rows(self, sig):
-        """The sorted rows whose fringe has shape sig."""
-        found = self._lookup(sig)[0]
-        return np.flatnonzero(self.forest.count == 1) if found is None else found
-
-    def _lookup(self, sig):
-        hit = self.matched.get(sig)
-        if hit is None:
-            hit = self.matched[sig] = self._match(sig)
-        return hit
-
-    def _family(self, keys, degree):
-        """The rows of `keys` keys and `degree` children, and the characters
-        and (chain end) rows of their children, one line per child."""
-        family = self.families.get((keys, degree))
-        if family is None:
-            f = self.forest
-            rows = np.flatnonzero((f.count == keys) & (f.child_count == degree))
-            kids = f.first_child(rows) + np.arange(degree)[:, None]
-            chars = f.char[kids]
-            if self.compress:
-                kids = f.chain_ends(kids.ravel())[0].reshape(kids.shape)
-            family = self.families[(keys, degree)] = rows, chars, kids
-        return family
-
-    def _match(self, sig):
-        """The sorted rows of shape sig (None for a leaf, whose rows are read
-        off the count column) and its leaf count, 0 for what is no signature."""
-        if sig == _LEAF_SIG:
-            return None, 1
-        nothing = np.empty(0, np.int64)
-        if not isinstance(sig, tuple) or any(not isinstance(part, tuple) or len(part) != 2 for part in sig):
-            return nothing, 0
-        subs = [self._lookup(sub) for _, sub in sig]
-        keys = sum(k for _, k in subs) if all(k for _, k in subs) else 0
-        if not keys or (self.compress and len(sig) == 1):
-            return nothing, keys
-        rows, chars, kids = self._family(keys, len(sig))
-        sel = np.flatnonzero(chars[0] == sig[0][0])
-        for i, ((a, _), (found, _)) in enumerate(zip(sig, subs)):
-            if i:
-                sel = sel[chars[i, sel] == a]
-            kid = kids[i, sel]
-            if found is None:
-                sel = sel[self.forest.count[kid] == 1]
-            elif found.size and sel.size:
-                at = np.minimum(np.searchsorted(found, kid), found.size - 1)
-                sel = sel[found[at] == kid]
-            else:
-                return nothing, keys
-        return rows[sel], keys
 
     def __eq__(self, sig):
         match = np.zeros(len(self.forest.count), bool)
         match[self.rows(sig)] = True
         return match
+
+    def rows(self, sig):
+        """The sorted rows whose fringe has shape sig."""
+        found = self._match(sig)[0]
+        return np.flatnonzero(self.forest.count == 1) if found is None else found
+
+    def _match(self, sig):
+        """The sorted rows of shape sig and its leaf count; no rows and 0
+        when nothing matches, as for an empty or non-canonical signature."""
+        if sig in self.matched:
+            return self.matched[sig]
+        subs = [self._match(sub) for _, sub in sig]
+        keys = sum(k for _, k in subs) if all(k for _, k in subs) else 0
+        hit = _NO_MATCH
+        if keys and not (self.compress and len(sig) == 1):
+            rows, chars, kids = self._family(keys, len(sig))
+            sel = np.arange(len(rows))
+            for i, ((a, _), (found, _)) in enumerate(zip(sig, subs)):
+                sel = sel[chars[i, sel] == a]
+                kid = kids[i, sel]
+                if found is None:
+                    sel = sel[self.forest.count[kid] == 1]
+                else:
+                    at = np.minimum(np.searchsorted(found, kid), len(found) - 1)
+                    sel = sel[found[at] == kid]
+            if sel.size:
+                hit = rows[sel], keys
+        self.matched[sig] = hit
+        return hit
+
+    def _family(self, keys, degree):
+        """The rows of `keys` keys and `degree` children, with the characters
+        and (chain end) rows of their children, one line per child."""
+        if (keys, degree) not in self.families:
+            f = self.forest
+            rows = np.flatnonzero((f.count == keys) & (f.child_count == degree))
+            kids = f.first_child(rows) + np.arange(degree)[:, None]
+            ends = f.chain_ends(kids.ravel())[0].reshape(kids.shape) if self.compress else kids
+            self.families[keys, degree] = rows, f.char[kids], ends
+        return self.families[keys, degree]
 
 
 class _Forest:
@@ -429,8 +417,7 @@ class _Forest:
         its only child's node count and essential bit, and a parent sums
         its children's values from there.  Only patricia rows of this view
         enter a toll sum or root toll, and at those rows outdeg is the row's
-        own child count.  The shape column compares shapes on the table
-        itself (see _ShapeColumn).
+        own child count.
         """
         unary = self.child_count == 1
         nodes = (~unary if compress else np.ones(len(self.count), bool)).astype(np.float64)

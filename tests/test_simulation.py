@@ -39,16 +39,9 @@ def two_way(st):
 
 TWO_WAY = TollFunction(name="two-way", chi=0.0, stats_fn=two_way)
 
-# the binary 3-leaf shape whose left child is the cherry
-THREE_LEAF = ((0, ((0, "*"), (1, "*"))), (1, "*"))
-
-
-def three_leaf(st):
-    """A custom shape rule: it compares shape_sig and declares no size."""
-    return (st.shape_sig == THREE_LEAF) * 1.0
-
 
 def matches(st, sig):
+    """A custom shape rule: it compares shape_sig and declares no size."""
     return (st.shape_sig == sig) * 1.0
 
 
@@ -623,10 +616,12 @@ class TestShapeColumn:
 
     def test_custom_rule_equals_phi_shape(self, monkeypatch):
         from triefringe import simulation
+        from triefringe.trees import enumerate_patricia_shapes, shape_signature
 
+        shape = enumerate_patricia_shapes(3, 2)[1]
+        rule = TollFunction("three-leaf", 0.0, partial(matches, sig=shape_signature(shape)))
         custom, builtin = (
-            SimulationConfig.fixed(SKEWED, 40, 60, 71, (toll,), paired_trie=True)
-            for toll in (TollFunction("three-leaf", 0.0, three_leaf), phi_shape(build_shape(THREE_LEAF)))
+            SimulationConfig.fixed(SKEWED, 40, 60, 71, (toll,), paired_trie=True) for toll in (rule, phi_shape(shape))
         )
         want, oracle = explicit_chunk(builtin, 0, 60), explicit_chunk(custom, 0, 60)
         for key in ("pat", "trie", "root"):
@@ -661,18 +656,6 @@ class TestShapeColumn:
             assert np.array_equal(fast[key], slow[key]), key
             assert not fast[key][:, 1:].any(), key
         assert fast["pat"][:, 0].sum() > 0 and fast["trie"][:, 0].sum() > 0
-
-
-def build_shape(sig):
-    """The patricia trie of a nested signature, one key per leaf."""
-    from triefringe.trees import build_patricia
-
-    def keys(sub, prefix):
-        if sub == "*":
-            return [prefix]
-        return [key for a, part in sub for key in keys(part, prefix + str(a))]
-
-    return build_patricia(keys(sig, ""), 2)
 
 
 class TestRootStatistics:
