@@ -10,9 +10,21 @@ sum_a p_a^s and q_k = 1 - rho(k):
                                 - (q_k/k!)^2 sum*_a p_a^k Gamma(s+2k) (1+p_a)^(-s-2k)
 
 where sum*_a runs over every finite string once plus every nonempty string
-a second time.  The string sum is grouped by character counts (strings of
-equal composition share p_a) and truncated with a rigorous geometric tail
-bound which is carried as the result's error bound.
+a second time.  ``star_sum`` evaluates sum*_a p_a^k h(p_a) for a vectorized
+h with |h| <= bound; the variance constants fold (q_k/k!)^2 Gamma(s+2k) (or
+its lam analogue) into h, so their tolerance applies to the constant
+itself.  Letters of equal probability form groups, and the strings of one
+length are one integer array of compositions over the groups (strings of
+equal composition share p_a).  A composition's weight, its number of
+strings times p_a^k, is taken in log space: no term overflows, and the
+weights of length L sum to rho(k)^L <= 1.  The sum stops at the first
+length whose geometric tail bound is below tol, and carries that bound as
+the result's error bound.  The stopping length is known up front: when the
+compositions up to it exceed a fixed time and memory budget (2^28 array
+entries in all, 2^22 in one length) the sum raises LimitExceeded at once.
+Gamma factors and factorials enter as log differences, so f_E* is finite
+for every k and f_V* up to k of about 500, where the bound on h itself
+leaves the float range.
 
 With the source entropy H and the lattice period d_p of {log p_a}, the
 limit mean and variance of the functional per key are H^-1 psi_E(log n)
@@ -31,11 +43,10 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import Aperiodic, MissingDependency, NonConvergent, PoleAt
+from .errors import Aperiodic, LimitExceeded, MissingDependency, NonConvergent, PoleAt
 from .source import SourceDistribution
 from .trees import shape_probability
 
@@ -63,12 +74,24 @@ def lanczos_gamma(z: complex) -> complex:
         raise PoleAt(z)
     if z.real < 0.5:
         return cmath.pi / (cmath.sin(cmath.pi * z) * lanczos_gamma(1.0 - z))
+    return cmath.exp(_log_gamma(z))
+
+
+def _log_gamma(z: complex) -> complex:
+    """A logarithm of Gamma(z): finite where Gamma(z) itself overflows.
+
+    The branch is whatever the Lanczos terms give, so only exp() of a sum
+    or difference of these logarithms is meaningful.
+    """
+    z = complex(z)
+    if z.real < 0.5:
+        return cmath.log(lanczos_gamma(z))
     z -= 1.0
     x = _LANCZOS_COEFFS[0]
     for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
         x += c / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
+    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * cmath.log(t) - t + cmath.log(x)
 
 
 def _near_nonpositive_integer(z: complex, eps: float = 1e-12) -> bool:
@@ -160,59 +183,54 @@ def fe_k_star(d: SourceDistribution, k: int, s: complex):
     z = complex(k) + complex(s)
     if _near_nonpositive_integer(z):
         raise PoleAt(s)
-    value = (1.0 - d.rho(k)) * lanczos_gamma(z) / math.factorial(k)
+    # Gamma(k+s)/k! as a log difference: either factor alone overflows past k = 170
+    value = (1.0 - d.rho(k)) * cmath.exp(_log_gamma(z) - math.lgamma(k + 1))
     if isinstance(s, complex) and s.imag != 0:
         return value
     return value.real
 
 
 # ---------------------------------------------------------------------------
-# the starred string sum sum*_a g(p_a)
+# the starred string sum sum*_a p_a^k h(p_a)
 
 
-def _per_length_sum(d: SourceDistribution, length: int, g) -> complex:
-    """sum over strings of a given length of g(p_alpha), grouped by composition."""
-    probs = d.probs
-    m = len(probs)
-    if length == 0:
-        return g(1.0)
-    if all(p == probs[0] for p in probs):
-        return (m**length) * g(probs[0] ** length)
-    if m == 2:
-        p0, p1 = probs
-        total = 0.0
-        for j in range(length + 1):
-            total += float(math.comb(length, j)) * g(p0**j * p1 ** (length - j))
-        return total
-    total = 0.0
-    fact_len = math.factorial(length)
-    for combo in combinations_with_replacement(range(m), length):
-        counts = [0] * m
-        for c in combo:
-            counts[c] += 1
-        ways = fact_len
-        for c in counts:
-            ways //= math.factorial(c)
-        total += float(ways) * g(math.prod(p**c for p, c in zip(probs, counts)))
-    return total
+# budget of the string sum, in composition entries: all lengths (time), one length (memory)
+_STAR_SUM_CELLS, _STAR_SUM_LENGTH_CELLS = 1 << 28, 1 << 22
 
 
-def star_sum(d: SourceDistribution, k: int, g, bound_coeff: float, tol: float):
-    """sum*_alpha g(p_alpha): every finite string once, every nonempty string twice.
+def star_sum(d: SourceDistribution, k: int, h, bound: float, tol: float):
+    """sum*_alpha p_alpha^k h(p_alpha): every finite string once, every nonempty string twice.
 
-    Requires |g(p)| <= bound_coeff * p^k on (0,1]; lengths are added until the
-    geometric tail bound 2 * bound_coeff * rho(k)^L / (1-rho(k)) drops below
-    tol.  Returns (value, tail_bound).
+    h maps an array of string probabilities to an array with |h| <= bound
+    on (0,1].  Each length's strings are one array of compositions over the
+    groups of equal-probability letters, weighted in log space; lengths run
+    to the first L >= 1 with 2 bound rho(k)^L / (1-rho(k)) <= tol, or raise
+    LimitExceeded up front past the budget.  Returns (value, tail_bound).
     """
-    rho_k = d.rho(k)
-    total = _per_length_sum(d, 0, g)
-    length = 1
-    while True:
-        tail = 2.0 * bound_coeff * rho_k**length / (1.0 - rho_k)
-        if tail <= tol or length > 100_000:
-            return total, tail
-        total += 2.0 * _per_length_sum(d, length, g)
-        length += 1
+    probs, mult = np.unique(d.probs, return_counts=True)
+    groups, rho_k = len(probs), d.rho(k)
+    excess = 2.0 * bound / ((1.0 - rho_k) * tol)
+    stop = max(1, math.ceil(min(math.log(excess) / -math.log(rho_k), _STAR_SUM_CELLS))) if excess > 0 else 1
+    stop += 2.0 * bound * rho_k**stop / (1.0 - rho_k) > tol  # rounding in the logarithms
+    cells = math.comb(stop - 1 + groups, groups) * groups  # lengths 0 .. stop-1
+    widest = math.comb(stop - 2 + groups, groups - 1) * groups  # length stop-1
+    if cells > _STAR_SUM_CELLS or widest > _STAR_SUM_LENGTH_CELLS:
+        raise LimitExceeded(
+            f"the string sum to length {stop} needs {cells} composition entries, {widest} in one length: "
+            f"beyond its budget of {_STAR_SUM_CELLS}, {_STAR_SUM_LENGTH_CELLS} in one length"
+        )
+    log_p, log_fact = np.log(probs), np.array([math.lgamma(n + 1.0) for n in range(stop)])
+    log_w, unit = np.log(mult) + k * log_p, np.eye(groups, dtype=np.int64)
+    # column = composition, sorted by first nonzero group j, which starts at column starts[j]
+    comps, starts, total = np.zeros((groups, 1), np.int64), [0] * groups, 0.0
+    for length in range(stop):
+        if length:  # each composition of L is one of L-1 plus a letter of a group <= its first
+            grown = [comps[:, a:] + unit[:, j : j + 1] for j, a in enumerate(starts)]
+            starts = np.cumsum([0] + [c.shape[1] for c in grown[:-1]])
+            comps = np.concatenate(grown, axis=1)
+        weight = np.exp(log_fact[length] - log_fact[comps].sum(axis=0) + log_w @ comps)
+        total += (2.0 if length else 1.0) * np.sum(weight * h(np.exp(log_p @ comps)))
+    return total.item(), 2.0 * bound * rho_k**stop / (1.0 - rho_k)
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +245,14 @@ def fv_lambda(d: SourceDistribution, k: int, lam: float, tol: float = 1e-12) -> 
     """
     if lam == 0.0:
         return AsymptoticConstant(0.0, 0.0, "truncated-series")
-    q = 1.0 - d.rho(k)
-    coeff = (q / math.factorial(k)) ** 2
-    log_lam = math.log(lam)
-    head = q * math.exp(k * log_lam - lam) / math.factorial(k)
-    bound = math.exp(2 * k * log_lam - lam)
+    # h(p) = (q_k/k!)^2 lam^(2k) e^(-lam(1+p)), largest as p -> 0
+    log_c = 2.0 * (math.log(1.0 - d.rho(k)) - math.lgamma(k + 1) + k * math.log(lam)) - lam
 
-    def g(p):
-        return p**k * math.exp(2 * k * log_lam - lam * (1.0 + p))
+    def h(p):
+        return np.exp(log_c - lam * p)
 
-    series, tail = star_sum(d, k, g, bound, tol / max(coeff, 1e-300))
-    return AsymptoticConstant(head - coeff * series, coeff * tail, "truncated-series")
+    series, tail = star_sum(d, k, h, math.exp(log_c), tol)
+    return AsymptoticConstant(fe_lambda(d, k, lam) - series, tail, "truncated-series")
 
 
 def fv_k_star(d: SourceDistribution, k: int, s: complex = -1, tol: float = 1e-12) -> AsymptoticConstant:
@@ -256,19 +271,20 @@ def fv_k_star(d: SourceDistribution, k: int, s: complex = -1, tol: float = 1e-12
     if s.real <= -k:
         raise NonConvergent(f"f_V* converges for Re(s) > {-k}, got {s}")
     q = 1.0 - d.rho(k)
-    fact_k = math.factorial(k)
-    head = q * lanczos_gamma(s + k) / fact_k
-    gamma2k = lanczos_gamma(s + 2 * k)
-    coeff = (q / fact_k) ** 2
+    # Gamma(k+s)/k! and h(p) = (q_k/k!)^2 Gamma(s+2k) (1+p)^(-s-2k) as log
+    # differences: each factor overflows long before the product does
+    head = q * cmath.exp(_log_gamma(s + k) - math.lgamma(k + 1))
+    log_c = 2.0 * (math.log(q) - math.lgamma(k + 1)) + _log_gamma(s + 2 * k)
 
-    def g(p):
-        return p**k * gamma2k * (1.0 + p) ** (-s - 2 * k)
+    def h(p):
+        return np.exp(log_c - (s + 2 * k) * np.log1p(p))
 
-    series, tail = star_sum(d, k, g, abs(gamma2k), tol / max(coeff, 1e-300))
-    value = head - coeff * series
+    # |h| is largest as p -> 0, since Re(s + 2k) > 0
+    series, tail = star_sum(d, k, h, math.exp(log_c.real), tol)
+    value = head - series
     if s.imag == 0:
         value = value.real
-    return AsymptoticConstant(value, coeff * tail, "truncated-series")
+    return AsymptoticConstant(value, tail, "truncated-series")
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +323,7 @@ def fourier_series(d: SourceDistribution, k: int, X: str, M: int = 8, tol: float
     if d_p == 0.0:
         raise Aperiodic("the source has no oscillation period")
     if X == "C":
-        coeffs = tuple(fc_k_star(d, k, m) if m else complex(fe_k_star(d, k, -1)) for m in range(M + 1))
+        coeffs = tuple(complex(fc_k_star(d, k, m)) for m in range(M + 1))
     else:
         coeffs = tuple(fourier_coefficient(d, k, X, m, tol) for m in range(M + 1))
     return FourierSeries(period=d_p, coeffs=coeffs)

@@ -22,12 +22,10 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
-    fc_k_star,
     fe_k_star,
     fe_lambda,
     fourier_coefficient,
     fringe_limit,
-    fv_k_star,
     indnum_alphas,
     indnum_mean_bounds,
     mellin_numeric,
@@ -191,7 +189,6 @@ def _cmd_constants(args):
     d_p = d.periodicity()
     per_k = []
     for k in args.k:
-        fv = fv_k_star(d, k, -1, tol=args.tol)
         sc = sigma_constants(d, k, M=args.fourier, tol=args.tol)
         fourier = []
         if d_p > 0:
@@ -203,9 +200,9 @@ def _cmd_constants(args):
                 "k": k,
                 "rho_k": d.rho(k),
                 "fe_star": fe_k_star(d, k, -1),
-                "fv_star": float(np.real(fv.value)),
-                "fv_star_error_bound": fv.error_bound,
-                "fc_star": float(np.real(fc_k_star(d, k, 0))),
+                "fv_star": float(np.real(sc.fv_star.value)),
+                "fv_star_error_bound": sc.fv_star.error_bound,
+                "fc_star": sc.fc_star.real,
                 "sigma2": sc.sigma2_mean,
                 "sigma2_hat": sc.sigma2_hat_mean,
                 "fringe_limit": fringe_limit(d, k),

@@ -515,7 +515,7 @@ def _collect(config, threads=1):
                 futures = {pool.submit(_engine_chunk, config, a, b): i for i, (a, b) in enumerate(chunks)}
                 for fut, i in futures.items():
                     results[i] = fut.result()
-        except (OSError, PermissionError) as exc:  # sandboxed environments may forbid subprocesses
+        except OSError as exc:  # sandboxed environments may forbid subprocesses
             warnings.warn(
                 f"process pool unavailable ({exc!r}); running {len(chunks)} chunks serially",
                 RuntimeWarning,

@@ -346,18 +346,30 @@ def enumerate_patricia_shapes(k: int, m: int) -> list[PatriciaTrie]:
     return [PatriciaTrie(node, m, k) for node in _shapes(k, m)]
 
 
+def _bottom_up(node, leaf, combine):
+    """Fold a tree from its leaves up without recursion, so any depth works.
+
+    A leaf is worth ``leaf``; an internal node is worth
+    ``combine([(char, child value), ...])`` with children in character order.
+    """
+    order, stack = [], [node]
+    while stack:
+        n = stack.pop()
+        order.append(n)
+        stack.extend(n.children.values())
+    value = {}  # by id: enumerated shapes share subtrees between parents
+    for n in reversed(order):  # every child comes before its parent
+        items = [(a, value[id(c)]) for a, c in sorted(n.children.items())]
+        value[id(n)] = combine(items) if items else leaf
+    return value[id(node)]
+
+
 def shape_signature(t) -> tuple:
     """Canonical structure of a tree, ignoring prefixes and key labels."""
     node = t.root if isinstance(t, _Tree) else t
     if node is None:
         return ()
-
-    def sig(n):
-        if not n.children:
-            return "*"
-        return tuple((a, sig(c)) for a, c in sorted(n.children.items()))
-
-    return sig(node)
+    return _bottom_up(node, "*", tuple)
 
 
 def shape_string(t) -> str:
@@ -365,13 +377,7 @@ def shape_string(t) -> str:
     node = t.root if isinstance(t, _Tree) else t
     if node is None:
         return ""
-
-    def render(n):
-        if not n.children:
-            return "*"
-        return "(" + ",".join(f"{a}:{render(c)}" for a, c in sorted(n.children.items())) + ")"
-
-    return render(node)
+    return _bottom_up(node, "*", lambda items: "(" + ",".join(f"{a}:{sub}" for a, sub in items) + ")")
 
 
 def shape_probability(shape, d: SourceDistribution) -> float:

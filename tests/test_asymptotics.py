@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,8 +25,9 @@ from triefringe.asymptotics import (
     psi_eval,
     shape_limit,
     sigma_constants,
+    star_sum,
 )
-from triefringe.errors import Aperiodic, NonConvergent, PoleAt
+from triefringe.errors import Aperiodic, LimitExceeded, NonConvergent, PoleAt
 from triefringe.source import SourceDistribution
 from triefringe.trees import enumerate_patricia_shapes
 
@@ -32,6 +35,9 @@ BIN_SYM = SourceDistribution((0.5, 0.5))
 TERNARY = SourceDistribution.uniform(3)
 SKEWED = SourceDistribution((0.3, 0.7))
 SOURCES = (BIN_SYM, SKEWED, TERNARY)
+# 64 distinct probabilities, geometric in the letter: no two letters group
+_GEOMETRIC = [0.9**i for i in range(64)]
+GEOMETRIC_64 = SourceDistribution(tuple(w / sum(_GEOMETRIC) for w in _GEOMETRIC))
 
 
 class TestLanczosGamma:
@@ -75,6 +81,13 @@ class TestFeStar:
         with pytest.raises(PoleAt):
             fe_k_star(BIN_SYM, 2, -2.0)
 
+    def test_closed_form_at_large_k(self):
+        # Gamma(k-1) overflows from k = 144 and k! from k = 171; their ratio does not
+        for d in (BIN_SYM, SKEWED):
+            for k in (2, 50, 143, 144, 300):
+                q = 1.0 - d.rho(k)
+                assert fe_k_star(d, k, -1) == pytest.approx(q / (k * (k - 1)), rel=1e-11)
+
     def test_quadrature_cross_check(self):
         for d in SOURCES:
             for k in (2, 4, 6):
@@ -115,9 +128,68 @@ class TestFvStar:
         series = fv_k_star(d, 2, -1, tol=1e-12)
         assert abs(quad.value - series.value) < 1e-8
 
+    def test_quadrature_cross_check_heavy_ternary(self):
+        # two letters of equal probability: one group of the string sum
+        d = SourceDistribution((0.6, 0.2, 0.2))
+        quad = mellin_numeric(lambda t: fv_lambda(d, 2, t, 1e-13).value, -1, decay_zero=2, rel_tol=1e-10)
+        series = fv_k_star(d, 2, -1, tol=1e-12)
+        assert abs(quad.value - series.value) < 1e-8
+
     def test_outside_strip(self):
         with pytest.raises(NonConvergent):
             fv_k_star(BIN_SYM, 2, -2.5)
+
+    def test_large_k_below_fe(self):
+        # Gamma(s + 2k) alone overflows from k = 72
+        for k in (72, 100):
+            v = fv_k_star(SKEWED, k)
+            assert 0.0 < v.value < fe_k_star(SKEWED, k, -1)
+
+    def test_extreme_binary_sources(self):
+        # the string sum runs to lengths near 10^4 here
+        for probs in ((0.99, 0.01), (0.999, 0.001)):
+            d = SourceDistribution(probs)
+            for k in (2, 3):
+                v = fv_k_star(d, k, -1, tol=1e-12)
+                assert v.error_bound <= 1e-12
+                assert 0.0 < v.value < fe_k_star(d, k, -1)
+
+
+class TestStarSum:
+    @staticmethod
+    def h(p):
+        return (1.0 + p) ** (-2.5 + 3j)  # |h| <= 1 on (0,1]
+
+    @pytest.mark.parametrize("d", [SKEWED, TERNARY, SourceDistribution((0.2, 0.3, 0.5)), SourceDistribution((0.6, 0.2, 0.2))])
+    def test_matches_direct_sum_over_strings(self, d):
+        rho = d.rho(2)
+        tol = 2.0 * rho**6.5 / (1.0 - rho)
+        stop = next(n for n in itertools.count(1) if 2.0 * rho**n / (1.0 - rho) <= tol)
+        assert stop == 7
+        direct = 0j
+        for length in range(stop):
+            for string in itertools.product(d.probs, repeat=length):
+                p = math.prod(string)
+                direct += (2 if length else 1) * p**2 * self.h(p)
+        value, tail = star_sum(d, 2, self.h, 1.0, tol)
+        assert abs(value - direct) <= 1e-13 * abs(direct)
+        assert tail == pytest.approx(2.0 * rho**stop / (1.0 - rho), rel=1e-12)
+
+    def test_tail_bound_is_at_most_tol_at_length_boundaries(self):
+        # tol just below one length's tail bound: the logarithms alone can stop a length short
+        rho = SKEWED.rho(2)
+        for n in range(2, 40):
+            for shave in (1e-15, 1e-14, 1e-13):
+                tol = 2.0 * rho**n / (1.0 - rho) * (1.0 - shave)
+                _, tail = star_sum(SKEWED, 2, self.h, 1.0, tol)
+                assert tail <= tol
+
+    @pytest.mark.parametrize("d", [GEOMETRIC_64, SourceDistribution((0.99999, 0.00001))])
+    def test_beyond_budget_is_refused_at_once(self, d):
+        started = time.perf_counter()
+        with pytest.raises(LimitExceeded, match="budget"):
+            fv_k_star(d, 2)
+        assert time.perf_counter() - started < 1.0
 
 
 class TestFourier:

@@ -36,6 +36,23 @@ class TestConstants:
         payload = json.loads(out)
         assert json.loads(json.dumps(payload)) == payload
 
+    @pytest.mark.parametrize("source,k", [("0.99,0.01", "2"), ("0.3,0.7", "72,100")])
+    def test_extreme_source_and_large_k(self, capsys, source, k):
+        # both once overflowed: a binomial coefficient, then a Gamma factor
+        code, out, _ = invoke(capsys, "constants", "--source", source, "--k", k)
+        assert code == 0
+        for row in json.loads(out)["results"]["per_k"]:
+            assert row["fv_star_error_bound"] <= 1e-12
+            assert 0.0 < row["fv_star"] < row["fe_star"]
+
+    def test_string_sum_beyond_budget_exit_code(self, capsys):
+        weights = [0.9**i for i in range(64)]
+        distinct = ",".join(repr(w / sum(weights)) for w in weights)
+        for source in (distinct, "0.99999,0.00001"):
+            code, out, err = invoke(capsys, "constants", "--source", source, "--k", "2")
+            assert code == 2 and out == ""
+            assert "budget" in err
+
 
 class TestSimulate:
     def test_single_key(self, capsys):

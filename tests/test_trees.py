@@ -19,6 +19,7 @@ from triefringe.trees import (
     random_key_set,
     shape_probability,
     shape_signature,
+    shape_string,
 )
 
 BIN_SYM = SourceDistribution((0.5, 0.5))
@@ -94,6 +95,30 @@ class TestBuildTrie:
             with pytest.raises(DepthExceeded):
                 build(keys, 2, max_depth=1500)
             assert build(keys, 2, max_depth=1501).leaf_count() == 2
+
+    def test_shape_forms_of_a_chain_deeper_than_recursion_limit(self):
+        t = build_trie(["0" * 1500 + "0", "0" * 1500 + "1"], 2)
+        assert shape_string(t) == "(0:" * 1500 + "(0:*,1:*)" + ")" * 1500
+        sig = shape_signature(t)
+        # tuples nested this deep cannot be compared with ==; unwrap them
+        for _ in range(1500):
+            ((char, sig),) = sig
+            assert char == 0
+        assert sig == ((0, "*"), (1, "*"))
+
+    def test_shape_forms_match_the_recursive_definitions(self):
+        def sig(n):
+            return tuple((a, sig(c)) for a, c in sorted(n.children.items())) if n.children else "*"
+
+        def render(n):
+            if not n.children:
+                return "*"
+            return "(" + ",".join(f"{a}:{render(c)}" for a, c in sorted(n.children.items())) + ")"
+
+        chain = ["2" * 50 + "0", "2" * 50 + "1", "2" * 30 + "1"]
+        for t in (build_trie(chain, 3), build_patricia(chain, 3), build_trie(DRAWN_KEYS, 2)):
+            assert shape_signature(t) == sig(t.root)
+            assert shape_string(t) == render(t.root)
 
 
 class TestCompressAndPatricia:
