@@ -168,8 +168,9 @@ def fe_lambda(d: SourceDistribution, k: int, lam: float) -> float:
     """Poissonized mean profile of the k-fringe toll: (1-rho(k)) lam^k e^-lam / k!."""
     if lam == 0.0:
         return 0.0
-    # log-space product: lam^k alone overflows long before e^-lam rescues it
-    return (1.0 - d.rho(k)) * math.exp(k * math.log(lam) - lam) / math.factorial(k)
+    # one log-space exponent: lam^k and k! each overflow where their ratio
+    # times e^-lam is small and finite
+    return (1.0 - d.rho(k)) * math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
 
 
 def fe_k_star(d: SourceDistribution, k: int, s: complex):

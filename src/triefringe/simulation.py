@@ -9,7 +9,7 @@ seed regardless of chunking or worker count, and replicates are
 statistically independent.
 
 Every toll runs through one vectorized engine that never materializes
-tree objects: a replicate (or a whole pool of replicates, processed as one
+tree objects: a replicate (or a block of replicates, processed as one
 forest) is grouped into one table of trie nodes.  Keys carrying the same
 character prefix form a group; groups with one key are leaves, groups with
 at least two are trie nodes that split on the next character column.
@@ -23,6 +23,24 @@ per node (leaf count, node count, outdegree, essentiality bit, shape), once
 for the trie fringe and once for the compressed fringe, and each toll's own
 rule runs elementwise on those columns; shapes are matched on the table.
 Patricia nodes are the rows without exactly one child.
+
+Work is split at two sizes.  Pool tasks (chunks) hold about _CHUNK_KEYS
+= 2^20 keys: they decide how many tasks a run has and whether it forks a
+process pool at all.  Inside a task, the replicates run through the
+engine (character draw, forest, tolls, histogram and node counts) in
+consecutive blocks of about _BLOCK_KEYS = 2^15 keys, or one replicate
+where a replicate alone holds more.  A block's arrays (a 32-column
+character block is 1 MB at 2^15 keys, each row column a few hundred KB)
+stay near the size of a core's L2 cache (2 MB on the 2-vCPU Xeon the
+size was chosen on), where a whole task's arrays streamed through memory
+on every pass; traced memory is bounded by one block, not one task.  On
+the benchmark's fixed-binary runs (n = 10^4, three replicates to a
+block) 2^15 keys ran 10-15 % faster than blocks of 2^14 (one replicate),
+2^16 or 2^17 keys; with 5*10^4-key replicates the size made no
+difference.  Outputs are concatenated in replicate order, and since
+replicates own their streams and every per-replicate sum adds in an
+order no other replicate affects, neither the block nor the task size
+changes a single output bit.
 
 The root statistics (sample_patricia_roots, estimate_root_essential and
 the root toll of estimate_fX) run on the same chunked engine: each
@@ -46,6 +64,7 @@ from .source import SourceDistribution
 from .trees import DEFAULT_MAX_DEPTH, CharBlocks
 
 _CHUNK_KEYS = 1 << 20
+_BLOCK_KEYS = 1 << 15
 
 
 def replicate_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -355,11 +374,14 @@ class _Forest:
         self.child_count = np.bincount(self.parent[offsets[1]:], minlength=len(self.count))
         # a replicate's rows are consecutive within a level, so a per-replicate
         # sum first adds up runs of equal rep, several times faster than a
-        # weighted bincount over every row; a run starts at row 0 and where
-        # rep changes (no run in an empty table)
+        # weighted bincount over every row; a run starts at row 0, where rep
+        # changes and at every level (no run in an empty table).  A run thus
+        # never depends on which other replicates share the table, and
+        # neither does the order in which a replicate's values are added.
         edge = np.empty(len(self.rep), bool)
         edge[:1] = True
         np.not_equal(self.rep[1:], self.rep[:-1], out=edge[1:])
+        edge[offsets[1:-1]] = True
         self.runs = np.flatnonzero(edge)
 
     def per_rep(self, values):
@@ -477,12 +499,27 @@ def _toll_sums(forest, tolls, paired_trie=False):
 
 
 def _engine_chunk(config, start, stop):
-    """Run replicates [start, stop) through the forest engine."""
-    rngs = [replicate_rng(config.master_seed, i) for i in range(start, stop)]
-    if config.mode == "fixed":
-        counts = np.full(len(rngs), int(config.size), dtype=np.int64)
-    else:
-        counts = np.array([rng.poisson(config.size) for rng in rngs], dtype=np.int64)
+    """Run replicates [start, stop) through the forest engine, one block of
+    consecutive replicates at a time: as many as fit in _BLOCK_KEYS keys, or
+    one replicate that alone holds more."""
+    outs, rngs, counts = [], [], []
+    keys = 0
+    for i in range(start, stop):
+        rng = replicate_rng(config.master_seed, i)
+        n = int(config.size) if config.mode == "fixed" else int(rng.poisson(config.size))
+        if rngs and keys + n > _BLOCK_KEYS:
+            outs.append(_engine_block(config, rngs, counts, i - len(rngs)))
+            rngs, counts, keys = [], [], 0
+        rngs.append(rng)
+        counts.append(n)
+        keys += n
+    outs.append(_engine_block(config, rngs, counts, stop - len(rngs)))
+    return _merge(outs)
+
+
+def _engine_block(config, rngs, counts, start):
+    """Run one block of replicates, the first of them numbered `start`."""
+    counts = np.array(counts, dtype=np.int64)
     # the character blocks are freed once the forest is built, before any toll
     forest = _Forest(CharBlocks(config.source, rngs, counts), counts, config.source.m, config.max_depth, start)
     out = _toll_sums(forest, config.functionals, config.paired_trie)
@@ -491,6 +528,11 @@ def _engine_chunk(config, start, stop):
     out["trie_nodes"] = forest.rows_per_rep()
     out["hist"] = forest.histogram(config.histogram_kmax)
     return out
+
+
+def _merge(results):
+    """One output of consecutive replicate ranges' outputs, in order."""
+    return {key: np.concatenate([r[key] for r in results]) for key in results[0]}
 
 
 def _chunk_bounds(config):
@@ -511,7 +553,7 @@ def _collect(config, threads=1):
         import concurrent.futures as cf
 
         try:
-            with cf.ProcessPoolExecutor(max_workers=threads) as pool:
+            with cf.ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
                 futures = {pool.submit(_engine_chunk, config, a, b): i for i, (a, b) in enumerate(chunks)}
                 for fut, i in futures.items():
                     results[i] = fut.result()
@@ -524,10 +566,8 @@ def _collect(config, threads=1):
             results = [_engine_chunk(config, a, b) for a, b in chunks]
     else:
         results = [_engine_chunk(config, a, b) for a, b in chunks]
-    merged = {}
-    for key in results[0]:
-        merged[key] = np.concatenate([r[key] for r in results])
-    return merged
+    return _merge(results)
+
 
 # ---------------------------------------------------------------------------
 # moments

@@ -43,10 +43,10 @@ class TrieNode:
     def __eq__(self, other):
         if not isinstance(other, TrieNode):
             return NotImplemented
-        return self.key_index == other.key_index and self.children == other.children
+        return _same_tree(self, other, ("key_index",))
 
     def __hash__(self):
-        return hash((self.key_index, tuple(sorted(self.children.items(), key=lambda kv: kv[0]))))
+        return _bottom_up(self, lambda n, items: hash((n.key_index, tuple(items))))
 
 
 class PatriciaNode:
@@ -66,14 +66,26 @@ class PatriciaNode:
     def __eq__(self, other):
         if not isinstance(other, PatriciaNode):
             return NotImplemented
-        return (
-            self.prefix == other.prefix
-            and self.key_index == other.key_index
-            and self.children == other.children
-        )
+        return _same_tree(self, other, ("prefix", "key_index"))
 
     def __hash__(self):
-        return hash((self.prefix, self.key_index, tuple(sorted(self.children.items(), key=lambda kv: kv[0]))))
+        return _bottom_up(self, lambda n, items: hash((n.prefix, n.key_index, tuple(items))))
+
+
+def _same_tree(a, b, fields):
+    """Equality of two nodes without recursion, so any depth works: equal
+    ``fields`` and, under equal characters, equal children."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y) or x.children.keys() != y.children.keys():
+            return False
+        if any(getattr(x, f) != getattr(y, f) for f in fields):
+            return False
+        stack.extend((c, y.children[ch]) for ch, c in x.children.items())
+    return True
 
 
 class _Tree:
@@ -346,11 +358,11 @@ def enumerate_patricia_shapes(k: int, m: int) -> list[PatriciaTrie]:
     return [PatriciaTrie(node, m, k) for node in _shapes(k, m)]
 
 
-def _bottom_up(node, leaf, combine):
+def _bottom_up(node, combine):
     """Fold a tree from its leaves up without recursion, so any depth works.
 
-    A leaf is worth ``leaf``; an internal node is worth
-    ``combine([(char, child value), ...])`` with children in character order.
+    A node is worth ``combine(node, [(char, child value), ...])``, with its
+    children in character order (none at a leaf).
     """
     order, stack = [], [node]
     while stack:
@@ -360,7 +372,7 @@ def _bottom_up(node, leaf, combine):
     value = {}  # by id: enumerated shapes share subtrees between parents
     for n in reversed(order):  # every child comes before its parent
         items = [(a, value[id(c)]) for a, c in sorted(n.children.items())]
-        value[id(n)] = combine(items) if items else leaf
+        value[id(n)] = combine(n, items)
     return value[id(node)]
 
 
@@ -369,7 +381,7 @@ def shape_signature(t) -> tuple:
     node = t.root if isinstance(t, _Tree) else t
     if node is None:
         return ()
-    return _bottom_up(node, "*", tuple)
+    return _bottom_up(node, lambda n, items: tuple(items) if items else "*")
 
 
 def shape_string(t) -> str:
@@ -377,7 +389,7 @@ def shape_string(t) -> str:
     node = t.root if isinstance(t, _Tree) else t
     if node is None:
         return ""
-    return _bottom_up(node, "*", lambda items: "(" + ",".join(f"{a}:{sub}" for a, sub in items) + ")")
+    return _bottom_up(node, lambda n, items: "(" + ",".join(f"{a}:{sub}" for a, sub in items) + ")" if items else "*")
 
 
 def shape_probability(shape, d: SourceDistribution) -> float:

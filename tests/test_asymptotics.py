@@ -96,6 +96,48 @@ class TestFeStar:
                 assert abs(quad.value - closed) / abs(closed) < 1e-8
 
 
+def fe_lambda_digits(d, k, lam):
+    """(1 - rho(k)) lam^k e^-lam / k! evaluated with 40 significant digits."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        lam_d = Decimal(lam)
+        return float(Decimal(1.0 - d.rho(k)) * (k * lam_d.ln() - lam_d).exp() / math.factorial(k))
+
+
+def exponent_rounding(k, lam):
+    """Relative error of exp(x) for x = k log lam - lam - log k! in float64:
+    each term's rounding is an absolute error in x."""
+    return 2.0**-53 * (k * abs(math.log(lam)) + lam + math.lgamma(k + 1) + 1.0)
+
+
+class TestFeLambda:
+    def test_finite_past_factorial_range(self):
+        # lam^k and k! overflow a float here, while the profile is small
+        for k, lam in ((171, 171.0), (300, 600.0)):
+            fe = fe_lambda(SKEWED, k, lam)
+            fv = fv_lambda(SKEWED, k, lam).value
+            assert math.isfinite(fe) and 0.0 < fv < fe, (k, lam)
+
+    @pytest.mark.parametrize("d", [SKEWED, TERNARY])
+    def test_equals_closed_form(self, d):
+        for lam in (1.0, 10.0, 171.0, 600.0, 1000.0):
+            for k in [*range(1, 51), 171, 300]:
+                want = fe_lambda_digits(d, k, lam)
+                got = fe_lambda(d, k, lam)
+                assert math.isclose(got, want, rel_tol=4 * exponent_rounding(k, lam), abs_tol=1e-300), (k, lam)
+
+    def test_agrees_with_factorial_division(self):
+        # the earlier form divided exp(k log lam - lam) by the exact k!; both
+        # forms carry the rounding of their exponents, log k! only in this one
+        for lam in (1.0, 10.0, 1000.0):
+            for k in range(1, 51):
+                before = (1.0 - SKEWED.rho(k)) * math.exp(k * math.log(lam) - lam) / math.factorial(k)
+                got = fe_lambda(SKEWED, k, lam)
+                assert math.isclose(got, before, rel_tol=8 * exponent_rounding(k, lam), abs_tol=1e-300), (k, lam)
+
+
 class TestFvStar:
     def test_tolerance_self_consistency(self):
         a = fv_k_star(BIN_SYM, 2, -1, tol=1e-12)

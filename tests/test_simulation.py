@@ -250,6 +250,40 @@ class TestRun:
             fallback = run(cfg, threads=2)
         assert fallback.as_dict() == seq.as_dict()
 
+    def test_pool_workers_capped_at_chunks(self, monkeypatch):
+        # under fork the pool starts all of its workers at once, so it asks
+        # for no more than there are chunks; the recorder runs every call
+        # inline and starts no process
+        import concurrent.futures
+
+        from triefringe import simulation
+
+        asked = []
+
+        class Inline:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        cfg = SimulationConfig.fixed(TERNARY, 100, 30, 53, (phi_k(2), phi_alpha()))
+        seq = run(cfg, threads=1)
+        monkeypatch.setattr(simulation, "_CHUNK_KEYS", 1000)
+        assert len(simulation._chunk_bounds(cfg)) == 3
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
+        for threads, workers in ((64, 3), (3, 3), (2, 2)):
+            assert run(cfg, threads=threads).as_dict() == seq.as_dict()
+            assert asked.pop() == workers and not asked
+
     def test_histogram_partitions_nodes(self):
         cfg = SimulationConfig.fixed(TERNARY, 500, 30, 31, (phi_leaf(),))
         s = run(cfg)
@@ -300,6 +334,120 @@ class TestRun:
         a, b = fixed.stats("k=2"), pois.stats("k=2")
         gap = abs(a.mean - b.mean)
         assert gap < 3 * math.hypot(a.se_mean, b.se_mean) + 0.05 * math.sqrt(n)
+
+
+def _spread(st):
+    """A rule whose values are not dyadic fractions, so a per-replicate sum
+    of them depends on the order of its additions."""
+    return 1.0 / (st.leaf_count + st.node_count / 3.0)
+
+
+SPREAD = TollFunction(name="spread", chi=0.75, stats_fn=_spread)
+
+
+class TestBlocks:
+    """A pool task runs its replicates through the engine in blocks of about
+    _BLOCK_KEYS keys, and every output is the same bit for bit whatever the
+    block size."""
+
+    @staticmethod
+    def record_blocks(monkeypatch):
+        """The (first replicate, replicate count) of every block run from now on."""
+        from triefringe import simulation
+
+        blocks = []
+        engine_block = simulation._engine_block
+
+        def counted(config, rngs, counts, start):
+            blocks.append((start, len(rngs)))
+            return engine_block(config, rngs, counts, start)
+
+        monkeypatch.setattr(simulation, "_engine_block", counted)
+        return blocks
+
+    @pytest.mark.parametrize(
+        "mode, spec, size",
+        [("fixed", "0.3,0.7", 1000), ("poisson", "0.05,0.95", 1500), ("poisson", "uniform:3", 1200)],
+    )
+    def test_block_size_does_not_change_output(self, monkeypatch, mode, spec, size):
+        from triefringe import simulation
+        from triefringe.trees import enumerate_patricia_shapes
+
+        tolls = (phi_k(2), phi_alpha(), phi_shape(enumerate_patricia_shapes(3, 2)[1]), TWO_WAY, SPREAD)
+        cfg = SimulationConfig(SourceDistribution.parse(spec), mode, float(size), 12, 5, tolls, paired_trie=True)
+        blocks = self.record_blocks(monkeypatch)
+        outs, n_blocks = {}, {}
+        for block_keys in (1, 5000, 2**30):
+            monkeypatch.setattr(simulation, "_BLOCK_KEYS", block_keys)
+            blocks.clear()
+            outs[block_keys] = simulation._engine_chunk(cfg, 3, 15)
+            # consecutive blocks cover the task's replicates in order
+            starts = [start for start, _ in blocks]
+            assert starts == [3] + [start + reps for start, reps in blocks[:-1]]
+            assert sum(reps for _, reps in blocks) == 12
+            n_blocks[block_keys] = len(blocks)
+        assert n_blocks[1] == 12 and 1 < n_blocks[5000] < 12 and n_blocks[2**30] == 1
+        assert outs[1]["pat"][:, 2].sum() > 0 and outs[1]["trie"][:, 2].sum() > 0
+        for block_keys in (5000, 2**30):
+            for key, want in outs[1].items():
+                got = outs[block_keys][key]
+                assert got.dtype == want.dtype and np.array_equal(got, want), (key, block_keys)
+
+    def test_block_counts(self, monkeypatch):
+        from triefringe import simulation
+
+        cfg = SimulationConfig.fixed(SKEWED, 1000, 12, 5, ())
+        blocks = self.record_blocks(monkeypatch)
+        # as many replicates as fit, or one that alone holds more
+        for block_keys, sizes in ((1, [1] * 12), (999, [1] * 12), (5000, [5, 5, 2]), (2**30, [12])):
+            monkeypatch.setattr(simulation, "_BLOCK_KEYS", block_keys)
+            blocks.clear()
+            simulation._engine_chunk(cfg, 0, 12)
+            assert [reps for _, reps in blocks] == sizes, block_keys
+
+    def test_depth_bound_names_first_replicate_in_a_later_block(self, monkeypatch):
+        from triefringe import simulation
+        from triefringe.simulation import replicate_rng
+        from triefringe.trees import build_trie, random_key_set
+
+        cfg = SimulationConfig.fixed(BIN_SYM, 6, 40, 37, (phi_leaf(),), max_depth=6)
+        failing = []
+        for i in range(cfg.replicates):
+            try:
+                build_trie(random_key_set(BIN_SYM, 6, replicate_rng(37, i)), max_depth=6)
+            except DepthExceeded:
+                failing.append(i)
+        first = failing[0]
+        assert first >= 1 and len(failing) >= 2
+        # one replicate per block (so the first failing one is in a later
+        # block), two per block, and one block; a task may start past
+        # replicate 0, as a pool task does
+        for block_keys in (6, 12, 2**30):
+            monkeypatch.setattr(simulation, "_BLOCK_KEYS", block_keys)
+            for start in (0, 1):
+                with pytest.raises(DepthExceeded) as err:
+                    simulation._engine_chunk(cfg, start, cfg.replicates)
+                assert err.value.replicate == first, (block_keys, start)
+            with pytest.raises(DepthExceeded) as err:
+                simulation._engine_chunk(cfg, first + 1, cfg.replicates)
+            assert err.value.replicate == failing[1], block_keys
+
+
+class TestMemory:
+    def test_traced_peak_bounded_by_block(self):
+        # one forest of all 200000 keys peaks at about 34 MB of traced
+        # memory, blocks of 2^15 keys at about 5-6 MB
+        import tracemalloc
+
+        tolls = (phi_k(2), phi_k(3), phi_internal(), phi_alpha(), phi_leaf())
+        cfg = SimulationConfig.fixed(SKEWED, 10_000, 20, 7, tolls, paired_trie=True)
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestForestLayout:

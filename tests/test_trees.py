@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -95,6 +96,34 @@ class TestBuildTrie:
             with pytest.raises(DepthExceeded):
                 build(keys, 2, max_depth=1500)
             assert build(keys, 2, max_depth=1501).leaf_count() == 2
+
+    def test_equality_and_hash_of_a_chain_deeper_than_recursion_limit(self):
+        keys = ["0" * 1500 + "0", "0" * 1500 + "1"]
+        other = ["0" * 1500 + "0", "0" * 1499 + "11"]
+        for build in (build_trie, build_patricia):
+            a, b = build(keys, 2), build(keys, 2)
+            assert a == b and a.root == b.root and hash(a.root) == hash(b.root)
+            assert a != build(other, 2)
+        assert compress(build_trie(keys, 2)).root == build_patricia(keys, 2).root
+
+    def test_equality_and_hash_match_the_recursive_definitions(self):
+        def equal(x, y, fields):
+            return (
+                all(getattr(x, f) == getattr(y, f) for f in fields)
+                and x.children.keys() == y.children.keys()
+                and all(equal(c, y.children[a], fields) for a, c in x.children.items())
+            )
+
+        shapes = [t.root for k in (1, 2, 3, 4) for t in enumerate_patricia_shapes(k, 3)]
+        tries = [build_trie(keys, 2).root for keys in (["0", "1"], ["00", "01", "1"], ["00", "01"], ["0", "10", "11"])]
+        # an equal trie built anew, and one with other key labels
+        tries += [build_trie(["0", "10", "11"], 2).root, build_trie(["00", "01", "1"][::-1], 2).root]
+        for nodes, fields in ((shapes, ("prefix", "key_index")), (tries, ("key_index",))):
+            for x, y in itertools.product(nodes, repeat=2):
+                assert (x == y) == equal(x, y, fields)
+                if x == y:
+                    assert hash(x) == hash(y)
+        assert len({hash(x) for x in shapes}) == len(shapes)
 
     def test_shape_forms_of_a_chain_deeper_than_recursion_limit(self):
         t = build_trie(["0" * 1500 + "0", "0" * 1500 + "1"], 2)
