@@ -40,6 +40,7 @@ sums into a rigorous enclosure of the limiting essential-node ratio.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -164,13 +165,49 @@ def psi_eval(series, t: float) -> float:
 # mean constants for the k-key fringe count
 
 
+# stirlerr(n) = log n! - log(sqrt(2 pi n) (n/e)^n) for n <= 15, rounded from 50 digits
+_STIRLERR = (
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
+    0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+    0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
+
+
+def _stirlerr(n: int) -> float:
+    """log n! - log(sqrt(2 pi n) (n/e)^n): a table to 15, the Stirling series past it."""
+    if n < len(_STIRLERR):
+        return _STIRLERR[n]
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: float, mu: float) -> float:
+    """x log(x/mu) + mu - x, by a series in (x-mu)/(x+mu) where its terms cancel."""
+    if abs(x - mu) >= 0.1 * (x + mu):
+        return x * math.log(x / mu) + mu - x
+    v = (x - mu) / (x + mu)
+    total, term = (x - mu) * v, 2.0 * x * v
+    for j in itertools.count(3, 2):
+        term *= v * v
+        grown = total + term / j
+        if grown == total:
+            return total
+        total = grown
+
+
 def fe_lambda(d: SourceDistribution, k: int, lam: float) -> float:
-    """Poissonized mean profile of the k-fringe toll: (1-rho(k)) lam^k e^-lam / k!."""
+    """Poissonized mean profile of the k-fringe toll: (1-rho(k)) lam^k e^-lam / k!.
+
+    Loader's saddle-point form of the Poisson weight,
+    exp(-stirlerr(k) - bd0(k, lam)) / sqrt(2 pi k), leaves no large terms
+    to cancel: it is finite for every k and keeps full precision where
+    k is near lam.  (C. Loader, Fast and Accurate Computation of Binomial
+    Probabilities, 2000.)
+    """
     if lam == 0.0:
         return 0.0
-    # one log-space exponent: lam^k and k! each overflow where their ratio
-    # times e^-lam is small and finite
-    return (1.0 - d.rho(k)) * math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+    return (1.0 - d.rho(k)) * math.exp(-_stirlerr(k) - _bd0(k, lam)) / math.sqrt(2.0 * math.pi * k)
 
 
 def fe_k_star(d: SourceDistribution, k: int, s: complex):

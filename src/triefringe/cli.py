@@ -225,16 +225,11 @@ def _cmd_simulate(args):
     tolls = _parse_functionals(args.functional)
     if (args.n is None) == (args.lam is None):
         raise _UsageError("exactly one of --n and --lambda is required")
-    if args.n is not None:
-        config = SimulationConfig.fixed(
-            d, args.n, args.replicates, args.seed, tolls,
-            paired_trie=args.paired_trie, max_depth=args.max_depth,
-        )
-    else:
-        config = SimulationConfig.poisson(
-            d, args.lam, args.replicates, args.seed, tolls,
-            paired_trie=args.paired_trie, max_depth=args.max_depth,
-        )
+    mode, size = ("fixed", args.n) if args.n is not None else ("poisson", args.lam)
+    config = SimulationConfig(
+        d, mode, float(size), args.replicates, args.seed, tolls,
+        paired_trie=args.paired_trie, max_depth=args.max_depth,
+    )
     summary = run(config, threads=args.threads)
     if args.format == "csv":
         rows = ["name,mean,var,se_mean,se_var,skew,exkurt"]

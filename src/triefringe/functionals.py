@@ -12,10 +12,14 @@ same keys:
 
 and then Phi(compress(T)) = pulled_Phi(T) for every trie T.
 
-Evaluation is a single post-order pass with memoized per-node aggregates
-(leaf counts, essentiality bits, and the nested shape signature, whose
-tuples share their children's), so a batch of tolls costs one traversal.
-chi denotes a toll's value on a lone leaf.
+Evaluation is one fold from the leaves up (``trees._bottom_up``, without
+recursion, so any depth works).  It gives each node its aggregates (leaf
+counts, essentiality bits, and the nested shape signature, whose tuples
+share their children's) and, when a toll is pulled back, those of its
+patricia projection, so a batch of tolls costs one traversal.  Tolls are
+added in left-to-right post-order, children in ascending character order,
+so a fractional toll sums bit for bit the same on equal trees.  chi
+denotes a toll's value on a lone leaf.
 """
 
 from __future__ import annotations
@@ -26,14 +30,14 @@ from functools import partial
 import numpy as np
 
 from .errors import EmptyTree, LimitExceeded
-from .trees import Trie, shape_signature
+from .trees import Trie, _bottom_up, shape_signature
 
 _LEAF_SIG = "*"
 
 
 class _Stats:
-    """Per-node aggregates: scalars from the post-order pass here, or one
-    numpy array per field (one entry per node) from the simulation engine."""
+    """Per-node aggregates: scalars from the fold here, or one numpy array
+    per field (one entry per node) from the simulation engine."""
 
     __slots__ = ("leaf_count", "node_count", "outdeg", "essential", "shape_sig")
 
@@ -58,28 +62,83 @@ class TollFunction:
     is only compared with ``==`` against a nested signature, of any size.
     For simulations with threads > 1 the rule must be picklable: a
     module-level function, or a functools.partial of one, as the built-in
-    rules are.  Tolls wrapping a patricia toll for use on tries carry
-    pulled=True and gate on the root outdegree.
+    rules are.  ``pullback`` wraps a patricia toll for use on tries: the
+    wrapper's base is that toll, and it is ``pulled``.
     """
 
     name: str
     chi: float
     stats_fn: callable = field(compare=False)
-    pulled: bool = False
     base: "TollFunction | None" = None
+
+    @property
+    def pulled(self) -> bool:
+        """Whether this toll is a patricia toll pulled back to tries."""
+        return self.base is not None
 
     def value(self, tree) -> float:
         """phi applied to a whole tree (i.e. to the fringe at its root)."""
-        if tree.root is None:
-            return 0.0
-        return evaluate_additive(self, tree, _root_toll_only=True)
+        total, root = np.zeros(1), _fold(tree, [self])
+        if root is not None:
+            _add_tolls([self], total, *root)
+        return float(total[0])
 
     def __repr__(self):
         return f"TollFunction({self.name!r})"
 
 
-def evaluate_additive(tolls, tree, _root_toll_only=False):
-    """Evaluate additive functionals (or just the root toll) in one post-order pass.
+_LEAF = _Stats(1, 1, 0, 1, _LEAF_SIG)
+
+
+def _node_stats(items, side):
+    """A node's aggregates from its (character, (own, projected)) child pairs,
+    reading the children's own (side 0) or projected (side 1) aggregates."""
+    if not items:
+        return _LEAF
+    leaf_count = sum(v[side].leaf_count for _, v in items)
+    node_count = 1 + sum(v[side].node_count for _, v in items)
+    essential = max(0, 1 - sum(v[side].essential for _, v in items))
+    return _Stats(leaf_count, node_count, len(items), essential, tuple((a, v[side].shape_sig) for a, v in items))
+
+
+def _fold(tree, tolls, visit=None):
+    """The root's (own, projected) aggregates, None on the empty tree.
+
+    projected is the aggregates of the node's patricia projection (its
+    child's at a unary node) when a toll is pulled back, else own.  One
+    fold from the leaves up calls visit(own, projected) at every node, in
+    left-to-right post-order.
+    """
+    pulled = [t for t in tolls if t.pulled]
+    if pulled and not isinstance(tree, Trie):
+        raise ValueError(f"{pulled[0].name} is a pulled-back toll and applies to tries only")
+    if tree.root is None:
+        return None
+
+    def combine(_node, items):
+        own = pat = _node_stats(items, 0)
+        if pulled:
+            pat = items[0][1][1] if len(items) == 1 else _node_stats(items, 1)
+        if visit is not None:
+            visit(own, pat)
+        return own, pat
+
+    return _bottom_up(tree.root, combine)
+
+
+def _add_tolls(tolls, totals, own, pat):
+    """Add each toll's value at a node, from the node's own and projected
+    aggregates: a pulled toll adds nothing at a unary node and its base's
+    value at the projection elsewhere."""
+    for j, t in enumerate(tolls):
+        if t.base is None:
+            totals[j] += t.stats_fn(own)
+        elif own.outdeg != 1:
+            totals[j] += t.base.stats_fn(pat)
+
+
+def evaluate_additive(tolls, tree):
+    """Evaluate additive functionals in one post-order fold.
 
     ``tolls`` may be a single TollFunction or a sequence; the result is a
     float or a numpy vector accordingly.  Pulled-back tolls require a Trie;
@@ -87,64 +146,8 @@ def evaluate_additive(tolls, tree, _root_toll_only=False):
     """
     single = isinstance(tolls, TollFunction)
     toll_list = [tolls] if single else list(tolls)
-    is_trie = isinstance(tree, Trie)
-    for t in toll_list:
-        if t.pulled and not is_trie:
-            raise ValueError(f"{t.name} is a pulled-back toll and applies to tries only")
-
-    want_pat = is_trie and any(t.pulled for t in toll_list)
     totals = np.zeros(len(toll_list))
-
-    if tree.root is None:
-        return float(totals[0]) if single else totals
-
-    def node_stats(chars, child_stats):
-        outdeg = len(child_stats)
-        if outdeg == 0:
-            return _Stats(1, 1, 0, 1, _LEAF_SIG)
-        leaf_count = sum(s.leaf_count for s in child_stats)
-        node_count = 1 + sum(s.node_count for s in child_stats)
-        essential = max(0, 1 - sum(s.essential for s in child_stats))
-        sig = tuple((a, s.shape_sig) for a, s in zip(chars, child_stats))
-        return _Stats(leaf_count, node_count, outdeg, essential, sig)
-
-    def pat_project(chars, direct, child_pats):
-        return child_pats[0] if direct.outdeg == 1 else node_stats(chars, child_pats)
-
-    def apply_tolls(direct, pat, out):
-        for j, t in enumerate(toll_list):
-            if t.pulled:
-                if direct.outdeg != 1:
-                    out[j] += t.base.stats_fn(pat)
-            else:
-                out[j] += t.stats_fn(direct)
-
-    # iterative post-order: (sorted child items, next child idx, child stats, child pat stats)
-    stack = [(sorted(tree.root.children.items()), 0, [], [])]
-    root_result = None
-    while stack:
-        items, idx, stats_acc, pat_acc = stack[-1]
-        if idx < len(items):
-            stack[-1] = (items, idx + 1, stats_acc, pat_acc)
-            child = items[idx][1]
-            stack.append((sorted(child.children.items()), 0, [], []))
-            continue
-        stack.pop()
-        chars = [a for a, _ in items]
-        direct = node_stats(chars, stats_acc)
-        pat = pat_project(chars, direct, pat_acc) if want_pat else direct
-        if not stack:
-            root_result = (direct, pat)
-        if not _root_toll_only:
-            apply_tolls(direct, pat, totals)
-        if stack:
-            stack[-1][2].append(direct)
-            stack[-1][3].append(pat)
-
-    if _root_toll_only:
-        direct, pat = root_result
-        totals = np.zeros(len(toll_list))
-        apply_tolls(direct, pat, totals)
+    _fold(tree, toll_list, partial(_add_tolls, toll_list, totals))
     return float(totals[0]) if single else totals
 
 
@@ -174,7 +177,6 @@ def pullback(phi: TollFunction) -> TollFunction:
         name=f"pullback({phi.name})",
         chi=phi.chi,
         stats_fn=phi.stats_fn,
-        pulled=True,
         base=phi,
     )
 

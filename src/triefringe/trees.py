@@ -108,14 +108,7 @@ class _Tree:
 
     def nodes(self):
         """All nodes in preorder, children visited in alphabet order."""
-        if self.root is None:
-            return
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            for a in sorted(node.children, reverse=True):
-                stack.append(node.children[a])
+        return (node for _, node in self.paths())
 
     def paths(self):
         """(path, node) pairs in preorder; paths are tuples of split characters."""
@@ -287,20 +280,24 @@ def compress(t: Trie) -> PatriciaTrie:
 
     The merged characters are prepended into the surviving node's prefix
     attribute; the resulting node set is in bijection with the trie nodes
-    that do not have exactly one child.
+    that do not have exactly one child.  One fold from the leaves up, with
+    no recursion, so any depth works: a node passes up the children, prefix
+    and key of its patricia node, and a unary node passes up its child's,
+    one character longer.  A prefix is built reversed, so that lengthening
+    it is one append.
     """
 
-    def squeeze(node):
-        prefix = []
-        cur = node
-        while len(cur.children) == 1:
-            (a, child), = cur.children.items()
-            prefix.append(a)
-            cur = child
-        children = {a: squeeze(c) for a, c in sorted(cur.children.items())}
-        return PatriciaNode(children=children, prefix=tuple(prefix), key_index=cur.key_index)
+    def squeeze(node, items):
+        if len(items) == 1:
+            ((a, (children, rev_prefix, key)),) = items
+            rev_prefix.append(a)  # each value is read by its parent alone
+            return children, rev_prefix, key
+        return {a: PatriciaNode(c, p[::-1], k) for a, (c, p, k) in items}, [], node.key_index
 
-    root = None if t.root is None else squeeze(t.root)
+    root = None
+    if t.root is not None:
+        children, rev_prefix, key = _bottom_up(t.root, squeeze)
+        root = PatriciaNode(children, rev_prefix[::-1], key)
     return PatriciaTrie(root, t.m, t.num_keys)
 
 
@@ -362,18 +359,31 @@ def _bottom_up(node, combine):
     """Fold a tree from its leaves up without recursion, so any depth works.
 
     A node is worth ``combine(node, [(char, child value), ...])``, with its
-    children in character order (none at a leaf).
+    children in ascending character order (none at a leaf).  combine runs
+    once per place in the tree, in left-to-right post-order (each child's
+    subtree in ascending character order, then the node) whatever the
+    order of a node's children dict, so a side effect such as a running sum
+    happens in the same order on equal trees.  Each value is passed to its
+    parent's combine alone, even where a subtree is shared.  Memory beyond
+    the values is a stack as deep as the tree.
     """
-    order, stack = [], [node]
+    values, stack, pending = [], [node], []  # values: folded nodes whose parent is pending
     while stack:
         n = stack.pop()
-        order.append(n)
-        stack.extend(n.children.values())
-    value = {}  # by id: enumerated shapes share subtrees between parents
-    for n in reversed(order):  # every child comes before its parent
-        items = [(a, value[id(c)]) for a, c in sorted(n.children.items())]
-        value[id(n)] = combine(n, items)
-    return value[id(node)]
+        if n is None:  # the children of the innermost pending node are folded
+            n, chars = pending.pop()
+            items = list(zip(chars, values[-len(chars) :]))
+            del values[-len(chars) :]
+        else:
+            chars = sorted(n.children)
+            if chars:  # fold the children first, lowest character first
+                pending.append((n, chars))
+                stack.append(None)
+                stack.extend([n.children[a] for a in reversed(chars)])
+                continue
+            items = chars
+        values.append(combine(n, items))
+    return values[0]
 
 
 def shape_signature(t) -> tuple:
@@ -466,7 +476,7 @@ class _BlockKey:
         self.row = row
 
     def __getitem__(self, i):
-        return self.block.char(self.row, i)
+        return int(self.block.column(i)[self.row])
 
 
 KEY_BLOCK_WIDTH = 32
@@ -555,9 +565,6 @@ class CharBlocks:
         if slot is not None:
             return col[slot[active]]
         return col if active is None else col[active]
-
-    def char(self, row, i):
-        return int(self.column(i)[row])
 
 
 def random_key_set(d: SourceDistribution, n: int, rng: np.random.Generator) -> KeySet:

@@ -138,6 +138,31 @@ class TestFeLambda:
                 assert math.isclose(got, before, rel_tol=8 * exponent_rounding(k, lam), abs_tol=1e-300), (k, lam)
 
 
+class TestFeLambdaNearSaddle:
+    """fe_lambda keeps full precision where k is near lam: the terms of its
+    exponent, k log lam, lam and log k!, cancel to about -log(2 pi k)/2."""
+
+    @staticmethod
+    def rel_error(d, k, lam):
+        """|fe_lambda / exact - 1|, the exact value taken to 50 digits."""
+        from decimal import Decimal, localcontext
+
+        with localcontext() as ctx:
+            ctx.prec = 50
+            lam_d = Decimal(lam)
+            want = Decimal(1.0 - d.rho(k)) * (k * lam_d.ln() - lam_d).exp() / math.factorial(k)
+            return float(abs(Decimal(fe_lambda(d, k, lam)) / want - 1))
+
+    @pytest.mark.parametrize("k", [1000, 10_000])
+    def test_k_equals_lam(self, k):
+        assert self.rel_error(SKEWED, k, float(k)) <= 1e-14
+
+    def test_small_k(self):
+        # stirlerr is tabulated up to k = 15 and a series past it
+        for k in range(2, 41):
+            assert self.rel_error(SKEWED, k, float(k)) <= 1e-14, k
+
+
 class TestFvStar:
     def test_tolerance_self_consistency(self):
         a = fv_k_star(BIN_SYM, 2, -1, tol=1e-12)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,10 @@ from triefringe.functionals import (
     phi_shape,
     pullback,
 )
+from triefringe.simulation import SimulationConfig, estimate_fX
 from triefringe.source import SourceDistribution
 from triefringe.trees import (
+    PatriciaNode,
     Trie,
     TrieNode,
     build_patricia,
@@ -137,6 +141,20 @@ class TestPullback:
         with pytest.raises(ValueError):
             evaluate_additive(pullback(phi_k(2)), p)
 
+    def test_pulled_is_having_a_base(self):
+        assert pullback(phi_k(2)).pulled
+        assert not phi_k(2).pulled
+        with pytest.raises(TypeError):
+            TollFunction(name="k=2", chi=0.0, stats_fn=phi_k(2).stats_fn, pulled=True)
+
+    def test_simulation_rejects_pulled_toll(self):
+        with pytest.raises(ValueError, match="paired_trie"):
+            SimulationConfig.fixed(BIN_SYM, 10, 2, 1, (pullback(phi_k(2)),))
+
+    def test_estimate_fx_reads_the_base(self):
+        toll = phi_k(2)
+        assert estimate_fX(pullback(toll), BIN_SYM, 2.0, 40, 5) == estimate_fX(toll, BIN_SYM, 2.0, 40, 5)
+
 
 class TestKGeqIdentity:
     def test_phi_k_equals_geq_difference(self):
@@ -238,3 +256,91 @@ class TestIndependence:
             brute_force_independence(build_patricia([f"{i:05b}" for i in range(16)], 2))
         with pytest.raises(EmptyTree):
             matching_number(build_patricia([], 2))
+
+
+def caterpillar(levels):
+    """A hand-built trie of ``levels`` branching nodes down a spine: branching
+    node i has a leaf (key i) at 0 and, at 1, a unary link (character i % 2)
+    to branching node i + 1; the last one has two leaves.  Its depth is twice
+    ``levels``."""
+    node = TrieNode(children={0: TrieNode(key_index=levels - 1), 1: TrieNode(key_index=levels)})
+    for i in reversed(range(levels - 1)):
+        node = TrieNode(children={0: TrieNode(key_index=i), 1: TrieNode(children={i % 2: node})})
+    return Trie(node, 2, levels + 1)
+
+
+class TestDeepTrees:
+    """Every explicit-tree fold runs without recursion, so a trie deeper than
+    the recursion limit evaluates and compresses."""
+
+    LEVELS = 600
+
+    def test_compress(self):
+        assert 2 * self.LEVELS > sys.getrecursionlimit()
+        trie = caterpillar(self.LEVELS)
+        assert sum(1 for _ in trie.nodes()) == trie.node_count() == 3 * self.LEVELS
+        pat = compress(trie)
+        assert pat.validate()
+        assert pat.node_count() == 2 * self.LEVELS + 1 and pat.num_keys == self.LEVELS + 1
+        node, prefixes = pat.root, [pat.root.prefix]
+        while node.children[1].children:
+            node = node.children[1]
+            prefixes.append(node.prefix)
+        assert prefixes == [()] + [(i % 2,) for i in range(self.LEVELS - 1)]
+
+    def test_evaluate_and_pullback_identity(self):
+        trie = caterpillar(self.LEVELS)
+        tolls = ALL_TOLLS + [phi_shape(enumerate_patricia_shapes(3, 2)[0])]
+        plain = evaluate_additive(tolls, trie)
+        pulled = evaluate_additive([pullback(t) for t in tolls], trie)
+        assert np.array_equal(pulled, evaluate_additive(tolls, compress(trie)))
+        internal, leaf = ALL_TOLLS.index(phi_internal()), ALL_TOLLS.index(phi_leaf())
+        # the trie's internal nodes are LEVELS branching and LEVELS - 1 unary ones
+        assert plain[internal] == 2 * self.LEVELS - 1
+        assert pulled[internal] == self.LEVELS and pulled[leaf] == self.LEVELS + 1
+        assert pulled[ALL_TOLLS.index(phi_k(2))] == 1.0  # only the last branching node holds 2 keys
+
+    def test_root_toll(self):
+        trie = caterpillar(self.LEVELS)
+        assert phi_geq(self.LEVELS + 1).value(trie) == 1.0
+        assert pullback(phi_internal()).value(trie) == 1.0
+        assert pullback(phi_internal()).value(Trie(TrieNode(children={1: trie.root}), 2, trie.num_keys)) == 0.0
+
+
+def _spread(st):
+    """A rule whose values are not dyadic fractions, so their sum depends
+    on the order of its additions."""
+    return 1.0 / (st.leaf_count + st.node_count / 3.0)
+
+
+def _post_order_sum(rule, node, reverse=False, total=0.0):
+    """Recursive reference: rule summed over a node's fringes in post-order,
+    children in ascending character order (descending with ``reverse``);
+    rule reads the node's own counts."""
+    for a in sorted(node.children, reverse=reverse):
+        total = _post_order_sum(rule, node.children[a], reverse, total)
+    return total + rule(node)
+
+
+def descending(levels, m=3):
+    """A hand-built trie whose children dicts are inserted in descending
+    character order: every internal node has m children, the top one a
+    subtree one level smaller and the others lone leaves."""
+    node = TrieNode(key_index=0)
+    for _ in range(levels):
+        node = TrieNode(children={m - 1: node, **{a: TrieNode() for a in reversed(range(m - 1))}})
+    return Trie(node, m, node.leaf_count)
+
+
+class TestSumOrder:
+    def test_descending_dicts_sum_left_to_right(self):
+        spread = TollFunction(name="spread", chi=0.75, stats_fn=_spread)
+        for levels in (3, 12, 20):
+            trie = descending(levels)
+            assert list(trie.root.children) == [2, 1, 0]
+            want = _post_order_sum(_spread, trie.root)
+            assert evaluate_additive(spread, trie).hex() == want.hex()
+            assert evaluate_additive(pullback(spread), trie).hex() == want.hex()  # no unary node
+            assert evaluate_additive([spread, phi_leaf()], trie)[0].hex() == want.hex()
+        # the order is observable: on this tree adding right to left rounds differently
+        assert _post_order_sum(_spread, descending(12).root, reverse=True) != _post_order_sum(_spread, descending(12).root)

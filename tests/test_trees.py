@@ -12,6 +12,8 @@ from triefringe.source import SourceDistribution
 from triefringe.trees import (
     KeySet,
     PrefixLaw,
+    TrieNode,
+    _bottom_up,
     build_patricia,
     build_trie,
     compress,
@@ -170,6 +172,12 @@ class TestCompressAndPatricia:
     def test_direct_equals_compressed(self):
         assert build_patricia(DRAWN_KEYS, 2) == compress(build_trie(DRAWN_KEYS, 2))
 
+    def test_unary_chain_deeper_than_recursion_limit(self):
+        keys = [(0,) * 1500 + (0,), (0,) * 1500 + (1,)]
+        p = compress(build_trie(keys, 2))
+        assert p == build_patricia(keys, 2)
+        assert p.root.prefix == (0,) * 1500 and p.node_count() == 3
+
     @given(finite_keysets())
     @settings(max_examples=100, deadline=None)
     def test_equivalence_random(self, ks):
@@ -211,6 +219,26 @@ class TestCompressAndPatricia:
         # the stream disagrees with the finite key early with overwhelming probability
         p = build_patricia(ks, max_depth=64)
         assert p.leaf_count() == 2
+
+
+class TestBottomUp:
+    def test_left_to_right_post_order_whatever_the_dict_order(self):
+        # children dicts inserted in descending and mixed character order
+        left = TrieNode(children={1: TrieNode(key_index=1), 0: TrieNode(key_index=0)})
+        root = TrieNode(children={2: TrieNode(key_index=3), 0: left, 1: TrieNode(key_index=2)})
+        seen = []
+
+        def combine(node, items):
+            seen.append(node)
+            return [a for a, _ in items]
+
+        assert _bottom_up(root, combine) == [0, 1, 2]
+        assert seen == [left.children[0], left.children[1], left, root.children[1], root.children[2], root]
+
+    def test_shared_subtree_folded_at_each_place(self):
+        leaf = TrieNode()
+        root = TrieNode(children={0: leaf, 1: TrieNode(children={0: leaf, 1: leaf})})
+        assert _bottom_up(root, lambda n, items: 1 + sum(v for _, v in items)) == 5
 
 
 class TestCharBlocks:
