@@ -25,7 +25,7 @@ import numpy as np
 _PROB_SUM_TOL = 1e-12
 # characters are stored as int8, so the largest character is 127
 MAX_ALPHABET = 128
-# uniforms per threshold-counting slice in draw_chars: 512 KiB of float64
+# uniforms per slice of draw_chars: a 512 KiB float64 buffer that stays in cache
 _DRAW_SLICE = 1 << 16
 
 
@@ -142,23 +142,28 @@ class SourceDistribution:
     def draw_chars(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Vectorized character draw: int8 array of the given shape.
 
-        One ``rng.random(shape)`` call gives uniforms u; the character of u
-        is the number of cumulative thresholds c_j <= u, counted one
-        threshold at a time into the int8 result.  This equals
-        ``searchsorted(c, u, side="right")`` for every u, ties included.
-        It costs m-1 comparison passes, made slice by slice so that each
-        slice of u stays in cache across them, and beats the binary search
-        for every alphabet up to MAX_ALPHABET.
+        The character of a uniform u is the number of cumulative thresholds
+        c_j <= u, which equals ``searchsorted(c, u, side="right")`` for
+        every u, ties included.  The uniforms come slice by slice through
+        one reused buffer of _DRAW_SLICE doubles, filled by
+        ``rng.random(out=...)``: the same doubles in the same order as one
+        ``rng.random(shape)`` call, and the generator ends in the same
+        state.  Each slice stays in cache while the first threshold writes
+        its 0/1 straight into the int8 result and every further threshold
+        adds its hits, m-1 passes in all; no array the size of the draw is
+        made besides the result.
         """
-        u = rng.random(shape)
-        if len(self.probs) == 2:
-            return (u >= self.probs[0]).astype(np.int8)
-        chars = np.zeros(u.shape, np.int8)
-        flat_u, flat_chars = u.reshape(-1), chars.reshape(-1)
-        # run each cache-sized slice through every threshold before the next
-        for at in range(0, flat_u.size, _DRAW_SLICE):
-            u_part, chars_part = flat_u[at : at + _DRAW_SLICE], flat_chars[at : at + _DRAW_SLICE]
-            for c in self._cum_head:
-                chars_part += u_part >= c
+        chars = np.empty(shape, np.int8)
+        flat = chars.reshape(-1)
+        u = np.empty(min(flat.size, _DRAW_SLICE))
+        hit = np.empty(u.size, np.bool_)
+        first, rest = self._cum_head[0], self._cum_head[1:]
+        for at in range(0, flat.size, _DRAW_SLICE):
+            part = flat[at : at + _DRAW_SLICE]
+            u_part, hit_part = u[: part.size], hit[: part.size]
+            rng.random(out=u_part)
+            np.greater_equal(u_part, first, out=part.view(np.bool_))
+            for c in rest:
+                np.greater_equal(u_part, c, out=hit_part)
+                part += hit_part.view(np.int8)
         return chars
-

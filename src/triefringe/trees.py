@@ -108,7 +108,13 @@ class _Tree:
 
     def nodes(self):
         """All nodes in preorder, children visited in alphabet order."""
-        return (node for _, node in self.paths())
+        if self.root is None:
+            return
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(node.children[a] for a in sorted(node.children, reverse=True))
 
     def paths(self):
         """(path, node) pairs in preorder; paths are tuples of split characters."""
@@ -210,18 +216,20 @@ def build_trie(keys, m=None, max_depth: int = DEFAULT_MAX_DEPTH) -> Trie:
     """Build the trie of a key set by splitting on successive characters.
 
     The empty set gives the empty tree, a singleton a lone leaf; otherwise
-    the root splits the keys by their first character and recurses.  Chains
-    of unary nodes are built in a loop, so the recursion is only as deep as
-    the patricia trie.  Raises DepthExceeded when two keys agree on
-    ``max_depth`` characters.
+    the root splits the keys by their first character and each group is
+    built the same way.  Nothing recurses (chains of unary nodes are built
+    in a loop, the rest is one ``_fold``), so any depth works.  Raises
+    DepthExceeded when two keys agree on ``max_depth`` characters.
     """
     ks = _as_keyset(keys, m)
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
 
-    def build(indices, depth):
+    def expand(task):
+        """A key subset's unary chain and key (its label) and its split."""
+        indices, depth = task
         if len(indices) == 1:
-            return TrieNode(key_index=indices[0])
+            return ((), indices[0]), (), ()
         chain = []  # characters of the unary nodes above the first split
         while True:
             if depth >= max_depth:
@@ -233,12 +241,17 @@ def build_trie(keys, m=None, max_depth: int = DEFAULT_MAX_DEPTH) -> Trie:
             if len(groups) >= 2:
                 break
             chain.append(next(iter(groups)))
-        node = TrieNode(children={a: build(sub, depth) for a, sub in sorted(groups.items())})
+        chars = sorted(groups)
+        return (chain, None), chars, [(groups[a], depth) for a in chars]
+
+    def combine(label, items):
+        chain, key = label
+        node = TrieNode(dict(items), key)
         for a in reversed(chain):
-            node = TrieNode(children={a: node})
+            node = TrieNode({a: node})
         return node
 
-    root = None if not ks.keys else build(list(range(len(ks.keys))), 0)
+    root = None if not ks.keys else _fold((list(range(len(ks.keys))), 0), expand, combine)
     return Trie(root, ks.m, len(ks.keys))
 
 
@@ -246,15 +259,18 @@ def build_patricia(keys, m=None, max_depth: int = DEFAULT_MAX_DEPTH) -> Patricia
     """Build the patricia trie directly: split on the first non-common character.
 
     The skipped common characters accumulate in each node's prefix attribute.
-    Structurally equal to compress(build_trie(keys)) on any key set.
+    Structurally equal to compress(build_trie(keys)) on any key set, and
+    built by one ``_fold`` without recursion, so any depth works.
     """
     ks = _as_keyset(keys, m)
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
 
-    def build(indices, depth):
+    def expand(task):
+        """A key subset's prefix and key (its label) and its split."""
+        indices, depth = task
         if len(indices) == 1:
-            return PatriciaNode(key_index=indices[0])
+            return ((), indices[0]), (), ()
         prefix = []
         while True:
             if depth >= max_depth:
@@ -268,10 +284,13 @@ def build_patricia(keys, m=None, max_depth: int = DEFAULT_MAX_DEPTH) -> Patricia
         groups = {}
         for i in indices:
             groups.setdefault(ks.keys[i][depth], []).append(i)
-        children = {a: build(sub, depth + 1) for a, sub in sorted(groups.items())}
-        return PatriciaNode(children=children, prefix=tuple(prefix))
+        chars = sorted(groups)
+        return (prefix, None), chars, [(groups[a], depth + 1) for a in chars]
 
-    root = None if not ks.keys else build(list(range(len(ks.keys))), 0)
+    def combine(label, items):
+        return PatriciaNode(dict(items), *label)
+
+    root = None if not ks.keys else _fold((list(range(len(ks.keys))), 0), expand, combine)
     return PatriciaTrie(root, ks.m, len(ks.keys))
 
 
@@ -355,35 +374,49 @@ def enumerate_patricia_shapes(k: int, m: int) -> list[PatriciaTrie]:
     return [PatriciaTrie(node, m, k) for node in _shapes(k, m)]
 
 
-def _bottom_up(node, combine):
+def _fold(top, expand, combine):
     """Fold a tree from its leaves up without recursion, so any depth works.
 
-    A node is worth ``combine(node, [(char, child value), ...])``, with its
-    children in ascending character order (none at a leaf).  combine runs
-    once per place in the tree, in left-to-right post-order (each child's
-    subtree in ascending character order, then the node) whatever the
-    order of a node's children dict, so a side effect such as a running sum
-    happens in the same order on equal trees.  Each value is passed to its
-    parent's combine alone, even where a subtree is shared.  Memory beyond
-    the values is a stack as deep as the tree.
+    The tree is given by ``expand(item) -> (label, chars, child items)``,
+    characters ascending (none at a leaf), and an item is worth
+    ``combine(label, [(char, child value), ...])``.  Items are expanded
+    depth first, lowest character first, and combine runs once per place
+    in the tree, in left-to-right post-order (each child's subtree in
+    ascending character order, then the item).  Each value is passed to
+    its parent's combine alone, even where a subtree is shared.  Memory
+    beyond the values is a stack as deep as the tree.
     """
-    values, stack, pending = [], [node], []  # values: folded nodes whose parent is pending
+    values, stack, pending = [], [top], []  # values: folded items whose parent is pending
     while stack:
-        n = stack.pop()
-        if n is None:  # the children of the innermost pending node are folded
-            n, chars = pending.pop()
+        item = stack.pop()
+        if item is None:  # the children of the innermost pending item are folded
+            label, chars = pending.pop()
             items = list(zip(chars, values[-len(chars) :]))
             del values[-len(chars) :]
         else:
-            chars = sorted(n.children)
+            label, chars, children = expand(item)
             if chars:  # fold the children first, lowest character first
-                pending.append((n, chars))
+                pending.append((label, chars))
                 stack.append(None)
-                stack.extend([n.children[a] for a in reversed(chars)])
+                stack.extend(reversed(children))
                 continue
             items = chars
-        values.append(combine(n, items))
+        values.append(combine(label, items))
     return values[0]
+
+
+def _node_children(node):
+    chars = sorted(node.children)
+    return node, chars, [node.children[a] for a in chars]
+
+
+def _bottom_up(node, combine):
+    """Fold an existing tree with ``_fold``: a node is worth
+    ``combine(node, [(char, child value), ...])``, its children in
+    ascending character order whatever the order of its children dict, so
+    a side effect such as a running sum happens in the same order on equal
+    trees."""
+    return _fold(node, _node_children, combine)
 
 
 def shape_signature(t) -> tuple:
@@ -407,26 +440,34 @@ def shape_probability(shape, d: SourceDistribution) -> float:
 
     Equals k! * prod_{leaves v} p_v * prod_{internal w} 1/(1 - rho(|T^w|_e)),
     where p_v is the probability of the leaf's path in the tree structure.
+    The factors are multiplied in preorder, each product rounded as float
+    arithmetic rounds it, but every partial product (and path probability)
+    keeps its binary exponent apart (``math.frexp``), so none overflows or
+    underflows: any k works, a value below the float range is 0.0, and
+    every value inside it has the bits of the plain float product.
     """
     root = shape.root if isinstance(shape, _Tree) else shape
     if root is None:
         raise ValueError("the empty tree is not a patricia shape")
-    k = root.leaf_count
-    acc = math.factorial(k)
-
-    def walk(node, path_prob):
-        nonlocal acc
+    k_factorial = math.factorial(root.leaf_count)
+    shift = max(0, k_factorial.bit_length() - 64)
+    acc, acc_exp = math.frexp(k_factorial / (1 << shift))  # int / int rounds correctly
+    acc_exp += shift
+    stack = [(root, 1.0, 0)]  # a node and its path probability, as mantissa and exponent
+    while stack:
+        node, path, path_exp = stack.pop()
         if not node.children:
-            acc *= path_prob
-            return
-        if len(node.children) == 1:
-            raise UnaryNode("shape contains a node with exactly one child")
-        acc *= 1.0 / (1.0 - d.rho(node.leaf_count))
-        for a, c in node.children.items():
-            walk(c, path_prob * d.probs[a])
-
-    walk(root, 1.0)
-    return acc
+            factor, factor_exp = path, path_exp
+        else:
+            if len(node.children) == 1:
+                raise UnaryNode("shape contains a node with exactly one child")
+            factor, factor_exp = 1.0 / (1.0 - d.rho(node.leaf_count)), 0
+            for a, child in reversed(node.children.items()):
+                sub, sub_exp = math.frexp(path * d.probs[a])
+                stack.append((child, sub, path_exp + sub_exp))
+        acc, exp = math.frexp(acc * factor)
+        acc_exp += exp + factor_exp
+    return math.ldexp(acc, acc_exp)
 
 
 class PrefixLaw:

@@ -30,6 +30,7 @@ from triefringe.trees import (
     compress,
     enumerate_patricia_shapes,
     random_key_set,
+    shape_probability,
 )
 
 BIN_SYM = SourceDistribution((0.5, 0.5))
@@ -287,6 +288,19 @@ class TestDeepTrees:
             node = node.children[1]
             prefixes.append(node.prefix)
         assert prefixes == [()] + [(i % 2,) for i in range(self.LEVELS - 1)]
+
+    def test_build_from_the_leaf_paths(self):
+        trie = caterpillar(self.LEVELS)
+        # preorder lists the leaves in key order
+        keys = [path for path, node in trie.paths() if node.is_leaf]
+        assert len(keys) == self.LEVELS + 1
+        built = build_trie(keys, 2)
+        assert built == trie
+        assert compress(built) == build_patricia(keys, 2) == compress(trie)
+
+    def test_shape_probability_below_the_float_range(self):
+        # about 10^-5733, and the 201 keys' 201! alone is past the float range
+        assert shape_probability(compress(caterpillar(200)), BIN_SYM) == 0.0
 
     def test_evaluate_and_pullback_identity(self):
         trie = caterpillar(self.LEVELS)

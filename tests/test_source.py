@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triefringe.source import SourceDistribution
+from triefringe.source import _DRAW_SLICE, SourceDistribution
 from triefringe.trees import KEY_BLOCK_WIDTH, CharBlocks, random_key_set
 
 BIN_SYM = SourceDistribution((0.5, 0.5))
@@ -173,17 +173,21 @@ class TestSampleStream:
 
 
 class _FixedUniforms:
-    """Generator stub whose random(shape) returns preset values."""
+    """Generator stub whose random(out=...) fills each buffer with the next
+    preset values, in order, as a real generator's stream would."""
 
     def __init__(self, values):
         self.values = values
+        self.at = 0
 
-    def random(self, shape):
-        return self.values.reshape(shape)
+    def random(self, out):
+        out[...] = self.values[self.at : self.at + out.size]
+        self.at += out.size
+        return out
 
 
 class TestDrawChars:
-    @pytest.mark.parametrize("spec", ["uniform:3", "uniform:8", "uniform:128", "0.2,0.3,0.5"])
+    @pytest.mark.parametrize("spec", ["0.5,0.5", "0.3,0.7", "uniform:3", "uniform:8", "uniform:128", "0.2,0.3,0.5"])
     def test_equals_binary_search(self, spec):
         # threshold counting must agree with searchsorted(side="right") on
         # every threshold, its float neighbours and the ends of [0, 1); the
@@ -203,3 +207,15 @@ class TestDrawChars:
             d.draw_chars(_FixedUniforms(grid), (2, grid.size // 2)).ravel(),
             chars[: grid.size],
         )
+
+    @pytest.mark.parametrize("spec", ["0.3,0.7", "uniform:3"])
+    @pytest.mark.parametrize("shape", [(0,), (0, 32), (1,), (3, 5), (_DRAW_SLICE + 1,), (3, _DRAW_SLICE + 1)])
+    def test_same_uniforms_and_generator_state_as_one_draw(self, spec, shape):
+        # empty, one element, less than one slice, several slices with a partial last one
+        d = SourceDistribution.parse(spec)
+        drawn, whole = np.random.default_rng(17), np.random.default_rng(17)
+        chars = d.draw_chars(drawn, shape)
+        u = whole.random(shape)
+        assert chars.shape == u.shape
+        assert np.array_equal(chars, np.searchsorted(d._cum_head, u, side="right").astype(np.int8))
+        assert drawn.bit_generator.state == whole.bit_generator.state

@@ -11,6 +11,7 @@ from triefringe.functionals import evaluate_additive, phi_leaf
 from triefringe.source import SourceDistribution
 from triefringe.trees import (
     KeySet,
+    PatriciaTrie,
     PrefixLaw,
     TrieNode,
     _bottom_up,
@@ -150,6 +151,15 @@ class TestBuildTrie:
         for t in (build_trie(chain, 3), build_patricia(chain, 3), build_trie(DRAWN_KEYS, 2)):
             assert shape_signature(t) == sig(t.root)
             assert shape_string(t) == render(t.root)
+
+    def test_node_walks_of_a_chain_far_deeper_than_recursion_limit(self):
+        t = build_trie(["0" * 9998 + "0", "0" * 9998 + "1"], 2)
+        assert t.node_count() == sum(1 for _ in t.nodes()) == 10_001
+        assert [len(node.children) for node in itertools.islice(t.nodes(), 9998, None)] == [2, 0, 0]
+        with pytest.raises(UnaryNode):
+            PatriciaTrie(t.root, 2, 2).validate()
+        p = compress(t)
+        assert p.validate() and p.node_count() == 3
 
 
 class TestCompressAndPatricia:
@@ -392,6 +402,54 @@ class TestShapeProbability:
         bad = PatriciaTrie(PatriciaNode(children={0: PatriciaNode()}), 2, 1)
         with pytest.raises(UnaryNode):
             shape_probability(bad, BIN_SYM)
+
+    def test_equals_the_plain_float_product(self):
+        # the recursive product in preorder, bit for bit, wherever it is finite
+        def plain(shape, d):
+            acc = math.factorial(shape.root.leaf_count)
+
+            def walk(node, path_prob):
+                nonlocal acc
+                if not node.children:
+                    acc *= path_prob
+                    return
+                acc *= 1.0 / (1.0 - d.rho(node.leaf_count))
+                for a, c in node.children.items():
+                    walk(c, path_prob * d.probs[a])
+
+            walk(shape.root, 1.0)
+            return acc
+
+        for spec, kmax in (("0.5,0.5", 7), ("0.3,0.7", 7), ("0.2,0.3,0.5", 5)):
+            d = SourceDistribution.parse(spec)
+            for k in range(1, kmax + 1):
+                for s in enumerate_patricia_shapes(k, d.m):
+                    assert shape_probability(s, d).hex() == plain(s, d).hex()
+
+    def test_more_keys_than_a_float_factorial_holds(self):
+        from fractions import Fraction
+
+        from triefringe.trees import PatriciaNode
+
+        def complete(levels):
+            if levels == 0:
+                return PatriciaNode()
+            return PatriciaNode(children={0: complete(levels - 1), 1: complete(levels - 1)})
+
+        def exact(node, path_prob):
+            # k! is applied by the caller; p = 1/2 makes rho(j) = 2^(1-j)
+            if not node.children:
+                return path_prob
+            out = 1 / (1 - Fraction(2) ** (1 - node.leaf_count))
+            for c in node.children.values():
+                out *= exact(c, path_prob / 2)
+            return out
+
+        root = complete(8)
+        want = math.factorial(256) * exact(root, Fraction(1))
+        got = shape_probability(root, BIN_SYM)
+        assert 1e-68 < got < 1e-67
+        assert abs(Fraction(got) / want - 1) < 1e-12
 
 
 class TestPrefixLaw:
