@@ -78,9 +78,19 @@ CLI_CASES = {
         "simulate", "--source", "0.05,0.95", "--n", "2000", "--replicates", "10", "--seed", "16",
         "--functional", TOLLS, "--paired-trie",
     ),
+    # 40 replicates of about 30001 keys: the run forks a pool at two threads
+    "simulate-poisson-pool-0.3,0.7": (
+        "simulate", "--source", "0.3,0.7", "--lambda", "30000", "--replicates", "40", "--seed", "17",
+        "--functional", TOLLS,
+    ),
+    "oscillate-uniform:3": (
+        "oscillate", "--source", "uniform:3", "--functional", "k=5", "--seed", "7", "--lambda-min", "300",
+        "--periods", "1", "--points-per-period", "3", "--replicates", "40",
+    ),
 }
 
 CLI_DIGESTS = {
+    "oscillate-uniform:3": "598ad85b769374bf54861daabcfc9283af3347d970fa98d953270ab4c2e61aef",
     "fringe-dist-0.3,0.7": "29491afc04bfce93617ea4419c4a3c3792b9609b2c2d0f9c918319b7656f1621",
     "fringe-dist-uniform:8": "9aefd8f9d403c06e8abcfba6c8bff96fe8206ab78e91831dee16428f672d69c7",
     "simulate-fixed-0.3,0.7": "373086dd5699b050ada07bda704b340dfa2caffb523b4b7ac3723e132999a107",
@@ -91,6 +101,7 @@ CLI_DIGESTS = {
     "simulate-paired-0.5,0.5": "99610ccfe1bafc5ca0913c7bf8016020c0ceed8a266e4f787171cf3152072b2f",
     "simulate-paired-uniform:3": "bbaf667850f748d4670335ac4bc751a78326d72ca237ab0854c87b093229eb8a",
     "simulate-poisson-0.3,0.7": "3b0210160c303548d8dd0cc8ce7e3c90c6fd2a344b4141e828f43eaa4fa16f72",
+    "simulate-poisson-pool-0.3,0.7": "f116c7781459f04226926054090f59e0ba5e054390b0046fbd4b748c116b7797",
     "simulate-poisson-0.5,0.5": "15de3b36770e42e64b092457789e2473f608f4e3cc60c66cc587bc9c70371731",
     "simulate-poisson-uniform:3": "84e7fba5ecb446a40407908a60de646eca60f6cb70960bc3bc4cacf24becbc53",
 }
@@ -184,6 +195,13 @@ def _sha(text):
 @pytest.mark.parametrize("case", sorted(CLI_CASES))
 def test_cli_stdout(case, capsys):
     assert main(["--threads", "1", *CLI_CASES[case]]) == 0
+    assert _sha(capsys.readouterr().out) == CLI_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_stdout_two_threads(case, capsys):
+    # the same bytes whether or not the run forks a pool
+    assert main(["--threads", "2", *CLI_CASES[case]]) == 0
     assert _sha(capsys.readouterr().out) == CLI_DIGESTS[case]
 
 
