@@ -53,7 +53,8 @@ class Aperiodic(TrieFringeError):
 
 
 class DegenerateVariance(TrieFringeError):
-    """Moment diagnostics requested for a sample with zero variance."""
+    """A statistic requested of a sample with zero variance, such as moment
+    diagnostics or a fit weighted by inverse variances."""
 
 
 class MissingDependency(TrieFringeError, ImportError):

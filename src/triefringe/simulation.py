@@ -5,7 +5,7 @@ lazily from the source, and evaluate a batch of additive functionals on
 the patricia trie (and, when requested, the plain functionals on the trie
 of the same keys).  Each replicate owns a generator derived by hashing
 (master_seed, replicate_index), so results are bit-identical for a given
-seed regardless of chunking or worker count, and replicates are
+seed regardless of the block plan or worker count, and replicates are
 statistically independent.
 
 Every toll runs through one vectorized engine that never materializes
@@ -24,26 +24,27 @@ for the trie fringe and once for the compressed fringe, and each toll's own
 rule runs elementwise on those columns; shapes are matched on the table.
 Patricia nodes are the rows without exactly one child.
 
-Work is split at two sizes.  Pool tasks (chunks) hold about _CHUNK_KEYS
-= 2^20 keys: they decide how many tasks a run has and whether it forks a
-process pool at all.  Inside a task, the replicates run through the
-engine (character draw, forest, tolls, histogram and node counts) in
-consecutive blocks of about _BLOCK_KEYS = 2^15 keys, or one replicate
-where a replicate alone holds more.  A block's arrays (a 32-column
-character block is 1 MB at 2^15 keys, each row column a few hundred KB)
-stay near the size of a core's L2 cache (2 MB on the 2-vCPU Xeon the
-size was chosen on), where a whole task's arrays streamed through memory
-on every pass; traced memory is bounded by one block, not one task.  On
-the benchmark's fixed-binary runs (n = 10^4, three replicates to a
-block) 2^15 keys ran 10-15 % faster than blocks of 2^14 (one replicate),
-2^16 or 2^17 keys; with 5*10^4-key replicates the size made no
-difference.  Outputs are concatenated in replicate order, and since
-replicates own their streams and every per-replicate sum adds in an
-order no other replicate affects, neither the block nor the task size
-changes a single output bit.
+A run is planned once as blocks of consecutive replicates, as many as
+are expected to hold _BLOCK_KEYS = 2^15 keys (n or lam + 1 per
+replicate), or one replicate that alone holds more, and each block runs
+through the whole engine (character draw, forest, tolls, histogram and
+node counts) as one forest.  A block's arrays (a 32-column character
+block is 1 MB at 2^15 keys, each row column a few hundred KB) stay near
+the size of a core's L2 cache (2 MB on the 2-vCPU Xeon the size was
+chosen on), and traced memory is bounded by one block.  On the
+benchmark's fixed-binary runs (n = 10^4, three replicates to a block)
+2^15 keys ran 10-15 % faster than blocks of 2^14 (one replicate), 2^16
+or 2^17 keys; with 5*10^4-key replicates the size made no difference.
+The blocks are also the process pool's tasks: a run forks a pool of at
+most one worker per block, and only with more than one thread and one
+block and more than _POOL_KEYS = 2^20 expected keys, since every forking
+run starts and stops a pool of its own.  Outputs are concatenated in
+replicate order, and since replicates own their streams and every
+per-replicate sum adds in an order no other replicate affects, neither
+the block plan nor the worker count changes a single output bit.
 
 The root statistics (sample_patricia_roots, estimate_root_essential and
-the root toll of estimate_fX) run on the same chunked engine: each
+the root toll of estimate_fX) run on the same engine: each
 replicate's patricia root is found by following unary rows down from its
 trie root, and every toll is also read at that row.
 
@@ -80,7 +81,7 @@ from .functionals import _LEAF_SIG, TollFunction, _count_is, _is_lone_leaf, _sha
 from .source import SourceDistribution
 from .trees import DEFAULT_MAX_DEPTH, CharBlocks
 
-_CHUNK_KEYS = 1 << 20
+_POOL_KEYS = 1 << 20
 _BLOCK_KEYS = 1 << 15
 # glibc's mallopt parameter numbers (malloc.h) and the values set for them
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -531,32 +532,30 @@ def _toll_sums(forest, tolls, paired_trie=False):
 
 
 # ---------------------------------------------------------------------------
-# chunked execution
+# blocked execution
 
 
-def _engine_chunk(config, start, stop):
-    """Run replicates [start, stop) through the forest engine, one block of
-    consecutive replicates at a time: as many as fit in _BLOCK_KEYS keys, or
-    one replicate that alone holds more."""
+def _keys_per_replicate(config):
+    """The expected key count of one replicate, at least 1."""
+    return max(1.0, config.size if config.mode == "fixed" else config.size + 1.0)
+
+
+def _block_bounds(config):
+    """Consecutive replicate ranges, each of as many replicates as are
+    expected to fit in _BLOCK_KEYS keys, or of one that alone holds more."""
+    step = max(1, int(_BLOCK_KEYS / _keys_per_replicate(config)))
+    R = config.replicates
+    return [(a, min(a + step, R)) for a in range(0, R, step)]
+
+
+def _engine_block(config, start, stop):
+    """Run replicates [start, stop) through the forest engine as one forest."""
     _fix_heap_thresholds()
-    outs, rngs, counts = [], [], []
-    keys = 0
-    for i in range(start, stop):
-        rng = replicate_rng(config.master_seed, i)
-        n = int(config.size) if config.mode == "fixed" else int(rng.poisson(config.size))
-        if rngs and keys + n > _BLOCK_KEYS:
-            outs.append(_engine_block(config, rngs, counts, i - len(rngs)))
-            rngs, counts, keys = [], [], 0
-        rngs.append(rng)
-        counts.append(n)
-        keys += n
-    outs.append(_engine_block(config, rngs, counts, stop - len(rngs)))
-    return _merge(outs)
-
-
-def _engine_block(config, rngs, counts, start):
-    """Run one block of replicates, the first of them numbered `start`."""
-    counts = np.array(counts, dtype=np.int64)
+    rngs = [replicate_rng(config.master_seed, i) for i in range(start, stop)]
+    if config.mode == "fixed":
+        counts = np.full(len(rngs), int(config.size), dtype=np.int64)
+    else:
+        counts = np.array([rng.poisson(config.size) for rng in rngs], dtype=np.int64)
     # the character blocks are freed once the forest is built, before any toll
     forest = _Forest(CharBlocks(config.source, rngs, counts), counts, config.source.m, config.max_depth, start)
     out = _toll_sums(forest, config.functionals, config.paired_trie)
@@ -567,47 +566,41 @@ def _engine_block(config, rngs, counts, start):
     return out
 
 
-def _merge(results):
-    """One output of consecutive replicate ranges' outputs, in order."""
-    return {key: np.concatenate([r[key] for r in results]) for key in results[0]}
-
-
-def _chunk_bounds(config):
-    """Replicate ranges of ceil(R / reps_per_chunk) chunks whose sizes differ by
-    at most one, so no pool worker is left with a long tail chunk."""
-    per = max(1.0, config.size if config.mode == "fixed" else config.size + 1.0)
-    reps_per_chunk = max(1, int(_CHUNK_KEYS / per))
-    R = config.replicates
-    n_chunks = -(-R // reps_per_chunk)
-    bounds = [i * R // n_chunks for i in range(n_chunks + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
 def _collect(config, threads=1):
-    chunks = _chunk_bounds(config)
-    results = [None] * len(chunks)
-    if threads > 1 and len(chunks) > 1:
+    """Every replicate's engine outputs, in replicate order.  The blocks run
+    as tasks of a process pool when there are threads to spare, more than
+    one block and more than _POOL_KEYS expected keys, else in turn."""
+    blocks = _block_bounds(config)
+    results = None
+    if threads > 1 and len(blocks) > 1 and config.replicates * _keys_per_replicate(config) > _POOL_KEYS:
         import concurrent.futures as cf
 
         try:
-            with cf.ProcessPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
-                futures = {pool.submit(_engine_chunk, config, a, b): i for i, (a, b) in enumerate(chunks)}
-                for fut, i in futures.items():
-                    results[i] = fut.result()
+            with cf.ProcessPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
+                futures = [pool.submit(_engine_block, config, a, b) for a, b in blocks]
+                results = [fut.result() for fut in futures]
         except OSError as exc:  # sandboxed environments may forbid subprocesses
             warnings.warn(
-                f"process pool unavailable ({exc!r}); running {len(chunks)} chunks serially",
+                f"process pool unavailable ({exc!r}); running {len(blocks)} blocks serially",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            results = [_engine_chunk(config, a, b) for a, b in chunks]
-    else:
-        results = [_engine_chunk(config, a, b) for a, b in chunks]
-    return _merge(results)
+    if results is None:
+        results = [_engine_block(config, a, b) for a, b in blocks]
+    return {key: np.concatenate([r[key] for r in results]) for key in results[0]}
 
 
 # ---------------------------------------------------------------------------
 # moments
+
+
+def _mean_se(samples):
+    """Mean over replicates (the first axis) and its standard error, which
+    is 0 for a single replicate."""
+    mean = samples.mean(axis=0)
+    R = len(samples)
+    se = samples.std(axis=0, ddof=1) / math.sqrt(R) if R > 1 else np.zeros_like(mean)
+    return mean, se
 
 
 def _moment_stats(name, samples) -> FunctionalStats:
@@ -631,17 +624,14 @@ def _moment_stats(name, samples) -> FunctionalStats:
 
 def run(config: SimulationConfig, threads: int = 1) -> SimulationSummary:
     """Execute a simulation; deterministic in (config, master_seed) regardless
-    of threads or chunking."""
+    of threads or the block plan."""
     data = _collect(config, threads=threads)
     names = [t.name for t in config.functionals]
     stats = tuple(_moment_stats(nm, data["pat"][:, j]) for j, nm in enumerate(names))
     trie_stats = None
     if config.paired_trie:
         trie_stats = tuple(_moment_stats(nm, data["trie"][:, j]) for j, nm in enumerate(names))
-    hist = data["hist"]
-    R = config.replicates
-    hist_mean = hist.mean(axis=0)
-    hist_se = hist.std(axis=0, ddof=1) / math.sqrt(R) if R > 1 else np.zeros(hist.shape[1])
+    hist_mean, hist_se = _mean_se(data["hist"])
     kmax = config.histogram_kmax
     return SimulationSummary(
         config=config,
@@ -700,27 +690,27 @@ def estimate_fX(toll: TollFunction, d: SourceDistribution, lam: float, replicate
     chi = base.chi
     c1 = chi * lam * math.exp(-lam)
 
-    xc = x - x.mean()
+    x_mean, f_e_se = _mean_se(x)
+    xc = x - x_mean
     yc = y - y.mean()
     nc = n - n.mean()
 
-    f_e = float(x.mean() - c1)
-    f_e_se = float(np.std(x, ddof=1) / math.sqrt(R))
+    f_e = float(x_mean - c1)
 
     cov_xy = float(np.sum(xc * yc) / (R - 1))
     var_x = float(np.sum(xc * xc) / (R - 1))
-    f_v = 2.0 * cov_xy - var_x + 2.0 * c1 * float(y.mean() - x.mean()) - chi**2 * lam * math.exp(-lam) * (
+    f_v = 2.0 * cov_xy - var_x + 2.0 * c1 * float(y.mean() - x_mean) - chi**2 * lam * math.exp(-lam) * (
         1.0 - lam * math.exp(-lam)
     )
     h_v = 2.0 * xc * yc - xc * xc + 2.0 * c1 * (y - x)
-    f_v_se = float(np.std(h_v, ddof=1) / math.sqrt(R))
+    f_v_se = _mean_se(h_v)[1]
 
     cov_xn = float(np.sum(xc * nc) / (R - 1))
     f_c = cov_xn + chi * lam * (lam - 1.0) * math.exp(-lam)
     h_c = xc * nc
-    f_c_se = float(np.std(h_c, ddof=1) / math.sqrt(R))
+    f_c_se = _mean_se(h_c)[1]
 
-    return ProfileEstimates(lam, R, f_e, f_e_se, f_v, f_v_se, float(f_c), f_c_se)
+    return ProfileEstimates(lam, R, f_e, float(f_e_se), f_v, float(f_v_se), float(f_c), float(f_c_se))
 
 
 def sample_patricia_roots(d: SourceDistribution, n: int, replicates: int, master_seed: int, shapes=()):
@@ -755,7 +745,8 @@ def estimate_root_essential(d: SourceDistribution, n: int, replicates: int, mast
     """
     _check_replicates(replicates)
     vals = _collect(SimulationConfig.fixed(d, n, replicates, master_seed, (phi_alpha(),)))["root"][:, 0]
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicates))
+    mean, se = _mean_se(vals)
+    return float(mean), float(se)
 
 
 # ---------------------------------------------------------------------------
@@ -781,8 +772,11 @@ def normality_diagnostics(samples, skew_threshold=None, kurtosis_threshold=None)
     R = len(x)
     if R < 100:
         raise ValueError("need at least 100 samples for moment diagnostics")
-    if np.var(x) == 0.0:
+    if x.min() == x.max():  # np.var of a constant like 0.1 need not be 0
         raise DegenerateVariance("sample variance is zero")
+    # the moments do not change under a shift, and power sums of a sample
+    # far from 0 would cancel
+    x = x - x.mean()
 
     def moments(s1, s2, s3, s4, n):
         m1 = s1 / n
@@ -835,9 +829,14 @@ class OscillationScan:
 
         Residuals are taken against the periodic overlay when one is
         available (so a large genuine oscillation is not mistaken for a
-        drift), else against a constant.
+        drift), else against a constant.  Raises DegenerateVariance when a
+        point's replicates all agree, since its weight 1/se^2 is infinite.
         """
         x, se = self.log_lambda, self.se
+        flat = np.flatnonzero(se == 0.0)
+        if flat.size:
+            j = flat[0]
+            raise DegenerateVariance(f"oscillation point {j} (log lambda {x[j]:.6g}) has standard error 0")
         y = self.mean_over_lambda.copy()
         if np.all(np.isfinite(self.psi_overlay)):
             y = y - self.psi_overlay
@@ -882,9 +881,7 @@ def oscillation_scan(
         lam = math.exp(ll)
         config = SimulationConfig.poisson(d, lam, replicates, master_seed + j, (toll,))
         data = _collect(config)
-        vals = data["pat"][:, 0] / lam
-        means[j] = vals.mean()
-        ses[j] = vals.std(ddof=1) / math.sqrt(len(vals))
+        means[j], ses[j] = _mean_se(data["pat"][:, 0] / lam)
         if psi_e is not None:
             overlay[j] = psi_eval(psi_e, ll) / h + toll.chi
     return OscillationScan(logs, means, ses, overlay)
@@ -920,14 +917,14 @@ def fringe_distribution(config: SimulationConfig, threads: int = 1) -> FringeDis
     nodes = data["pat_nodes"]
     masses = data["hist"] / nodes[:, None]
     leaf_mass = data["n"] / nodes
-    R = len(nodes)
+    mass_mean, mass_se = _mean_se(masses)
     kmax = config.histogram_kmax
     return FringeDistribution(
         k=np.concatenate([np.arange(2, kmax + 1), [kmax + 1]]),
-        mass_mean=masses.mean(axis=0),
-        mass_se=masses.std(axis=0, ddof=1) / math.sqrt(R) if R > 1 else np.zeros(kmax),
+        mass_mean=mass_mean,
+        mass_se=mass_se,
         leaf_mass_mean=float(leaf_mass.mean()),
-        replicates=R,
+        replicates=len(nodes),
     )
 
 

@@ -169,6 +169,21 @@ class TestOscillate:
         assert res["psi_overlay"][0] is not None
         assert "trend_tstat" in res
 
+    @pytest.mark.parametrize(
+        "functional, lambda_min, named",
+        [("leaf", "5", "point 1 (log lambda 1.95601)"), ("k=50", "0.001", "point 0 (log lambda -6.90776)")],
+    )
+    def test_point_without_spread_is_numeric_error(self, capsys, functional, lambda_min, named):
+        # a point whose replicates all agree has standard error 0, so the
+        # trend's weight 1/se^2 is undefined
+        code, out, err = invoke(
+            capsys, "oscillate", "--source", "0.5,0.5", "--functional", functional,
+            "--lambda-min", lambda_min, "--seed", "1", "--replicates", "2",
+            "--periods", "1", "--points-per-period", "2",
+        )
+        assert code == 2 and out == ""
+        assert named in err and "standard error 0" in err
+
 
 class TestTopLevel:
     @pytest.mark.parametrize(

@@ -121,8 +121,8 @@ def stride_schedule(layout, m):
     return passes
 
 
-def explicit_chunk(config, start, stop):
-    """Reference for the engine: replicates [start, stop) built as explicit
+def explicit_run(config):
+    """Reference for the engine: every replicate built as explicit
     tries and patricia tries from the same keys, evaluated node by node,
     with every output the engine can give and the pulled-back toll at the
     trie root ("pulled_root")."""
@@ -134,7 +134,7 @@ def explicit_chunk(config, start, stop):
     kmax = config.histogram_kmax
     keys = ("n", "pat", "trie", "root", "root_depth", "pulled_root", "pat_nodes", "trie_nodes", "hist")
     out = {key: [] for key in keys}
-    for i in range(start, stop):
+    for i in range(config.replicates):
         rng = replicate_rng(config.master_seed, i)
         n = int(config.size) if config.mode == "fixed" else int(rng.poisson(config.size))
         ks = random_key_set(config.source, n, rng)
@@ -190,50 +190,50 @@ class TestRun:
 
     def test_threads_do_not_change_results(self, monkeypatch):
         from triefringe import simulation
-        from triefringe.simulation import _chunk_bounds
         from triefringe.trees import enumerate_patricia_shapes
 
-        # large enough that the run spans several chunks and really exercises
-        # the worker pool; the second config does not divide evenly into
-        # chunks of the nominal size
+        # large enough that the run forks and really exercises the worker
+        # pool, with one replicate to a block
         for cfg in (
             SimulationConfig.fixed(BIN_SYM, 40_000, 64, 29, (phi_k(2), phi_alpha())),
             SimulationConfig.fixed(TERNARY, 50_000, 24, 29, (phi_k(2), phi_alpha())),
         ):
-            assert len(_chunk_bounds(cfg)) > 1
+            assert forks(cfg)
             seq = run(cfg, threads=1)
             par = run(cfg, threads=3)
             assert seq.as_dict() == par.as_dict()
         # shape tolls and custom rules on the trie side travel to the workers
-        # too, in small chunks
-        monkeypatch.setattr(simulation, "_CHUNK_KEYS", 1000)
+        # too, in small blocks
+        small_blocks(monkeypatch)
         tolls = (phi_shape(enumerate_patricia_shapes(3, 2)[0]), TWO_WAY, phi_alpha())
         cfg = SimulationConfig.fixed(SKEWED, 200, 24, 29, tolls, paired_trie=True)
-        assert len(_chunk_bounds(cfg)) > 1
+        assert forks(cfg) and len(simulation._block_bounds(cfg)) == 5
         assert run(cfg, threads=1).as_dict() == run(cfg, threads=3).as_dict()
 
-    def test_chunks_balanced(self):
-        from triefringe.simulation import _CHUNK_KEYS, _chunk_bounds
+    def test_block_plan(self):
+        from triefringe.simulation import _BLOCK_KEYS, _block_bounds
 
-        cfg = SimulationConfig.fixed(TERNARY, 50_000, 24, 1, ())
-        assert _chunk_bounds(cfg) == [(0, 12), (12, 24)]
+        cfg = SimulationConfig.fixed(SKEWED, 10_000, 20, 1, ())
+        assert _block_bounds(cfg) == [(0, 3), (3, 6), (6, 9), (9, 12), (12, 15), (15, 18), (18, 20)]
         for mode, size, R in (
             ("fixed", 50_000, 24),
             ("fixed", 40_000, 64),
             ("fixed", 300_000, 7),
             ("fixed", 10, 5),
+            ("fixed", 0, 40_000),
             ("fixed", 2_000_000, 3),
             ("poisson", 1e5, 31),
+            ("poisson", 1500, 31),
             ("poisson", 0.5, 1),
         ):
-            chunks = _chunk_bounds(SimulationConfig(BIN_SYM, mode, float(size), R, 1, ()))
+            blocks = _block_bounds(SimulationConfig(BIN_SYM, mode, float(size), R, 1, ()))
             per = max(1.0, size if mode == "fixed" else size + 1.0)
-            reps_per_chunk = max(1, int(_CHUNK_KEYS / per))
-            assert len(chunks) == math.ceil(R / reps_per_chunk)
-            assert chunks[0][0] == 0 and chunks[-1][1] == R
-            assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-            sizes = [b - a for a, b in chunks]
-            assert max(sizes) - min(sizes) <= 1 and max(sizes) <= reps_per_chunk
+            reps_per_block = max(1, int(_BLOCK_KEYS / per))
+            assert len(blocks) == math.ceil(R / reps_per_block)
+            assert blocks[0][0] == 0 and blocks[-1][1] == R
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            sizes = [b - a for a, b in blocks]
+            assert all(size == reps_per_block for size in sizes[:-1]) and 1 <= sizes[-1] <= reps_per_block
 
     def test_pool_fallback_warns(self, monkeypatch):
         import concurrent.futures
@@ -244,47 +244,49 @@ class TestRun:
             raise PermissionError("no subprocesses here")
 
         cfg = SimulationConfig.fixed(TERNARY, 100, 30, 53, (phi_k(2), phi_alpha()))
-        monkeypatch.setattr(simulation, "_CHUNK_KEYS", 1000)
-        assert len(simulation._chunk_bounds(cfg)) == 3
         seq = run(cfg, threads=1)
+        small_blocks(monkeypatch)
+        assert forks(cfg) and len(simulation._block_bounds(cfg)) == 3
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         with pytest.warns(RuntimeWarning, match="no subprocesses here"):
             fallback = run(cfg, threads=2)
         assert fallback.as_dict() == seq.as_dict()
 
-    def test_pool_workers_capped_at_chunks(self, monkeypatch):
+    def test_pool_workers_capped_at_blocks(self, monkeypatch):
         # under fork the pool starts all of its workers at once, so it asks
-        # for no more than there are chunks; the recorder runs every call
-        # inline and starts no process
-        import concurrent.futures
-
+        # for no more than there are blocks
         from triefringe import simulation
-
-        asked = []
-
-        class Inline:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
 
         cfg = SimulationConfig.fixed(TERNARY, 100, 30, 53, (phi_k(2), phi_alpha()))
         seq = run(cfg, threads=1)
-        monkeypatch.setattr(simulation, "_CHUNK_KEYS", 1000)
-        assert len(simulation._chunk_bounds(cfg)) == 3
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
+        small_blocks(monkeypatch)
+        assert len(simulation._block_bounds(cfg)) == 3
+        pools = inline_pool(monkeypatch)
         for threads, workers in ((64, 3), (3, 3), (2, 2)):
             assert run(cfg, threads=threads).as_dict() == seq.as_dict()
-            assert asked.pop() == workers and not asked
+            assert pools.pop()[0] == workers and not pools
+
+    @pytest.mark.parametrize("mode, size", [("fixed", 100), ("poisson", 99)])
+    def test_fork_decision(self, monkeypatch, mode, size):
+        # a pool starts only at threads > 1, more than one block and more
+        # than _POOL_KEYS expected keys (n, or lam + 1, per replicate), and
+        # its workers get one task per block, in block order
+        from triefringe import simulation
+
+        cfg = SimulationConfig(TERNARY, mode, float(size), 30, 53, (phi_k(2), phi_alpha()))
+        seq = run(cfg, threads=1).as_dict()
+        monkeypatch.setattr(simulation, "_BLOCK_KEYS", 1000)
+        blocks = simulation._block_bounds(cfg)
+        assert blocks == [(0, 10), (10, 20), (20, 30)]
+        pools = inline_pool(monkeypatch)
+        for pool_keys, threads, started in ((3000, 64, False), (2999, 1, False), (2999, 64, True)):
+            monkeypatch.setattr(simulation, "_POOL_KEYS", pool_keys)
+            assert run(cfg, threads=threads).as_dict() == seq
+            assert pools == ([(3, blocks)] if started else []), (pool_keys, threads)
+            pools.clear()
+        # one block never forks
+        monkeypatch.setattr(simulation, "_BLOCK_KEYS", 3000)
+        assert run(cfg, threads=64).as_dict() == seq and not pools
 
     def test_histogram_partitions_nodes(self):
         cfg = SimulationConfig.fixed(TERNARY, 500, 30, 31, (phi_leaf(),))
@@ -338,6 +340,51 @@ class TestRun:
         assert gap < 3 * math.hypot(a.se_mean, b.se_mean) + 0.05 * math.sqrt(n)
 
 
+def forks(config):
+    """Whether a run of config at more than one thread starts a pool."""
+    from triefringe import simulation
+
+    per = max(1.0, config.size if config.mode == "fixed" else config.size + 1.0)
+    return len(simulation._block_bounds(config)) > 1 and config.replicates * per > simulation._POOL_KEYS
+
+
+def small_blocks(monkeypatch):
+    """Blocks of 1000 keys, and a pool for any run of more than 1000 keys."""
+    from triefringe import simulation
+
+    monkeypatch.setattr(simulation, "_BLOCK_KEYS", 1000)
+    monkeypatch.setattr(simulation, "_POOL_KEYS", 1000)
+
+
+def inline_pool(monkeypatch):
+    """Stand in for the process pool with one that runs every task inline
+    and starts no process.  Returns the list of (max_workers, the (start,
+    stop) of each task in submission order) of the pools started."""
+    import concurrent.futures
+
+    pools = []
+
+    class Inline:
+        def __init__(self, max_workers):
+            self.tasks = []
+            pools.append((max_workers, self.tasks))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, config, start, stop):
+            self.tasks.append((start, stop))
+            future = concurrent.futures.Future()
+            future.set_result(fn(config, start, stop))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
+    return pools
+
+
 def _spread(st):
     """A rule whose values are not dyadic fractions, so a per-replicate sum
     of them depends on the order of its additions."""
@@ -347,25 +394,24 @@ def _spread(st):
 SPREAD = TollFunction(name="spread", chi=0.75, stats_fn=_spread)
 
 
+def record_blocks(monkeypatch):
+    """The (first replicate, replicate count) of every block run from now on."""
+    from triefringe import simulation
+
+    blocks = []
+    engine_block = simulation._engine_block
+
+    def counted(config, start, stop):
+        blocks.append((start, stop - start))
+        return engine_block(config, start, stop)
+
+    monkeypatch.setattr(simulation, "_engine_block", counted)
+    return blocks
+
+
 class TestBlocks:
-    """A pool task runs its replicates through the engine in blocks of about
-    _BLOCK_KEYS keys, and every output is the same bit for bit whatever the
-    block size."""
-
-    @staticmethod
-    def record_blocks(monkeypatch):
-        """The (first replicate, replicate count) of every block run from now on."""
-        from triefringe import simulation
-
-        blocks = []
-        engine_block = simulation._engine_block
-
-        def counted(config, rngs, counts, start):
-            blocks.append((start, len(rngs)))
-            return engine_block(config, rngs, counts, start)
-
-        monkeypatch.setattr(simulation, "_engine_block", counted)
-        return blocks
+    """A run goes through the engine in blocks of about _BLOCK_KEYS keys,
+    and every output is the same bit for bit whatever the block size."""
 
     @pytest.mark.parametrize(
         "mode, spec, size",
@@ -377,15 +423,15 @@ class TestBlocks:
 
         tolls = (phi_k(2), phi_alpha(), phi_shape(enumerate_patricia_shapes(3, 2)[1]), TWO_WAY, SPREAD)
         cfg = SimulationConfig(SourceDistribution.parse(spec), mode, float(size), 12, 5, tolls, paired_trie=True)
-        blocks = self.record_blocks(monkeypatch)
+        blocks = record_blocks(monkeypatch)
         outs, n_blocks = {}, {}
         for block_keys in (1, 5000, 2**30):
             monkeypatch.setattr(simulation, "_BLOCK_KEYS", block_keys)
             blocks.clear()
-            outs[block_keys] = simulation._engine_chunk(cfg, 3, 15)
-            # consecutive blocks cover the task's replicates in order
+            outs[block_keys] = simulation._collect(cfg)
+            # consecutive blocks cover the run's replicates in order
             starts = [start for start, _ in blocks]
-            assert starts == [3] + [start + reps for start, reps in blocks[:-1]]
+            assert starts == [0] + [start + reps for start, reps in blocks[:-1]]
             assert sum(reps for _, reps in blocks) == 12
             n_blocks[block_keys] = len(blocks)
         assert n_blocks[1] == 12 and 1 < n_blocks[5000] < 12 and n_blocks[2**30] == 1
@@ -394,17 +440,21 @@ class TestBlocks:
             for key, want in outs[1].items():
                 got = outs[block_keys][key]
                 assert got.dtype == want.dtype and np.array_equal(got, want), (key, block_keys)
+        # a block that starts past replicate 0 gives those replicates' outputs
+        for key, got in simulation._engine_block(cfg, 3, 12).items():
+            want = outs[1][key][3:]
+            assert got.dtype == want.dtype and np.array_equal(got, want), key
 
     def test_block_counts(self, monkeypatch):
         from triefringe import simulation
 
         cfg = SimulationConfig.fixed(SKEWED, 1000, 12, 5, ())
-        blocks = self.record_blocks(monkeypatch)
+        blocks = record_blocks(monkeypatch)
         # as many replicates as fit, or one that alone holds more
         for block_keys, sizes in ((1, [1] * 12), (999, [1] * 12), (5000, [5, 5, 2]), (2**30, [12])):
             monkeypatch.setattr(simulation, "_BLOCK_KEYS", block_keys)
             blocks.clear()
-            simulation._engine_chunk(cfg, 0, 12)
+            simulation._collect(cfg)
             assert [reps for _, reps in blocks] == sizes, block_keys
 
     def test_depth_bound_names_first_replicate_in_a_later_block(self, monkeypatch):
@@ -422,17 +472,17 @@ class TestBlocks:
         first = failing[0]
         assert first >= 1 and len(failing) >= 2
         # one replicate per block (so the first failing one is in a later
-        # block), two per block, and one block; a task may start past
-        # replicate 0, as a pool task does
+        # block), two per block, and one block
         for block_keys in (6, 12, 2**30):
             monkeypatch.setattr(simulation, "_BLOCK_KEYS", block_keys)
-            for start in (0, 1):
-                with pytest.raises(DepthExceeded) as err:
-                    simulation._engine_chunk(cfg, start, cfg.replicates)
-                assert err.value.replicate == first, (block_keys, start)
             with pytest.raises(DepthExceeded) as err:
-                simulation._engine_chunk(cfg, first + 1, cfg.replicates)
-            assert err.value.replicate == failing[1], block_keys
+                simulation._collect(cfg)
+            assert err.value.replicate == first, block_keys
+        # a block may start past replicate 0, as every block but the first does
+        for start, named in ((0, first), (1, first), (first + 1, failing[1])):
+            with pytest.raises(DepthExceeded) as err:
+                simulation._engine_block(cfg, start, cfg.replicates)
+            assert err.value.replicate == named, start
 
 
 class TestMemory:
@@ -622,13 +672,13 @@ class TestTollGate:
     the sums and root values are the explicit patricia trie's."""
 
     def check(self, tolls, paired_trie=False, replicates=6):
-        from triefringe.simulation import _engine_chunk
+        from triefringe.simulation import _collect
 
         cfg = SimulationConfig.fixed(SKEWED, 60, replicates, 53, tolls, paired_trie=paired_trie)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fast = _engine_chunk(cfg, 0, replicates)
-        slow = explicit_chunk(cfg, 0, replicates)
+            fast = _collect(cfg)
+        slow = explicit_run(cfg)
         for key in ("pat", "pat_nodes", "hist") + (("trie",) if paired_trie else ()):
             assert np.array_equal(fast[key], slow[key]), key
         assert_roots_match(fast, slow)
@@ -671,7 +721,7 @@ class TestEngineMatchesExplicitTrees:
     )
 
     def test_patricia_values_histogram_and_roots(self):
-        from triefringe.simulation import _engine_chunk
+        from triefringe.simulation import _collect
         from triefringe.trees import enumerate_patricia_shapes
 
         tolls = (
@@ -685,14 +735,14 @@ class TestEngineMatchesExplicitTrees:
         for d in self.SOURCES:
             for mode, size in (("fixed", 7.0), ("poisson", 5.0), ("fixed", 1.0), ("fixed", 0.0)):
                 cfg = SimulationConfig(d, mode, size, 50, 4242, tolls)
-                fast = _engine_chunk(cfg, 0, 50)
-                slow = explicit_chunk(cfg, 0, 50)
+                fast = _collect(cfg)
+                slow = explicit_run(cfg)
                 for key in ("n", "pat", "pat_nodes", "trie_nodes", "hist"):
                     assert np.array_equal(fast[key], slow[key]), (key, d.probs, mode, size)
                 assert_roots_match(fast, slow)
 
     def test_paired_trie_values(self):
-        from triefringe.simulation import _engine_chunk
+        from triefringe.simulation import _collect
         from triefringe.trees import build_trie, enumerate_patricia_shapes
 
         # a ternary shape, and a trie shape whose 0-child is unary: the
@@ -711,8 +761,8 @@ class TestEngineMatchesExplicitTrees:
         found = {"pat": np.zeros(len(tolls)), "trie": np.zeros(len(tolls))}
         for d in self.SOURCES:
             cfg = SimulationConfig.fixed(d, 9, 40, 99, tolls, paired_trie=True)
-            fast = _engine_chunk(cfg, 0, 40)
-            slow = explicit_chunk(cfg, 0, 40)
+            fast = _collect(cfg)
+            slow = explicit_run(cfg)
             for key in ("pat", "trie", "trie_nodes"):
                 assert np.array_equal(fast[key], slow[key]), (key, d.probs)
             assert_roots_match(fast, slow)
@@ -724,13 +774,13 @@ class TestEngineMatchesExplicitTrees:
     def test_widest_alphabet_matches_explicit_tree(self):
         # m = 128 is the largest alphabet whose characters fit in int8
         from triefringe.functionals import evaluate_additive
-        from triefringe.simulation import _engine_chunk, replicate_rng
+        from triefringe.simulation import _collect, replicate_rng
         from triefringe.trees import build_patricia, random_key_set
 
         d = SourceDistribution.uniform(128)
         tolls = (phi_k(2), phi_k(3), phi_internal(), phi_leaf(), phi_alpha())
         cfg = SimulationConfig.fixed(d, 3000, 2, 61, tolls)
-        fast = _engine_chunk(cfg, 0, 2)
+        fast = _collect(cfg)
         keys = random_key_set(d, 3000, replicate_rng(61, 0))
         pat = build_patricia(keys)
         assert np.array_equal(fast["pat"][0], evaluate_additive(tolls, pat))
@@ -740,7 +790,7 @@ class TestEngineMatchesExplicitTrees:
     def test_fuzzed_configs(self):
         from hypothesis import given, settings
         from hypothesis import strategies as st
-        from triefringe.simulation import _engine_chunk
+        from triefringe.simulation import _collect
         from triefringe.trees import enumerate_patricia_shapes
 
         tolls = (
@@ -764,8 +814,8 @@ class TestEngineMatchesExplicitTrees:
             d = SourceDistribution(tuple(w / sum(weights) for w in weights))
             mode = "fixed" if fixed else "poisson"
             cfg = SimulationConfig(d, mode, float(size), 12, seed, tolls, paired_trie=True)
-            fast = _engine_chunk(cfg, 0, 12)
-            slow = explicit_chunk(cfg, 0, 12)
+            fast = _collect(cfg)
+            slow = explicit_run(cfg)
             for key in ("n", "pat", "trie", "pat_nodes", "trie_nodes", "hist"):
                 assert np.array_equal(fast[key], slow[key]), key
             assert_roots_match(fast, slow)
@@ -787,12 +837,12 @@ class TestShapeColumn:
         custom, builtin = (
             SimulationConfig.fixed(SKEWED, 40, 60, 71, (toll,), paired_trie=True) for toll in (rule, phi_shape(shape))
         )
-        want, oracle = explicit_chunk(builtin, 0, 60), explicit_chunk(custom, 0, 60)
+        want, oracle = explicit_run(builtin), explicit_run(custom)
         for key in ("pat", "trie", "root"):
             assert np.array_equal(oracle[key], want[key]), key
         assert want["pat"].sum() > 0 and want["trie"].sum() > 0
-        monkeypatch.setattr(simulation, "_CHUNK_KEYS", 1000)
-        assert len(simulation._chunk_bounds(custom)) > 1
+        small_blocks(monkeypatch)
+        assert forks(custom) and len(simulation._block_bounds(custom)) > 1
         for threads in (1, 3):
             for cfg in (custom, builtin):
                 fast = simulation._collect(cfg, threads=threads)
@@ -801,7 +851,7 @@ class TestShapeColumn:
 
     @pytest.mark.parametrize("d", [SKEWED, TERNARY])
     def test_malformed_signatures_match_nothing(self, d):
-        from triefringe.simulation import _engine_chunk
+        from triefringe.simulation import _collect
 
         bad = (
             (),
@@ -814,8 +864,8 @@ class TestShapeColumn:
         cherry = ((0, "*"), (1, "*"))
         tolls = tuple(TollFunction(repr(sig), 0.0, partial(matches, sig=sig)) for sig in (cherry, *bad))
         cfg = SimulationConfig.fixed(d, 12, 20, 73, tolls, paired_trie=True)
-        fast = _engine_chunk(cfg, 0, 20)
-        slow = explicit_chunk(cfg, 0, 20)
+        fast = _collect(cfg)
+        slow = explicit_run(cfg)
         for key in ("pat", "trie", "root"):
             assert np.array_equal(fast[key], slow[key]), key
             assert not fast[key][:, 1:].any(), key
@@ -823,23 +873,18 @@ class TestShapeColumn:
 
 
 class TestRootStatistics:
-    def test_chunked_like_one_chunk(self, monkeypatch):
+    def test_blocked_like_one_block(self, monkeypatch):
         from triefringe import simulation
         from triefringe.trees import enumerate_patricia_shapes
 
         shapes = enumerate_patricia_shapes(5, 2)
         args = (SKEWED, 5, 600, 17)
+        calls = record_blocks(monkeypatch)
         whole_roots = sample_patricia_roots(*args, shapes)
         whole_alpha = estimate_root_essential(*args)
-        calls = []
-        engine_chunk = simulation._engine_chunk
-
-        def counted(config, start, stop):
-            calls.append((start, stop))
-            return engine_chunk(config, start, stop)
-
-        monkeypatch.setattr(simulation, "_CHUNK_KEYS", 1000)
-        monkeypatch.setattr(simulation, "_engine_chunk", counted)
+        assert len(calls) == 2
+        calls.clear()
+        monkeypatch.setattr(simulation, "_BLOCK_KEYS", 1000)
         roots = sample_patricia_roots(*args, shapes)
         assert len(calls) > 1
         calls.clear()
@@ -851,7 +896,7 @@ class TestRootStatistics:
     def test_shape_index_is_last_matching_shape(self):
         # the index toll gives what one phi_shape toll per shape read at the
         # root gives, with repeated shapes and shapes of other key counts
-        from triefringe.simulation import _engine_chunk
+        from triefringe.simulation import _collect
         from triefringe.trees import enumerate_patricia_shapes
 
         four = enumerate_patricia_shapes(4, 2)
@@ -861,7 +906,7 @@ class TestRootStatistics:
             index, depth = sample_patricia_roots(SKEWED, n, 300, 19, shapes)
             found[n] = set(index.tolist())
             cfg = SimulationConfig.fixed(SKEWED, n, 300, 19, tuple(phi_shape(s) for s in shapes))
-            ref = _engine_chunk(cfg, 0, 300)
+            ref = _collect(cfg)
             want = np.full(300, -1)
             for j in range(len(shapes)):
                 want[ref["root"][:, j] > 0] = j
@@ -962,8 +1007,10 @@ class TestNormalityDiagnostics:
         assert diag.skewness_se > 0 and diag.excess_kurtosis_se > 0
 
     def test_constant_sample_degenerate(self):
-        with pytest.raises(DegenerateVariance):
-            normality_diagnostics(np.ones(500))
+        # np.var of 2000 copies of 0.1 or 7.7 is about 1e-34 or 3e-30, not 0
+        for value, size in ((1.0, 500), (0.1, 2000), (7.7, 2000)):
+            with pytest.raises(DegenerateVariance):
+                normality_diagnostics(np.full(size, value))
 
     def test_flags(self):
         rng = np.random.default_rng(89)
@@ -974,6 +1021,15 @@ class TestNormalityDiagnostics:
     def test_short_sample_rejected(self):
         with pytest.raises(ValueError):
             normality_diagnostics(np.arange(10))
+
+    @pytest.mark.parametrize("shift", [1e4, 1e6])
+    def test_shift_invariant(self, shift):
+        # raw power sums of a sample far from 0 cancel: at a shift of 10^4
+        # the excess kurtosis read -6.90, at 10^6 the skewness read 502
+        x = np.random.default_rng(1).standard_normal(2000)
+        want, got = normality_diagnostics(x), normality_diagnostics(x + shift)
+        for field in ("skewness", "skewness_se", "excess_kurtosis", "excess_kurtosis_se"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-6), field
 
 
 class TestOscillationScan:
@@ -989,6 +1045,13 @@ class TestOscillationScan:
         # one period apart = 4 grid points apart: identical overlay values
         assert scan.psi_overlay[0] == pytest.approx(scan.psi_overlay[4], rel=1e-9)
         assert scan.psi_overlay[1] == pytest.approx(scan.psi_overlay[5], rel=1e-9)
+
+    def test_point_without_spread_rejected(self):
+        # both replicates of the second point hold the same number of keys
+        scan = oscillation_scan(BIN_SYM, phi_leaf(), 5.0, 2, 1, periods=1, points_per_period=2)
+        assert scan.se[0] > 0 and scan.se[1] == 0
+        with pytest.raises(DegenerateVariance, match=r"point 1 \(log lambda 1.95601\)"):
+            scan.residual_trend()
 
     def test_mean_tracks_overlay(self):
         scan = oscillation_scan(BIN_SYM, phi_k(2), lam_min=128.0, replicates=400, master_seed=103, periods=2, points_per_period=3)
