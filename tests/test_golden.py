@@ -14,17 +14,39 @@ import json
 
 import pytest
 
+import numpy as np
+
+from triefringe.asymptotics import fc_k_star, fourier_series, psi_for_k, sigma_constants
 from triefringe.cli import main
-from triefringe.functionals import TollFunction, phi_alpha, phi_k, phi_shape
+from triefringe.functionals import (
+    TollFunction,
+    evaluate_additive,
+    phi_alpha,
+    phi_geq,
+    phi_internal,
+    phi_k,
+    phi_leaf,
+    phi_shape,
+    pullback,
+)
 from triefringe.simulation import (
     SimulationConfig,
     estimate_fX,
     estimate_root_essential,
     run,
     sample_patricia_roots,
+    slln_track,
 )
 from triefringe.source import SourceDistribution
-from triefringe.trees import enumerate_patricia_shapes, shape_probability
+from triefringe.trees import (
+    build_patricia,
+    build_trie,
+    compress,
+    enumerate_patricia_shapes,
+    random_key_set,
+    shape_probability,
+    shape_string,
+)
 
 TOLLS = "k=2,k=3,geq=2,internal,leaf,alpha"
 
@@ -87,6 +109,16 @@ CLI_CASES = {
         "oscillate", "--source", "uniform:3", "--functional", "k=5", "--seed", "7", "--lambda-min", "300",
         "--periods", "1", "--points-per-period", "3", "--replicates", "40",
     ),
+    # periodic (binary, ternary, mixed) and aperiodic (binary, ternary) sources
+    **{
+        f"constants-{spec}": ("constants", "--source", spec, "--k", "2,3,5")
+        for spec in ("0.5,0.5", "0.3,0.7", "uniform:3", "0.25,0.25,0.5", "0.2,0.3,0.5")
+    },
+    "constants-fourier-uniform:3": (
+        "constants", "--source", "uniform:3", "--k", "2,3,5", "--fourier", "3", "--tol", "1e-10",
+    ),
+    "enumerate-text-0.3,0.7": ("enumerate", "--k", "4", "--source", "0.3,0.7"),
+    "enumerate-json-0.3,0.7": ("enumerate", "--k", "4", "--source", "0.3,0.7", "--format", "json"),
 }
 
 CLI_DIGESTS = {
@@ -104,6 +136,14 @@ CLI_DIGESTS = {
     "simulate-poisson-pool-0.3,0.7": "f116c7781459f04226926054090f59e0ba5e054390b0046fbd4b748c116b7797",
     "simulate-poisson-0.5,0.5": "15de3b36770e42e64b092457789e2473f608f4e3cc60c66cc587bc9c70371731",
     "simulate-poisson-uniform:3": "84e7fba5ecb446a40407908a60de646eca60f6cb70960bc3bc4cacf24becbc53",
+    "constants-0.2,0.3,0.5": "142f3a4dcdd480e3d2a2272c34d2bb95175a314e1884da6110b878e18f7d4080",
+    "constants-0.25,0.25,0.5": "15b8765c4d43b98ca6bf7063d6ade297e83ea466b3bd09f473867e4ef692ac39",
+    "constants-0.3,0.7": "99c5c54c166dab097a69bb86ef34d397aa954122634defff3579239b41582967",
+    "constants-0.5,0.5": "5cc05b175dacd1f27d9c19565f2d232c17103fad44091f2dd087a2efe346e386",
+    "constants-fourier-uniform:3": "1cfbeb2775796198cd83c61f6fc6c76afb2901638fb7cc4b379d11dcf3a65239",
+    "constants-uniform:3": "e638bb67be2c9a539d15a7e969229ece7f8477ae56f93329c1eda39f770edaf3",
+    "enumerate-json-0.3,0.7": "13f785f818c2a0f9ea2764a7250a2d6da2c5586417dada448494f37b24e13e30",
+    "enumerate-text-0.3,0.7": "cf46c376fa9598198bfa39e1f8ef4558b3685ce8d2e47fd9c8e9226511a0cf0f",
 }
 
 
@@ -185,6 +225,113 @@ def unmatched_roots():
     return {"shape_index": shape_index.tolist(), "prefix_length": prefix.tolist()}
 
 
+# the CLI rounds constants to 15 digits; these are the exact floats
+CONSTANT_SOURCES = ("0.5,0.5", "0.3,0.7", "uniform:3", "0.25,0.25,0.5", "0.2,0.3,0.5")
+
+CONSTANT_DIGESTS = {
+    "0.5,0.5": "417b6b314cf53247879b64c73ac2d1324eb76018f321d76e844ff6c344b3c925",
+    "0.3,0.7": "2d1c07b0cee16d32664a7f706f4394a21f9f95c1b555d3a8ca89ed77f972a060",
+    "uniform:3": "c307197a362cf06c5e42f4e7e41618d3a66e2be1a412b43ce9fd6e1e42b4f8c2",
+    "0.25,0.25,0.5": "8aa6744a1235e7b468433f23c7149ace670038508cfd40c84a4d78662b794d89",
+    "0.2,0.3,0.5": "2d6dc2fee70131595e25b744e497b028e8fe6fd9efcedcd2f9bf7a3044591a34",
+}
+
+
+def _exact(value):
+    """A float or complex number as text that keeps every bit."""
+    value = complex(value)
+    return [value.real.hex(), value.imag.hex()]
+
+
+def constant_outputs(spec):
+    """sigma_constants, psi_for_k, fourier_series and fc_k_star of k = 2, 3, 5."""
+    d = SourceDistribution.parse(spec)
+    periodic = d.periodicity() > 0
+    out = {}
+    for k in (2, 3, 5):
+        sc = sigma_constants(d, k, M=3)
+        row = {
+            "sigma": [_exact(v) for v in (sc.fv_star.value, sc.fv_star.error_bound, sc.fc_star,
+                                          sc.sigma2_hat_mean, sc.sigma2_mean, *sc.at(0.7))],
+            "fc": [_exact(fc_k_star(d, k, m)) for m in range(3)],
+        }
+        for X in "EVC":
+            psi = psi_for_k(d, k, X, M=3)
+            row[f"psi_{X}"] = [_exact(c) for c in psi.coeffs] if periodic else _exact(psi)
+            if periodic:
+                assert fourier_series(d, k, X, M=3) == psi
+        out[k] = row
+    return out
+
+
+# explicit trees of random key sets: a symmetric, a skewed, a very skewed
+# (long unary chains) and a ternary source, from one key to 120
+TREE_SOURCES = ("0.5,0.5", "0.3,0.7", "0.05,0.95", "uniform:3")
+TREE_SIZES = (1, 2, 7, 30, 120)
+TREE_TOLLS = (phi_k(2), phi_k(3), phi_geq(2), phi_internal(), phi_leaf(), phi_alpha())
+
+TREE_DIGESTS = {
+    "0.5,0.5": "afb3df428102d1a1e7ddacbd8c271ffff3397314f4f49c04317480e2d44d495b",
+    "0.3,0.7": "e343093b9aac4a61b531f585365ba701f5d708e429249da90250ecf75bbfd3f6",
+    "0.05,0.95": "467f315921601f9395e2c8654f0facb0aa41e4c007f7e129612d3c9b6ecc6868",
+    "uniform:3": "35382a34f1d00dcea619827334dd2d4bec9fd2e23d5def085cd4b8caee464be7",
+}
+
+
+def _tree_record(t):
+    """A tree's shape, leaf key labels and prefixes in preorder, and sizes."""
+    nodes = list(t.nodes())
+    return {
+        "shape": shape_string(t),
+        "leaf_keys": [node.key_index for node in nodes if node.is_leaf],
+        "prefixes": [list(getattr(node, "prefix", ())) for node in nodes],
+        "nodes": t.node_count(),
+        "leaves": t.leaf_count(),
+    }
+
+
+def tree_outputs(spec):
+    """build_trie, build_patricia and compress of random key sets of one
+    source, with the built-in tolls on each patricia trie and their
+    pullbacks on the trie."""
+    d = SourceDistribution.parse(spec)
+    pulled = [pullback(t) for t in TREE_TOLLS]
+    out = []
+    for n in TREE_SIZES:
+        keys = random_key_set(d, n, np.random.default_rng(1000 + n))
+        trie, pat = build_trie(keys), build_patricia(keys)
+        squeezed = compress(trie)
+        out.append({
+            "trie": _tree_record(trie),
+            "patricia": _tree_record(pat),
+            "compress": _tree_record(squeezed),
+            "tolls": [evaluate_additive(TREE_TOLLS, t).tolist() for t in (pat, squeezed, trie)],
+            "pulled": evaluate_additive(pulled, trie).tolist(),
+        })
+    return out
+
+
+# nested key sets: a doubling grid, and an unsorted one with a duplicate and n = 1
+SLLN_GRIDS = {"doubling": [2**j for j in range(4, 12)], "mixed": [300, 1, 40, 40, 7, 2000]}
+SLLN_SOURCES = {"0.5,0.5": 71, "0.3,0.7": 72, "0.05,0.95": 73, "uniform:3": 74}
+
+SLLN_DIGESTS = {
+    "0.5,0.5": "b33ae0749a90249ad499cc232ce7b2c43b513b5bd4c5c62bcd802373f9c88988",
+    "0.3,0.7": "89003ae8dc3d253df9e2e9dca9b4e2f686c3742c4bcdb95090ba0dc43d5e2003",
+    "0.05,0.95": "f870d5eb07fe3981804d24a2787b5e08b2ba52f65f50020e3a17392e37cd94e9",
+    "uniform:3": "1e351e59de81e104a0a12681e1c01366b1fce4d33759806984a875c07ae43610",
+}
+
+
+def slln_outputs(spec):
+    d = SourceDistribution.parse(spec)
+    return {
+        f"{toll.name}/{grid}": slln_track(d, toll, SLLN_GRIDS[grid], SLLN_SOURCES[spec])
+        for toll in (phi_leaf(), phi_k(2))
+        for grid in SLLN_GRIDS
+    }
+
+
 UNMATCHED_ROOTS_DIGEST = "35e7863225722e66c7397ad9280b43c2374a4e548a427caf7f8b251958c75c95"
 
 
@@ -224,3 +371,18 @@ def test_unmatched_roots():
 def test_root_statistics(spec, n):
     text = json.dumps(root_outputs(spec, n), sort_keys=True)
     assert _sha(text) == ROOT_DIGESTS[f"{spec}/n={n}"]
+
+
+@pytest.mark.parametrize("spec", CONSTANT_SOURCES)
+def test_constants(spec):
+    assert _sha(json.dumps(constant_outputs(spec), sort_keys=True)) == CONSTANT_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("spec", TREE_SOURCES)
+def test_explicit_trees(spec):
+    assert _sha(json.dumps(tree_outputs(spec), sort_keys=True)) == TREE_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("spec", sorted(SLLN_SOURCES))
+def test_slln_track(spec):
+    assert _sha(json.dumps(slln_outputs(spec), sort_keys=True)) == SLLN_DIGESTS[spec]
