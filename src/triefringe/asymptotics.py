@@ -329,50 +329,45 @@ def fv_k_star(d: SourceDistribution, k: int, s: complex = -1, tol: float = 1e-12
 # oscillation Fourier coefficients
 
 
+def _f_star(d: SourceDistribution, k: int, X: str, s: complex, tol: float) -> complex:
+    """f_X*(s) of the k-fringe toll, X in {E, V, C}.  psi_C = psi_E + psi_E'
+    multiplies the m-th coefficient of psi_E by 1 + 2 pi i m / d_p = -s_m,
+    so f_C*(s) = -s f_E*(s)."""
+    if X == "V":
+        return complex(fv_k_star(d, k, s, tol).value)
+    if X not in ("E", "C"):
+        raise ValueError(f"X must be 'E', 'V' or 'C', got {X!r}")
+    fe = complex(fe_k_star(d, k, s))
+    return -s * fe if X == "C" else fe
+
+
 def fourier_coefficient(d: SourceDistribution, k: int, X: str, m: int, tol: float = 1e-12) -> complex:
-    """m-th Fourier coefficient of psi_X for the k-fringe toll: f_X*(-1 - 2 pi m i / d_p)."""
+    """m-th Fourier coefficient of psi_X (X in {E, V, C}) for the k-fringe toll: f_X*(-1 - 2 pi m i / d_p)."""
     d_p = d.periodicity()
     if d_p == 0.0:
         raise Aperiodic("the source has no oscillation period")
-    s = complex(-1.0, -2.0 * math.pi * m / d_p)
-    if X == "E":
-        return complex(fe_k_star(d, k, s))
-    if X == "V":
-        return complex(fv_k_star(d, k, s, tol).value)
-    raise ValueError(f"X must be 'E' or 'V', got {X!r}")
+    return _f_star(d, k, X, complex(-1.0, -2.0 * math.pi * m / d_p), tol)
 
 
 def fc_k_star(d: SourceDistribution, k: int, m: int = 0):
-    """m-th Fourier coefficient of psi_C = psi_E + psi_E'.
-
-    Differentiating the series multiplies c_m^E by 2 pi i m / d_p, so
-    c_m^C = c_m^E (1 + 2 pi i m / d_p); the aperiodic case (constant psi_E,
-    zero derivative) and the m = 0 coefficient are both just f_E*(-1).
-    """
-    d_p = d.periodicity()
-    if d_p == 0.0 or m == 0:
+    """m-th Fourier coefficient of psi_C = psi_E + psi_E'; the aperiodic
+    case (constant psi_E, zero derivative) and the m = 0 coefficient are
+    both just f_E*(-1)."""
+    if m == 0 or d.periodicity() == 0.0:
         return fe_k_star(d, k, -1)
-    return fourier_coefficient(d, k, "E", m) * (1.0 + 2j * math.pi * m / d_p)
+    return fourier_coefficient(d, k, "C", m)
 
 
 def fourier_series(d: SourceDistribution, k: int, X: str, M: int = 8, tol: float = 1e-12) -> FourierSeries:
     """Truncated Fourier series of psi_X (X in {E, V, C}) for the k-fringe toll."""
-    d_p = d.periodicity()
-    if d_p == 0.0:
-        raise Aperiodic("the source has no oscillation period")
-    if X == "C":
-        coeffs = tuple(complex(fc_k_star(d, k, m)) for m in range(M + 1))
-    else:
-        coeffs = tuple(fourier_coefficient(d, k, X, m, tol) for m in range(M + 1))
-    return FourierSeries(period=d_p, coeffs=coeffs)
+    coeffs = tuple(fourier_coefficient(d, k, X, m, tol) for m in range(M + 1))
+    return FourierSeries(period=d.periodicity(), coeffs=coeffs)
 
 
 def psi_for_k(d: SourceDistribution, k: int, X: str, M: int = 8, tol: float = 1e-12):
-    """psi_X for the k-fringe toll: a constant when d_p = 0, else a Fourier series."""
+    """psi_X (X in {E, V, C}) for the k-fringe toll: a constant when d_p = 0, else a Fourier series."""
     if d.periodicity() == 0.0:
-        if X == "V":
-            return complex(fv_k_star(d, k, -1, tol).value)
-        return complex(fe_k_star(d, k, -1))
+        return _f_star(d, k, X, -1, tol)
     return fourier_series(d, k, X, M, tol)
 
 
@@ -424,11 +419,8 @@ def sigma_constants(d: SourceDistribution, k: int, M: int = 8, tol: float = 1e-1
     d_p = d.periodicity()
     fv = fv_k_star(d, k, -1, tol)
     fc = complex(fc_k_star(d, k, 0))
-    if d_p == 0.0:
-        psi_v, psi_c = complex(fv.value), fc
-    else:
-        psi_v = fourier_series(d, k, "V", M, tol)
-        psi_c = fourier_series(d, k, "C", M, tol)
+    psi_v = complex(fv.value) if d_p == 0.0 else fourier_series(d, k, "V", M, tol)
+    psi_c = psi_for_k(d, k, "C", M, tol)
     s2h = chi**2 + float(np.real(fv.value)) / h
     s2 = float(np.real(fv.value)) / h - (fc.real / h) ** 2 - 2.0 * chi * fc.real / h
     return SigmaConstants(

@@ -24,7 +24,7 @@ from . import __version__
 from .asymptotics import (
     fe_k_star,
     fe_lambda,
-    fourier_coefficient,
+    fourier_series,
     fringe_limit,
     indnum_alphas,
     indnum_mean_bounds,
@@ -190,11 +190,7 @@ def _cmd_constants(args):
     per_k = []
     for k in args.k:
         sc = sigma_constants(d, k, M=args.fourier, tol=args.tol)
-        fourier = []
-        if d_p > 0:
-            for m in range(args.fourier + 1):
-                c = fourier_coefficient(d, k, "E", m, tol=args.tol)
-                fourier.append({"m": m, "re": c.real, "im": c.imag})
+        coeffs = fourier_series(d, k, "E", args.fourier, args.tol).coeffs if d_p > 0 else ()
         per_k.append(
             {
                 "k": k,
@@ -206,7 +202,7 @@ def _cmd_constants(args):
                 "sigma2": sc.sigma2_mean,
                 "sigma2_hat": sc.sigma2_hat_mean,
                 "fringe_limit": fringe_limit(d, k),
-                "fourier": fourier,
+                "fourier": [{"m": m, "re": c.real, "im": c.imag} for m, c in enumerate(coeffs)],
             }
         )
     results = {
@@ -225,6 +221,8 @@ def _cmd_simulate(args):
     tolls = _parse_functionals(args.functional)
     if (args.n is None) == (args.lam is None):
         raise _UsageError("exactly one of --n and --lambda is required")
+    if args.paired_trie and args.format == "csv":
+        raise _UsageError("--paired-trie and --format csv do not combine: the CSV has no column for the trie side")
     mode, size = ("fixed", args.n) if args.n is not None else ("poisson", args.lam)
     config = SimulationConfig(
         d, mode, float(size), args.replicates, args.seed, tolls,
@@ -473,7 +471,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (TrieFringeError, ValueError, OverflowError) as exc:
+    except (TrieFringeError, ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

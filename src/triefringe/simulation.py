@@ -321,7 +321,9 @@ class _Forest:
     max_depth.  The table is the same as grouping one level per pass, and
     so are the character columns read.  Columns are read only at the keys
     still in a row with >= 2 keys, so a character block past the first is
-    drawn only for those keys.
+    drawn only for those keys.  The counts may cover only the first rows of
+    ``chars`` (a smaller set of ``slln_track``'s nested ones), and then
+    every read names its rows.
     """
 
     def __init__(self, chars, counts, m, max_depth, rep_offset=0):
@@ -340,7 +342,7 @@ class _Forest:
         # among those rows; `active` lists those keys, None while it is all
         big = np.flatnonzero(levels["count"][0] >= 2)
         group = np.repeat(np.arange(len(big)), levels["count"][0][big])
-        active = None if len(group) == counts.sum() else np.flatnonzero(np.repeat(counts >= 2, counts))
+        active = None if len(group) == chars.total else np.flatnonzero(np.repeat(counts >= 2, counts))
 
         t = 0
         while big.size:
@@ -856,21 +858,17 @@ def oscillation_scan(
     master_seed: int,
     periods: int = 3,
     points_per_period: int = 8,
-    period: float | None = None,
-    psi_e=None,
 ) -> OscillationScan:
-    """Scan E[Phi]/lambda over a geometric lambda grid spanning >= `periods` periods.
+    """Scan E[Phi]/lambda over a geometric lambda grid spanning `periods`
+    periods d_p of the source, or spans of log 2 for an aperiodic source.
 
     The companion overlay column is psi_E(log lam)/H + chi when the toll has
-    a closed-form limit function (the k-fringe tolls and the leaf count);
-    pass psi_e to supply one explicitly.
+    a closed-form limit function (the k-fringe tolls and the leaf count),
+    else NaN.
     """
     _check_replicates(replicates)
-    d_p = d.periodicity()
-    if period is None:
-        period = d_p if d_p > 0 else math.log(2.0)
-    if psi_e is None:
-        psi_e = _default_psi_e(d, toll)
+    period = d.periodicity() or math.log(2.0)
+    psi_e = _default_psi_e(d, toll)
     h = d.entropy()
     points = periods * points_per_period + 1
     logs = np.log(lam_min) + period * np.arange(points) / points_per_period
@@ -942,9 +940,15 @@ def slln_track(
 ):
     """Phi(P_n)/n - H^-1 psi_E(log n) - chi along one nested key path.
 
-    Each n reuses the previous keys plus new ones (a single growing key
-    block), so the sequence tracks one realization of the almost-sure limit.
-    Returns a list of (n, ratio, deviation) triples.
+    Every n reads the first n keys of one growing key block, so the
+    sequence tracks one realization of the almost-sure limit.  The forests
+    are built on one CharBlocks, largest n first, so a character block is
+    drawn for the keys that the largest set to reach it reads there.  A
+    smaller set uses a key's characters only above the depth where the key
+    is alone, which is no deeper than in any larger set, so each of them
+    was drawn; the others it reads in mid-pass it never uses (see
+    CharBlocks).  Returns a list of (n, ratio, deviation) triples, n
+    ascending.
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
@@ -956,29 +960,14 @@ def slln_track(
     grid = list(n_grid)
     if not grid or not all(float(n).is_integer() and n >= 1 for n in grid):
         raise ValueError(f"n_grid must be a nonempty grid of integers >= 1, got {grid}")
-    n_grid = sorted(int(n) for n in grid)
-    chars = CharBlocks(d, [replicate_rng(master_seed, 0)], [n_grid[-1]])
+    n_grid = sorted((int(n) for n in grid), reverse=True)
+    chars = CharBlocks(d, [replicate_rng(master_seed, 0)], [n_grid[0]])
     h = d.entropy()
     out = []
     for n in n_grid:
-        forest = _Forest(_SlicedChars(chars, n), np.array([n]), d.m, max_depth)
+        forest = _Forest(chars, np.array([n]), d.m, max_depth)
         phi = float(_toll_sums(forest, (toll,))["pat"][0, 0])
         ratio = phi / n
         deviation = ratio - psi_eval(psi_e, math.log(n)) / h - toll.chi
         out.append((n, ratio, deviation))
-    return out
-
-
-class _SlicedChars:
-    """A row-prefix view of a pooled character matrix (shared deepening).
-
-    It reads whole columns of the shared blocks, because a larger key set
-    of the grid reads rows that a smaller one no longer needs."""
-
-    def __init__(self, inner, rows):
-        self.inner = inner
-        self.rows = rows
-
-    def column(self, t, active=None):
-        col = self.inner.column(t)[: self.rows]
-        return col if active is None else col[active]
+    return out[::-1]

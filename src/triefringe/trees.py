@@ -27,54 +27,48 @@ from .source import SourceDistribution
 DEFAULT_MAX_DEPTH = 10_000
 
 
-class TrieNode:
-    __slots__ = ("children", "key_index", "leaf_count", "node_count")
+class _Node:
+    """A tree node: children by character, the common prefix of its keys
+    (always () in a trie), the index of its key at a leaf, and its leaf
+    and node counts."""
 
-    def __init__(self, children=None, key_index=None):
-        self.children = children if children is not None else {}
-        self.key_index = key_index
-        self.leaf_count = 1 if not self.children else sum(c.leaf_count for c in self.children.values())
-        self.node_count = 1 + sum(c.node_count for c in self.children.values())
-
-    @property
-    def is_leaf(self):
-        return not self.children
-
-    def __eq__(self, other):
-        if not isinstance(other, TrieNode):
-            return NotImplemented
-        return _same_tree(self, other, ("key_index",))
-
-    def __hash__(self):
-        return _bottom_up(self, lambda n, items: hash((n.key_index, tuple(items))))
-
-
-class PatriciaNode:
     __slots__ = ("children", "prefix", "key_index", "leaf_count", "node_count")
 
-    def __init__(self, children=None, prefix=(), key_index=None):
-        self.children = children if children is not None else {}
+    def __init__(self, children=None, key_index=None, prefix=()):
+        self.children = children = {} if children is None else children
         self.prefix = tuple(prefix)
         self.key_index = key_index
-        self.leaf_count = 1 if not self.children else sum(c.leaf_count for c in self.children.values())
-        self.node_count = 1 + sum(c.node_count for c in self.children.values())
+        if children:
+            kids = children.values()
+            self.leaf_count = sum([c.leaf_count for c in kids])
+            self.node_count = 1 + sum([c.node_count for c in kids])
+        else:
+            self.leaf_count = self.node_count = 1
 
     @property
     def is_leaf(self):
         return not self.children
 
     def __eq__(self, other):
-        if not isinstance(other, PatriciaNode):
+        if not isinstance(other, _Node):
             return NotImplemented
-        return _same_tree(self, other, ("prefix", "key_index"))
+        return _same_tree(self, other)
 
     def __hash__(self):
         return _bottom_up(self, lambda n, items: hash((n.prefix, n.key_index, tuple(items))))
 
 
-def _same_tree(a, b, fields):
+class TrieNode(_Node):
+    __slots__ = ()
+
+
+class PatriciaNode(_Node):
+    __slots__ = ()
+
+
+def _same_tree(a, b):
     """Equality of two nodes without recursion, so any depth works: equal
-    ``fields`` and, under equal characters, equal children."""
+    types, prefixes and keys and, under equal characters, equal children."""
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
@@ -82,7 +76,7 @@ def _same_tree(a, b, fields):
             continue
         if type(x) is not type(y) or x.children.keys() != y.children.keys():
             return False
-        if any(getattr(x, f) != getattr(y, f) for f in fields):
+        if x.prefix != y.prefix or x.key_index != y.key_index:
             return False
         stack.extend((c, y.children[ch]) for ch, c in x.children.items())
     return True
@@ -212,25 +206,28 @@ def _as_keyset(keys, m):
     return KeySet(keys, m)
 
 
-def build_trie(keys, m=None, max_depth: int = DEFAULT_MAX_DEPTH) -> Trie:
-    """Build the trie of a key set by splitting on successive characters.
+def _build(keys, m, max_depth, combine):
+    """The root, alphabet size and key count of the tree that splits a key
+    set on successive characters.
 
-    The empty set gives the empty tree, a singleton a lone leaf; otherwise
-    the root splits the keys by their first character and each group is
-    built the same way.  Nothing recurses (chains of unary nodes are built
-    in a loop, the rest is one ``_fold``), so any depth works.  Raises
-    DepthExceeded when two keys agree on ``max_depth`` characters.
+    The empty set gives no root, a singleton a lone leaf.  A subset of two
+    or more keys is grouped by one character at a time until it splits;
+    its node is worth ``combine((None, chain), [(char, child), ...])``,
+    where chain lists the characters all its keys share before the split,
+    and a leaf ``combine((key index, ()), [])``.  Nothing recurses (a chain
+    is grouped in a loop, the rest is one ``_fold``), so any depth works.
+    Raises DepthExceeded when two keys agree on ``max_depth`` characters.
     """
     ks = _as_keyset(keys, m)
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
 
     def expand(task):
-        """A key subset's unary chain and key (its label) and its split."""
+        """A key subset's key and chain (its label) and its split."""
         indices, depth = task
         if len(indices) == 1:
-            return ((), indices[0]), (), ()
-        chain = []  # characters of the unary nodes above the first split
+            return (indices[0], ()), (), ()
+        chain = []
         while True:
             if depth >= max_depth:
                 raise DepthExceeded(max_depth)
@@ -242,56 +239,40 @@ def build_trie(keys, m=None, max_depth: int = DEFAULT_MAX_DEPTH) -> Trie:
                 break
             chain.append(next(iter(groups)))
         chars = sorted(groups)
-        return (chain, None), chars, [(groups[a], depth) for a in chars]
-
-    def combine(label, items):
-        chain, key = label
-        node = TrieNode(dict(items), key)
-        for a in reversed(chain):
-            node = TrieNode({a: node})
-        return node
+        return (None, chain), chars, [(groups[a], depth) for a in chars]
 
     root = None if not ks.keys else _fold((list(range(len(ks.keys))), 0), expand, combine)
-    return Trie(root, ks.m, len(ks.keys))
+    return root, ks.m, len(ks.keys)
+
+
+def _trie_node(label, items):
+    """A trie node with its chain spelled out above it as unary nodes."""
+    key, chain = label
+    node = TrieNode(dict(items), key)
+    for a in reversed(chain):
+        node = TrieNode({a: node})
+    return node
+
+
+def build_trie(keys, m=None, max_depth: int = DEFAULT_MAX_DEPTH) -> Trie:
+    """Build the trie of a key set by splitting on successive characters.
+
+    The empty set gives the empty tree, a singleton a lone leaf; otherwise
+    the root splits the keys by their first character and each group is
+    built the same way, any depth without recursion.  Raises DepthExceeded
+    when two keys agree on ``max_depth`` characters.
+    """
+    return Trie(*_build(keys, m, max_depth, _trie_node))
 
 
 def build_patricia(keys, m=None, max_depth: int = DEFAULT_MAX_DEPTH) -> PatriciaTrie:
     """Build the patricia trie directly: split on the first non-common character.
 
-    The skipped common characters accumulate in each node's prefix attribute.
-    Structurally equal to compress(build_trie(keys)) on any key set, and
-    built by one ``_fold`` without recursion, so any depth works.
+    The skipped common characters become the node's prefix attribute.  The
+    key split is build_trie's, so this equals compress(build_trie(keys)) on
+    any key set, and any depth works.
     """
-    ks = _as_keyset(keys, m)
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
-
-    def expand(task):
-        """A key subset's prefix and key (its label) and its split."""
-        indices, depth = task
-        if len(indices) == 1:
-            return ((), indices[0]), (), ()
-        prefix = []
-        while True:
-            if depth >= max_depth:
-                raise DepthExceeded(max_depth)
-            first = ks.keys[indices[0]][depth]
-            if all(ks.keys[i][depth] == first for i in indices[1:]):
-                prefix.append(first)
-                depth += 1
-                continue
-            break
-        groups = {}
-        for i in indices:
-            groups.setdefault(ks.keys[i][depth], []).append(i)
-        chars = sorted(groups)
-        return (prefix, None), chars, [(groups[a], depth + 1) for a in chars]
-
-    def combine(label, items):
-        return PatriciaNode(dict(items), *label)
-
-    root = None if not ks.keys else _fold((list(range(len(ks.keys))), 0), expand, combine)
-    return PatriciaTrie(root, ks.m, len(ks.keys))
+    return PatriciaTrie(*_build(keys, m, max_depth, lambda label, items: PatriciaNode(dict(items), *label)))
 
 
 def compress(t: Trie) -> PatriciaTrie:
@@ -311,12 +292,12 @@ def compress(t: Trie) -> PatriciaTrie:
             ((a, (children, rev_prefix, key)),) = items
             rev_prefix.append(a)  # each value is read by its parent alone
             return children, rev_prefix, key
-        return {a: PatriciaNode(c, p[::-1], k) for a, (c, p, k) in items}, [], node.key_index
+        return {a: PatriciaNode(c, k, p[::-1]) for a, (c, p, k) in items}, [], node.key_index
 
     root = None
     if t.root is not None:
         children, rev_prefix, key = _bottom_up(t.root, squeeze)
-        root = PatriciaNode(children, rev_prefix[::-1], key)
+        root = PatriciaNode(children, key, rev_prefix[::-1])
     return PatriciaTrie(root, t.m, t.num_keys)
 
 
@@ -330,8 +311,8 @@ def fringe(t: _Tree, path):
     if isinstance(path, str):
         path = key_from_string(path)
     node = t.node_at(tuple(path))
-    if isinstance(node, PatriciaNode) and node.prefix:
-        node = PatriciaNode(children=node.children, prefix=(), key_index=node.key_index)
+    if node.prefix:
+        node = type(node)(node.children, node.key_index)
     return type(t)(node, t.m, node.leaf_count)
 
 
@@ -542,9 +523,13 @@ class CharBlocks:
     the read that first reaches it: each run of those rows is drawn where
     a full draw would put it, and the generator is advanced over the rows
     between runs and after the last one, so it ends where a full draw
-    leaves it.  A sparse block keeps the slot of each row it holds, and
-    every later read of it must name a subset of those rows, as a forest
-    does while its keys separate.  The first block holds every row.
+    leaves it.  A sparse block keeps the slot of each row it holds, and a
+    read of a row it does not hold gets the characters of its first slot.
+    Only a smaller one of the nested key sets of one CharBlocks
+    (``slln_track``) names such rows: in mid-pass, keys that a larger set
+    found alone before the block and that the smaller set has found alone
+    too, so it never uses their characters there.  The first block holds
+    every row.
     """
 
     def __init__(self, d: SourceDistribution, rngs, counts):
@@ -578,8 +563,8 @@ class CharBlocks:
         width = KEY_BLOCK_WIDTH
         runs = self._runs(active)
         block = np.empty((sum(hi - lo for rep in runs for lo, hi in rep), width), np.int8)
-        # a sparse block's slot of each drawn row; other entries are never read
-        slot = None if active is None else np.empty(self.total, np.intp)
+        # a sparse block's slot of each drawn row, and of any other row slot 0
+        slot = None if active is None else np.zeros(self.total, np.intp)
         at = 0
         for rng, start, c, rep in zip(self.rngs, self.starts, self.counts, runs):
             row = 0  # the row the generator stands at

@@ -77,6 +77,15 @@ class TestSimulate:
         assert lines[1].startswith("k=2,")
         assert lines[2].startswith("leaf,")
 
+    def test_csv_has_no_trie_side(self, capsys):
+        # the CSV once held the patricia rows alone
+        code, out, err = invoke(
+            capsys, "simulate", "--source", "0.5,0.5", "--n", "8", "--replicates", "4", "--seed", "3",
+            "--functional", "k=2", "--paired-trie", "--format", "csv",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error") and "--paired-trie" in err and "--format csv" in err
+
     def test_requires_exactly_one_size(self, capsys):
         code, _, err = invoke(
             capsys, "simulate", "--source", "0.5,0.5",
@@ -205,6 +214,22 @@ class TestTopLevel:
         rc, out, err = invoke(capsys, *argv)
         assert (rc, out) == (code, "")
         assert named in err
+
+    # arrays past the 47-bit address space, so nothing is ever allocated
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fringe-dist", "--source", "0.5,0.5", "--n", "10", "--replicates", "2", "--seed", "1",
+             "--kmax", str(10**15)),
+            ("simulate", "--source", "0.5,0.5", "--n", str(10**14), "--replicates", "1", "--seed", "1",
+             "--functional", "leaf"),
+        ],
+    )
+    def test_allocation_failure_is_numeric_error(self, capsys, argv):
+        # each of these once exited 1 with numpy's traceback
+        code, out, err = invoke(capsys, "--threads", "1", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Unable to allocate")
 
     SIM = ("--replicates", "2", "--seed", "1")
 

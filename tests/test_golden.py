@@ -2,19 +2,18 @@
 
 A seed fixes every simulated key, so the CLI's stdout and a run's summary
 must not change by a single byte across refactors of the engine.  Each
-digest is the sha256 of the exact stdout (or of a run's summary or the
-root statistics' outputs, serialized as JSON with sorted keys); a
-deliberate change of the random stream regenerates
-them and says so.
+digest is the sha256 of the exact stdout (or of a run's summary, the root
+statistics' outputs, the asymptotic constants' exact floats, explicit
+trees or an slln_track result, serialized as JSON with sorted keys); a
+deliberate change of the random stream regenerates them and says so.
 """
 
 import dataclasses
 import hashlib
 import json
 
-import pytest
-
 import numpy as np
+import pytest
 
 from triefringe.asymptotics import fc_k_star, fourier_series, psi_for_k, sigma_constants
 from triefringe.cli import main

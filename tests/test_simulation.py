@@ -1112,6 +1112,24 @@ class TestSllnTrack:
             assert ratio == (n - 1) / n
             assert dev == pytest.approx(-1 / n, abs=1e-12)
 
+    # nested sets in which a smaller set reads, in mid-pass, keys that a
+    # larger one found alone before their character block was drawn
+    @pytest.mark.parametrize(
+        "spec,seed,n_grid", [("0.1,0.9", 148, [200, 1000]), ("0.05,0.95", 15, [30, 300, 1000]), ("0.05,0.95", 23, [30, 300, 1000])]
+    )
+    def test_nested_sets_match_explicit_tries(self, spec, seed, n_grid):
+        from triefringe.functionals import evaluate_additive
+        from triefringe.simulation import replicate_rng
+        from triefringe.trees import build_patricia, random_key_set
+
+        d = SourceDistribution.parse(spec)
+        keys = random_key_set(d, n_grid[-1], replicate_rng(seed, 0)).keys
+        for toll in (phi_k(2), phi_k(3)):
+            track = slln_track(d, toll, n_grid[::-1], seed)
+            assert [n for n, _, _ in track] == n_grid
+            for n, ratio, _ in track:
+                assert ratio == evaluate_additive(toll, build_patricia(keys[:n], d.m)) / n
+
     def test_k2_deviation_shrinks(self):
         small_n, large_n = [], []
         for seed in range(12):

@@ -323,6 +323,15 @@ class TestCharBlocks:
             for a, b in zip(sparse.rngs, full.rngs):
                 assert a.bit_generator.state == b.bit_generator.state, name
 
+    def test_row_a_sparse_block_does_not_hold(self):
+        from triefringe.trees import KEY_BLOCK_WIDTH, CharBlocks
+
+        chars = CharBlocks(SourceDistribution((0.3, 0.7)), [np.random.default_rng(4)], [40])
+        chars.column(KEY_BLOCK_WIDTH, np.array([3, 30]))  # block 1 holds rows 3 and 30
+        t = KEY_BLOCK_WIDTH + 5
+        # any other row reads the characters of the block's first slot, row 3
+        assert np.array_equal(chars.column(t, np.array([0, 30, 39])), chars.column(t, np.array([3, 30, 3])))
+
 
 class TestFringe:
     def test_root_fringe_clears_prefix(self):
