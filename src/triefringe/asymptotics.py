@@ -95,8 +95,8 @@ def _log_gamma(z: complex) -> complex:
     return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * cmath.log(t) - t + cmath.log(x)
 
 
-def _near_nonpositive_integer(z: complex, eps: float = 1e-12) -> bool:
-    return abs(z.imag) < eps and z.real < 0.5 and abs(z.real - round(z.real)) < eps
+def _near_nonpositive_integer(z: complex) -> bool:
+    return abs(z.imag) < 1e-12 and z.real < 0.5 and abs(z.real - round(z.real)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -126,15 +126,11 @@ class AsymptoticConstant:
 class FourierSeries:
     """Truncated Fourier series of a real d_p-periodic limit function.
 
-    Stores c_m for 0 <= m <= truncation; c_{-m} = conj(c_m) is implied.
+    Stores c_m for 0 <= m <= M; c_{-m} = conj(c_m) is implied.
     """
 
     period: float
     coeffs: tuple[complex, ...]
-
-    @property
-    def truncation(self) -> int:
-        return len(self.coeffs) - 1
 
     def eval(self, t: float) -> complex:
         total = complex(self.coeffs[0])
@@ -382,26 +378,33 @@ class SigmaConstants:
     sigma2_hat scales Phi(poissonized)/sqrt(lam), sigma2 scales
     Phi(fixed n)/sqrt(n).  For a periodic source both oscillate; ``at``
     evaluates them at t = log lam respectively t = log n, and the *_mean
-    fields carry the zero-frequency (average) values.
+    properties give the zero-frequency (average) values.
     """
 
     chi: float
     entropy: float
-    d_p: float
     fv_star: AsymptoticConstant
     fc_star: complex
     psi_v: object
     psi_c: object
-    sigma2_hat_mean: float
-    sigma2_mean: float
 
-    def at(self, t: float) -> tuple[float, float]:
+    def _sigma2(self, psi_v: float, psi_c: float) -> tuple[float, float]:
+        """(sigma2_hat, sigma2) from values of psi_V and psi_C."""
         h = self.entropy
-        psi_v = psi_eval(self.psi_v, t)
-        psi_c = psi_eval(self.psi_c, t)
         sigma2_hat = self.chi**2 + psi_v / h
         sigma2 = psi_v / h - (psi_c / h) ** 2 - 2.0 * self.chi * psi_c / h
         return sigma2_hat, sigma2
+
+    def at(self, t: float) -> tuple[float, float]:
+        return self._sigma2(psi_eval(self.psi_v, t), psi_eval(self.psi_c, t))
+
+    @property
+    def sigma2_hat_mean(self) -> float:
+        return self._sigma2(self.fv_star.real, self.fc_star.real)[0]
+
+    @property
+    def sigma2_mean(self) -> float:
+        return self._sigma2(self.fv_star.real, self.fc_star.real)[1]
 
 
 def sigma_constants(d: SourceDistribution, k: int, M: int = 8, tol: float = 1e-12) -> SigmaConstants:
@@ -414,25 +417,15 @@ def sigma_constants(d: SourceDistribution, k: int, M: int = 8, tol: float = 1e-1
     """
     if k < 2:
         raise ValueError("closed-form sigma constants exist for the k-fringe tolls, k >= 2")
-    chi = 0.0
-    h = d.entropy()
-    d_p = d.periodicity()
     fv = fv_k_star(d, k, -1, tol)
-    fc = complex(fc_k_star(d, k, 0))
-    psi_v = complex(fv.value) if d_p == 0.0 else fourier_series(d, k, "V", M, tol)
-    psi_c = psi_for_k(d, k, "C", M, tol)
-    s2h = chi**2 + float(np.real(fv.value)) / h
-    s2 = float(np.real(fv.value)) / h - (fc.real / h) ** 2 - 2.0 * chi * fc.real / h
+    psi_v = complex(fv.value) if d.periodicity() == 0.0 else fourier_series(d, k, "V", M, tol)
     return SigmaConstants(
-        chi=chi,
-        entropy=h,
-        d_p=d_p,
+        chi=0.0,
+        entropy=d.entropy(),
         fv_star=fv,
-        fc_star=fc,
+        fc_star=complex(fc_k_star(d, k, 0)),
         psi_v=psi_v,
-        psi_c=psi_c,
-        sigma2_hat_mean=s2h,
-        sigma2_mean=s2,
+        psi_c=psi_for_k(d, k, "C", M, tol),
     )
 
 

@@ -73,17 +73,10 @@ def _round15(obj):
         return {k: _round15(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round15(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_round15(float(v)) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return _round15(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
 
 
-def _emit(command, config, results, stream=None):
-    stream = stream if stream is not None else sys.stdout
+def _emit(command, config, results):
     envelope = {
         "tool": "triefringe",
         "version": __version__,
@@ -92,7 +85,7 @@ def _emit(command, config, results, stream=None):
         "results": _round15(results),
     }
     # encode before writing, so a NaN or infinity leaves no partial document
-    stream.write(json.dumps(envelope, indent=2, allow_nan=False) + "\n")
+    sys.stdout.write(json.dumps(envelope, indent=2, allow_nan=False) + "\n")
 
 
 def _parse_functionals(spec: str):
@@ -196,7 +189,7 @@ def _cmd_constants(args):
                 "k": k,
                 "rho_k": d.rho(k),
                 "fe_star": fe_k_star(d, k, -1),
-                "fv_star": float(np.real(sc.fv_star.value)),
+                "fv_star": sc.fv_star.real,
                 "fv_star_error_bound": sc.fv_star.error_bound,
                 "fc_star": sc.fc_star.real,
                 "sigma2": sc.sigma2_mean,

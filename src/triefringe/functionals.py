@@ -54,8 +54,8 @@ class TollFunction:
     """A shape-only toll: per-fringe-subtree contribution of an additive functional.
 
     stats_fn evaluates the toll from node aggregates (leaf_count,
-    node_count, outdeg, essential, shape_sig); chi is the value on a single
-    leaf.  The same rule serves the explicit trees here and every toll of
+    node_count, outdeg, essential, shape_sig), and chi is what it gives on
+    a lone leaf, read off the rule when asked for.  The same rule serves the explicit trees here and every toll of
     the simulation engine, so it must be elementwise: given scalars it
     returns a number, given equal-length numpy arrays (one entry per node)
     it returns an array of values or a number for all of them.  shape_sig
@@ -67,9 +67,13 @@ class TollFunction:
     """
 
     name: str
-    chi: float
     stats_fn: callable = field(compare=False)
     base: "TollFunction | None" = None
+
+    @property
+    def chi(self) -> float:
+        """The toll's value on a lone leaf."""
+        return float(self.stats_fn(_LEAF))
 
     @property
     def pulled(self) -> bool:
@@ -173,12 +177,7 @@ def pullback(phi: TollFunction) -> TollFunction:
     """
     if phi.pulled:
         raise ValueError("toll is already a pullback")
-    return TollFunction(
-        name=f"pullback({phi.name})",
-        chi=phi.chi,
-        stats_fn=phi.stats_fn,
-        base=phi,
-    )
+    return TollFunction(f"pullback({phi.name})", phi.stats_fn, base=phi)
 
 
 # module-level evaluation rules: bound with functools.partial so tolls (and
@@ -213,32 +212,24 @@ def phi_k(k: int) -> TollFunction:
     """Indicator of fringe subtrees holding exactly k keys."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return TollFunction(
-        name=f"k={k}",
-        chi=1.0 if k == 1 else 0.0,
-        stats_fn=partial(_count_is, k=k),
-    )
+    return TollFunction(f"k={k}", partial(_count_is, k=k))
 
 
 def phi_geq(k: int) -> TollFunction:
     """Indicator of fringe subtrees holding at least k keys."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return TollFunction(
-        name=f"geq={k}",
-        chi=1.0 if k <= 1 else 0.0,
-        stats_fn=partial(_count_at_least, k=k),
-    )
+    return TollFunction(f"geq={k}", partial(_count_at_least, k=k))
 
 
 def phi_internal() -> TollFunction:
     """Indicator of fringe subtrees with more than one node: counts internal nodes."""
-    return TollFunction(name="internal", chi=0.0, stats_fn=_is_internal)
+    return TollFunction("internal", _is_internal)
 
 
 def phi_leaf() -> TollFunction:
     """Indicator of the single-node fringe: counts leaves."""
-    return TollFunction(name="leaf", chi=1.0, stats_fn=_is_lone_leaf)
+    return TollFunction("leaf", _is_lone_leaf)
 
 
 def _shape_key(shape):
@@ -253,11 +244,7 @@ def _shape_key(shape):
 def phi_shape(shape) -> TollFunction:
     """Indicator of fringe subtrees structurally equal to a fixed shape."""
     sig0, k0 = _shape_key(shape)
-    return TollFunction(
-        name=f"shape[{k0}]",
-        chi=1.0 if sig0 == _LEAF_SIG else 0.0,
-        stats_fn=partial(_matches_signature, sig=sig0),
-    )
+    return TollFunction(f"shape[{k0}]", partial(_matches_signature, sig=sig0))
 
 
 def phi_alpha() -> TollFunction:
@@ -268,7 +255,7 @@ def phi_alpha() -> TollFunction:
     recursion phi(T) = max(0, 1 - sum_b phi(T^b)) computes the indicator
     bottom-up in the same pass as everything else.
     """
-    return TollFunction(name="alpha", chi=1.0, stats_fn=_is_essential)
+    return TollFunction("alpha", _is_essential)
 
 
 def independence_number(tree) -> int:

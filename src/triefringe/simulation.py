@@ -190,24 +190,22 @@ class SimulationSummary:
     config: SimulationConfig
     functionals: tuple[FunctionalStats, ...]
     trie_functionals: tuple[FunctionalStats, ...] | None
-    histogram_k: np.ndarray  # fringe sizes 2..kmax, then one overflow bucket
     histogram_mean: np.ndarray  # mean count of patricia fringes per size
     histogram_se: np.ndarray
     mean_keys: float
     mean_pat_nodes: float
     mean_trie_nodes: float
 
+    @property
+    def histogram_k(self) -> np.ndarray:
+        """The fringe sizes of the histogram's buckets."""
+        return _fringe_sizes(self.config.histogram_kmax)
+
     def stats(self, name: str) -> FunctionalStats:
-        for st in self.functionals:
-            if st.name == name:
-                return st
-        raise KeyError(name)
+        return _named(self.functionals, name)
 
     def trie_stats(self, name: str) -> FunctionalStats:
-        for st in self.trie_functionals or ():
-            if st.name == name:
-                return st
-        raise KeyError(name)
+        return _named(self.trie_functionals or (), name)
 
     def as_dict(self):
         return {
@@ -229,6 +227,20 @@ class SimulationSummary:
                 "se": list(self.histogram_se),
             },
         }
+
+
+def _named(stats, name):
+    """The first of `stats` called `name`, else KeyError."""
+    for st in stats:
+        if st.name == name:
+            return st
+    raise KeyError(name)
+
+
+def _fringe_sizes(kmax):
+    """The fringe sizes of a histogram's buckets: 2..kmax, then kmax + 1
+    for the overflow bucket of every larger size."""
+    return np.concatenate([np.arange(2, kmax + 1), [kmax + 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -634,12 +646,10 @@ def run(config: SimulationConfig, threads: int = 1) -> SimulationSummary:
     if config.paired_trie:
         trie_stats = tuple(_moment_stats(nm, data["trie"][:, j]) for j, nm in enumerate(names))
     hist_mean, hist_se = _mean_se(data["hist"])
-    kmax = config.histogram_kmax
     return SimulationSummary(
         config=config,
         functionals=stats,
         trie_functionals=trie_stats,
-        histogram_k=np.concatenate([np.arange(2, kmax + 1), [kmax + 1]]),
         histogram_mean=hist_mean,
         histogram_se=hist_se,
         mean_keys=float(np.mean(data["n"])),
@@ -725,7 +735,7 @@ def sample_patricia_roots(d: SourceDistribution, n: int, replicates: int, master
     to, which for k >= 2 keys follows Geom_0(1 - rho(k)).
     """
     sigs = tuple(_shape_key(shape)[0] for shape in shapes)
-    toll = TollFunction(name="shape-index", chi=0.0, stats_fn=partial(_shape_index, sigs=sigs))
+    toll = TollFunction("shape-index", partial(_shape_index, sigs=sigs))
     data = _collect(SimulationConfig.fixed(d, n, replicates, master_seed, (toll,)))
     return data["root"][:, 0].astype(np.int64) - 1, data["root_depth"]
 
@@ -916,9 +926,8 @@ def fringe_distribution(config: SimulationConfig, threads: int = 1) -> FringeDis
     masses = data["hist"] / nodes[:, None]
     leaf_mass = data["n"] / nodes
     mass_mean, mass_se = _mean_se(masses)
-    kmax = config.histogram_kmax
     return FringeDistribution(
-        k=np.concatenate([np.arange(2, kmax + 1), [kmax + 1]]),
+        k=_fringe_sizes(config.histogram_kmax),
         mass_mean=mass_mean,
         mass_se=mass_se,
         leaf_mass_mean=float(leaf_mass.mean()),
@@ -936,7 +945,6 @@ def slln_track(
     n_grid,
     master_seed: int,
     psi_e=None,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ):
     """Phi(P_n)/n - H^-1 psi_E(log n) - chi along one nested key path.
 
@@ -950,8 +958,6 @@ def slln_track(
     CharBlocks).  Returns a list of (n, ratio, deviation) triples, n
     ascending.
     """
-    if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     if psi_e is None:
         psi_e = _default_psi_e(d, toll)
     if psi_e is None:
@@ -965,7 +971,7 @@ def slln_track(
     h = d.entropy()
     out = []
     for n in n_grid:
-        forest = _Forest(chars, np.array([n]), d.m, max_depth)
+        forest = _Forest(chars, np.array([n]), d.m, DEFAULT_MAX_DEPTH)
         phi = float(_toll_sums(forest, (toll,))["pat"][0, 0])
         ratio = phi / n
         deviation = ratio - psi_eval(psi_e, math.log(n)) / h - toll.chi

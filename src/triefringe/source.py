@@ -27,33 +27,32 @@ _PROB_SUM_TOL = 1e-12
 MAX_ALPHABET = 128
 # uniforms per slice of draw_chars: a 512 KiB float64 buffer that stays in cache
 _DRAW_SLICE = 1 << 16
+# the residual at which a continued-fraction step ends the expansion, and
+# the number of steps after which a ratio counts as irrational
+_PERIOD_TOLERANCE, _PERIOD_DEPTH = 1e-10, 40
 
 
-def _rational_from_float(x: float, tolerance: float, depth: int) -> Fraction | None:
-    """Detect whether x is rational, by continued-fraction expansion.
+def _rational_from_float(x: float) -> Fraction | None:
+    """Detect whether a positive x is rational, by continued-fraction expansion.
 
     Returns the detected fraction in lowest terms, or None when no expansion
-    terminates within ``depth`` steps (x is treated as irrational).  The
+    terminates within _PERIOD_DEPTH steps (x is treated as irrational).  The
     termination test is on the residual of each step, not on closeness of a
     convergent, so high-denominator accidental approximations of irrationals
     are not accepted.
     """
-    if x <= 0:
-        return None
     p_prev, q_prev = 1, 0
     a0 = math.floor(x)
     p, q = a0, 1
     frac = x - a0
-    for _ in range(depth):
-        if abs(frac) <= tolerance:
-            return Fraction(p, q) if q else None
+    for _ in range(_PERIOD_DEPTH + 1):
+        if frac <= _PERIOD_TOLERANCE:
+            return Fraction(p, q)
         x_next = 1.0 / frac
         a = math.floor(x_next)
         frac = x_next - a
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
-    if abs(frac) <= tolerance:
-        return Fraction(p, q)
     return None
 
 
@@ -118,20 +117,20 @@ class SourceDistribution:
             return sum(p**s for p in self.probs)
         return float(sum(p**s for p in self.probs))
 
-    def periodicity(self, tolerance: float = 1e-10, depth: int = 40) -> float:
+    def periodicity(self) -> float:
         """Period d_p of the lattice generated by {log p_a}, or 0.
 
         d_p is the largest d > 0 with every log p_a in d*Z.  Detection runs a
         continued-fraction rationality test on the ratios log p_a / log p_1;
-        any ratio that fails to terminate within ``depth`` steps at residual
-        ``tolerance`` makes the group dense and the result 0.  Near-lattice
-        cases within tolerance resolve to the lattice answer.
+        any ratio that fails to terminate within 40 steps at residual 1e-10
+        makes the group dense and the result 0.  Near-lattice cases within
+        that residual resolve to the lattice answer.
         """
         lengths = [-math.log(p) for p in self.probs]
         ref = lengths[0]
         ratios = []
         for length in lengths:
-            r = _rational_from_float(length / ref, tolerance, depth)
+            r = _rational_from_float(length / ref)
             if r is None:
                 return 0.0
             ratios.append(r)

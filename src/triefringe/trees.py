@@ -83,16 +83,20 @@ def _same_tree(a, b):
 
 
 class _Tree:
-    """Shared wrapper: root node (None = empty tree), alphabet size, key count."""
+    """Shared wrapper: root node (None = empty tree) and alphabet size."""
 
-    def __init__(self, root, m, num_keys):
+    def __init__(self, root, m):
         self.root = root
         self.m = m
-        self.num_keys = num_keys
 
     @property
     def is_empty(self):
         return self.root is None
+
+    @property
+    def num_keys(self):
+        """The key count: the root's leaf count."""
+        return self.leaf_count()
 
     def node_count(self):
         return 0 if self.root is None else self.root.node_count
@@ -207,8 +211,8 @@ def _as_keyset(keys, m):
 
 
 def _build(keys, m, max_depth, combine):
-    """The root, alphabet size and key count of the tree that splits a key
-    set on successive characters.
+    """The root and alphabet size of the tree that splits a key set on
+    successive characters.
 
     The empty set gives no root, a singleton a lone leaf.  A subset of two
     or more keys is grouped by one character at a time until it splits;
@@ -242,7 +246,7 @@ def _build(keys, m, max_depth, combine):
         return (None, chain), chars, [(groups[a], depth) for a in chars]
 
     root = None if not ks.keys else _fold((list(range(len(ks.keys))), 0), expand, combine)
-    return root, ks.m, len(ks.keys)
+    return root, ks.m
 
 
 def _trie_node(label, items):
@@ -298,7 +302,7 @@ def compress(t: Trie) -> PatriciaTrie:
     if t.root is not None:
         children, rev_prefix, key = _bottom_up(t.root, squeeze)
         root = PatriciaNode(children, key, rev_prefix[::-1])
-    return PatriciaTrie(root, t.m, t.num_keys)
+    return PatriciaTrie(root, t.m)
 
 
 def fringe(t: _Tree, path):
@@ -313,7 +317,7 @@ def fringe(t: _Tree, path):
     node = t.node_at(tuple(path))
     if node.prefix:
         node = type(node)(node.children, node.key_index)
-    return type(t)(node, t.m, node.leaf_count)
+    return type(t)(node, t.m)
 
 
 MAX_ENUMERATION_KEYS = 10
@@ -352,7 +356,7 @@ def enumerate_patricia_shapes(k: int, m: int) -> list[PatriciaTrie]:
         raise LimitExceeded(f"shape enumeration supports 1 <= k <= {MAX_ENUMERATION_KEYS}, got {k}")
     if m < 2:
         raise ValueError("alphabet size must be >= 2")
-    return [PatriciaTrie(node, m, k) for node in _shapes(k, m)]
+    return [PatriciaTrie(node, m) for node in _shapes(k, m)]
 
 
 def _fold(top, expand, combine):

@@ -146,7 +146,7 @@ class TestPullback:
         assert pullback(phi_k(2)).pulled
         assert not phi_k(2).pulled
         with pytest.raises(TypeError):
-            TollFunction(name="k=2", chi=0.0, stats_fn=phi_k(2).stats_fn, pulled=True)
+            TollFunction(name="k=2", stats_fn=phi_k(2).stats_fn, pulled=True)
 
     def test_simulation_rejects_pulled_toll(self):
         with pytest.raises(ValueError, match="paired_trie"):
@@ -224,12 +224,12 @@ class TestIndependence:
         assert matching_number(p) == 1
 
     def test_three_node_path(self):
-        chain = Trie(TrieNode(children={0: TrieNode(children={0: TrieNode()})}), 2, 1)
+        chain = Trie(TrieNode(children={0: TrieNode(children={0: TrieNode()})}), 2)
         assert brute_force_independence(chain) == 2
         assert independence_number(chain) == 2
 
     def test_three_node_star(self):
-        star = Trie(TrieNode(children={0: TrieNode(), 1: TrieNode()}), 2, 2)
+        star = Trie(TrieNode(children={0: TrieNode(), 1: TrieNode()}), 2)
         assert matching_number(star) == 1
 
     def test_drawn_example(self):
@@ -267,7 +267,7 @@ def caterpillar(levels):
     node = TrieNode(children={0: TrieNode(key_index=levels - 1), 1: TrieNode(key_index=levels)})
     for i in reversed(range(levels - 1)):
         node = TrieNode(children={0: TrieNode(key_index=i), 1: TrieNode(children={i % 2: node})})
-    return Trie(node, 2, levels + 1)
+    return Trie(node, 2)
 
 
 class TestDeepTrees:
@@ -318,7 +318,7 @@ class TestDeepTrees:
         trie = caterpillar(self.LEVELS)
         assert phi_geq(self.LEVELS + 1).value(trie) == 1.0
         assert pullback(phi_internal()).value(trie) == 1.0
-        assert pullback(phi_internal()).value(Trie(TrieNode(children={1: trie.root}), 2, trie.num_keys)) == 0.0
+        assert pullback(phi_internal()).value(Trie(TrieNode(children={1: trie.root}), 2)) == 0.0
 
 
 def _spread(st):
@@ -343,12 +343,12 @@ def descending(levels, m=3):
     node = TrieNode(key_index=0)
     for _ in range(levels):
         node = TrieNode(children={m - 1: node, **{a: TrieNode() for a in reversed(range(m - 1))}})
-    return Trie(node, m, node.leaf_count)
+    return Trie(node, m)
 
 
 class TestSumOrder:
     def test_descending_dicts_sum_left_to_right(self):
-        spread = TollFunction(name="spread", chi=0.75, stats_fn=_spread)
+        spread = TollFunction(name="spread", stats_fn=_spread)
         for levels in (3, 12, 20):
             trie = descending(levels)
             assert list(trie.root.children) == [2, 1, 0]

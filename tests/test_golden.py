@@ -156,7 +156,7 @@ def paired_shape_config():
     tolls = tuple(phi_shape(s) for s in shapes) + (
         phi_k(2),
         phi_alpha(),
-        TollFunction(name="two-way", chi=0.0, stats_fn=two_way),
+        TollFunction(name="two-way", stats_fn=two_way),
     )
     return SimulationConfig.fixed(SourceDistribution((0.3, 0.7)), 60, 30, 21, tolls, paired_trie=True)
 
@@ -208,7 +208,7 @@ def root_outputs(spec, n):
     likeliest = sorted(enumerate_patricia_shapes(max(n, 1), d.m), key=lambda s: -shape_probability(s, d))
     shapes = enumerate_patricia_shapes(3, d.m)[:2] + likeliest[:20]
     shape_index, prefix = sample_patricia_roots(d, n, ROOT_REPLICATES, 31 + n, shapes)
-    tolls = (phi_k(2), phi_alpha(), TollFunction(name="two-way", chi=0.0, stats_fn=two_way))
+    tolls = (phi_k(2), phi_alpha(), TollFunction(name="two-way", stats_fn=two_way))
     return {
         "roots": {"shape_index": shape_index.tolist(), "prefix_length": prefix.tolist()},
         "alpha": list(estimate_root_essential(d, n, ROOT_REPLICATES, 41 + n)),

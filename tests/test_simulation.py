@@ -39,7 +39,7 @@ def two_way(st):
     return (st.outdeg == 2) * 1.0
 
 
-TWO_WAY = TollFunction(name="two-way", chi=0.0, stats_fn=two_way)
+TWO_WAY = TollFunction(name="two-way", stats_fn=two_way)
 
 
 def matches(st, sig):
@@ -314,8 +314,6 @@ class TestRun:
     def test_depth_bound_below_one_rejected(self, max_depth):
         with pytest.raises(ValueError, match="max_depth"):
             SimulationConfig.fixed(BIN_SYM, 8, 2, 1, (phi_leaf(),), max_depth=max_depth)
-        with pytest.raises(ValueError, match="max_depth"):
-            slln_track(BIN_SYM, phi_leaf(), [4, 8], 1, max_depth=max_depth)
 
     @pytest.mark.parametrize("size", [math.inf, math.nan])
     def test_size_not_finite_rejected(self, size):
@@ -391,7 +389,7 @@ def _spread(st):
     return 1.0 / (st.leaf_count + st.node_count / 3.0)
 
 
-SPREAD = TollFunction(name="spread", chi=0.75, stats_fn=_spread)
+SPREAD = TollFunction(name="spread", stats_fn=_spread)
 
 
 def record_blocks(monkeypatch):
@@ -685,14 +683,14 @@ class TestTollGate:
         return fast
 
     def test_non_finite_value_on_unary_rows_counts_zero(self):
-        inf_unary = TollFunction(name="inf-unary", chi=1.0, stats_fn=_inf_on_unary)
+        inf_unary = TollFunction(name="inf-unary", stats_fn=_inf_on_unary)
         fast = self.check((inf_unary,))
         assert np.all(np.isfinite(fast["pat"]))
         assert np.array_equal(fast["pat"][:, 0], fast["pat_nodes"])
 
     @pytest.mark.parametrize("paired_trie", [False, True])
     def test_rule_returning_a_view_column(self, paired_trie):
-        node_count = TollFunction(name="node-count", chi=1.0, stats_fn=_node_count)
+        node_count = TollFunction(name="node-count", stats_fn=_node_count)
         fast = self.check((node_count, phi_internal(), node_count), paired_trie)
         assert np.array_equal(fast["pat"][:, 0], fast["pat"][:, 2])
 
@@ -833,7 +831,7 @@ class TestShapeColumn:
         from triefringe.trees import enumerate_patricia_shapes, shape_signature
 
         shape = enumerate_patricia_shapes(3, 2)[1]
-        rule = TollFunction("three-leaf", 0.0, partial(matches, sig=shape_signature(shape)))
+        rule = TollFunction("three-leaf", partial(matches, sig=shape_signature(shape)))
         custom, builtin = (
             SimulationConfig.fixed(SKEWED, 40, 60, 71, (toll,), paired_trie=True) for toll in (rule, phi_shape(shape))
         )
@@ -862,7 +860,7 @@ class TestShapeColumn:
             ((0, ()), (1, "*")),
         )
         cherry = ((0, "*"), (1, "*"))
-        tolls = tuple(TollFunction(repr(sig), 0.0, partial(matches, sig=sig)) for sig in (cherry, *bad))
+        tolls = tuple(TollFunction(repr(sig), partial(matches, sig=sig)) for sig in (cherry, *bad))
         cfg = SimulationConfig.fixed(d, 12, 20, 73, tolls, paired_trie=True)
         fast = _collect(cfg)
         slow = explicit_run(cfg)
@@ -919,7 +917,7 @@ class TestRootStatistics:
         from triefringe.trees import PatriciaTrie
 
         with pytest.raises(ValueError, match="empty tree"):
-            sample_patricia_roots(BIN_SYM, 3, 10, 1, [PatriciaTrie(None, 2, 0)])
+            sample_patricia_roots(BIN_SYM, 3, 10, 1, [PatriciaTrie(None, 2)])
 
     @pytest.mark.parametrize("call", ["estimate_fX", "estimate_root_essential", "oscillation_scan"])
     def test_one_replicate_rejected(self, call):

@@ -139,10 +139,10 @@ class TestPeriodicity:
         # a perturbation inside the tolerance gets the lattice answer
         eps = 1e-13
         d = SourceDistribution((0.5 + eps, 0.5 - eps))
-        assert d.periodicity(tolerance=1e-10) == pytest.approx(math.log(2), rel=1e-9)
+        assert d.periodicity() == pytest.approx(math.log(2), rel=1e-9)
         # and a perturbation far outside it does not
         d2 = SourceDistribution((0.5 + 1e-3, 0.5 - 1e-3))
-        assert d2.periodicity(tolerance=1e-10) == 0.0
+        assert d2.periodicity() == 0.0
 
 
 class TestSampleStream:

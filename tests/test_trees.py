@@ -157,7 +157,7 @@ class TestBuildTrie:
         assert t.node_count() == sum(1 for _ in t.nodes()) == 10_001
         assert [len(node.children) for node in itertools.islice(t.nodes(), 9998, None)] == [2, 0, 0]
         with pytest.raises(UnaryNode):
-            PatriciaTrie(t.root, 2, 2).validate()
+            PatriciaTrie(t.root, 2).validate()
         p = compress(t)
         assert p.validate() and p.node_count() == 3
 
@@ -408,7 +408,7 @@ class TestShapeProbability:
     def test_unary_shape_rejected(self):
         from triefringe.trees import PatriciaNode, PatriciaTrie
 
-        bad = PatriciaTrie(PatriciaNode(children={0: PatriciaNode()}), 2, 1)
+        bad = PatriciaTrie(PatriciaNode(children={0: PatriciaNode()}), 2)
         with pytest.raises(UnaryNode):
             shape_probability(bad, BIN_SYM)
 
