@@ -19,6 +19,7 @@ from .errors import (
     PoleAt,
     TrieFringeError,
     UnaryNode,
+    WorkerStopped,
 )
 from .source import SourceDistribution
 from .trees import (
@@ -29,6 +30,7 @@ from .trees import (
     build_patricia,
     build_trie,
     compress,
+    count_patricia_shapes,
     enumerate_patricia_shapes,
     fringe,
     key_from_string,

@@ -57,5 +57,10 @@ class DegenerateVariance(TrieFringeError):
     diagnostics or a fit weighted by inverse variances."""
 
 
+class WorkerStopped(TrieFringeError):
+    """A process-pool worker stopped before its task was done, for instance
+    killed by the system for lack of memory."""
+
+
 class MissingDependency(TrieFringeError, ImportError):
     """An optional dependency of one routine is not installed."""

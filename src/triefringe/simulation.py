@@ -76,13 +76,15 @@ from functools import cache, partial
 import numpy as np
 
 from .asymptotics import psi_eval, psi_for_k
-from .errors import DegenerateVariance, DepthExceeded, EmptyTree
+from .errors import DegenerateVariance, DepthExceeded, EmptyTree, LimitExceeded, WorkerStopped
 from .functionals import _LEAF_SIG, TollFunction, _count_is, _is_lone_leaf, _shape_key, _Stats, phi_alpha
 from .source import SourceDistribution
 from .trees import DEFAULT_MAX_DEPTH, CharBlocks
 
 _POOL_KEYS = 1 << 20
 _BLOCK_KEYS = 1 << 15
+# the largest lambda numpy's Generator.poisson accepts
+_POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 # glibc's mallopt parameter numbers (malloc.h) and the values set for them
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _TRIM_THRESHOLD, _MMAP_THRESHOLD = 8 << 20, 4 << 20
@@ -583,7 +585,9 @@ def _engine_block(config, start, stop):
 def _collect(config, threads=1):
     """Every replicate's engine outputs, in replicate order.  The blocks run
     as tasks of a process pool when there are threads to spare, more than
-    one block and more than _POOL_KEYS expected keys, else in turn."""
+    one block and more than _POOL_KEYS expected keys, else in turn.  A
+    worker that stops before its block is done, killed for lack of memory
+    say, raises WorkerStopped."""
     blocks = _block_bounds(config)
     results = None
     if threads > 1 and len(blocks) > 1 and config.replicates * _keys_per_replicate(config) > _POOL_KEYS:
@@ -593,6 +597,8 @@ def _collect(config, threads=1):
             with cf.ProcessPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
                 futures = [pool.submit(_engine_block, config, a, b) for a, b in blocks]
                 results = [fut.result() for fut in futures]
+        except cf.BrokenExecutor as exc:
+            raise WorkerStopped(f"a pool worker stopped before its block was done: {exc}") from exc
         except OSError as exc:  # sandboxed environments may forbid subprocesses
             warnings.warn(
                 f"process pool unavailable ({exc!r}); running {len(blocks)} blocks serially",
@@ -874,7 +880,8 @@ def oscillation_scan(
 
     The companion overlay column is psi_E(log lam)/H + chi when the toll has
     a closed-form limit function (the k-fringe tolls and the leaf count),
-    else NaN.
+    else NaN.  A grid that reaches past numpy's Poisson limit (about
+    9.2e18) raises LimitExceeded before any replicate runs.
     """
     _check_replicates(replicates)
     period = d.periodicity() or math.log(2.0)
@@ -882,6 +889,12 @@ def oscillation_scan(
     h = d.entropy()
     points = periods * points_per_period + 1
     logs = np.log(lam_min) + period * np.arange(points) / points_per_period
+    for j, ll in enumerate(logs):
+        # exp(100) is past the limit already, and the cap keeps exp finite
+        if math.exp(min(ll, 100.0)) > _POISSON_LAM_MAX:
+            raise LimitExceeded(
+                f"oscillation point {j} (log lambda {ll:.6g}) is past numpy's Poisson limit, lambda {_POISSON_LAM_MAX:.6g}"
+            )
     means = np.zeros(points)
     ses = np.zeros(points)
     overlay = np.full(points, np.nan)

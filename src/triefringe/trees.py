@@ -321,6 +321,9 @@ def fringe(t: _Tree, path):
 
 
 MAX_ENUMERATION_KEYS = 10
+# enumerate_patricia_shapes holds every shape it returns, 409-539 bytes
+# each under tracemalloc, so 2^18 shapes take up to about 140 MB
+MAX_ENUMERATION_SHAPES = 1 << 18
 
 
 def _compositions(total, parts):
@@ -338,7 +341,7 @@ def _shapes(k, m):
     if k == 1:
         return (PatriciaNode(),)
     out = []
-    for size in range(2, m + 1):
+    for size in range(2, min(m, k) + 1):
         for chars in itertools.combinations(range(m), size):
             for comp in _compositions(k, size):
                 for subs in itertools.product(*(_shapes(j, m) for j in comp)):
@@ -346,16 +349,40 @@ def _shapes(k, m):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def count_patricia_shapes(k: int, m: int) -> int:
+    """The number of m-ary trees with k leaves and no unary node.
+
+    One at k = 1; else, summed over s = 2..m children, C(m, s) choices of
+    their characters times the ordered ways ``seq[k]`` for s subtrees to
+    hold k leaves in all, found by convolving the counts of fewer leaves.
+    """
+    if k == 1:
+        return 1
+    smaller = [0] + [count_patricia_shapes(j, m) for j in range(1, k)]
+    seq, total = smaller, 0
+    for s in range(2, min(m, k) + 1):
+        seq = [sum(seq[i] * smaller[t - i] for i in range(1, t)) for t in range(k + 1)]
+        total += math.comb(m, s) * seq[k]
+    return total
+
+
 def enumerate_patricia_shapes(k: int, m: int) -> list[PatriciaTrie]:
     """All distinct m-ary trees with k leaves and no unary node, each once.
 
-    Shapes carry neither prefixes nor key labels.  Guarded to k <= 10
-    against combinatorial blowup.
+    Shapes carry neither prefixes nor key labels.  Guarded to k <= 10 and,
+    counted before any is built, to MAX_ENUMERATION_SHAPES (2^18) shapes
+    against combinatorial blowup: binary k <= 10 and ternary k <= 7 fit.
     """
     if not 1 <= k <= MAX_ENUMERATION_KEYS:
         raise LimitExceeded(f"shape enumeration supports 1 <= k <= {MAX_ENUMERATION_KEYS}, got {k}")
     if m < 2:
         raise ValueError("alphabet size must be >= 2")
+    count = count_patricia_shapes(k, m)
+    if count > MAX_ENUMERATION_SHAPES:
+        raise LimitExceeded(
+            f"{count} shapes of {k} keys over {m} letters: beyond the enumeration budget of {MAX_ENUMERATION_SHAPES}"
+        )
     return [PatriciaTrie(node, m) for node in _shapes(k, m)]
 
 

@@ -81,6 +81,12 @@ class TestFeStar:
         with pytest.raises(PoleAt):
             fe_k_star(BIN_SYM, 2, -2.0)
 
+    def test_left_of_one_half(self):
+        # k + s = 1/4 takes the log-Gamma's reflection branch
+        for d in SOURCES:
+            want = (1.0 - d.rho(2)) * math.gamma(0.25) / 2.0
+            assert fe_k_star(d, 2, -1.75) == pytest.approx(want, rel=1e-13)
+
     def test_closed_form_at_large_k(self):
         # Gamma(k-1) overflows from k = 144 and k! from k = 171; their ratio does not
         for d in (BIN_SYM, SKEWED):

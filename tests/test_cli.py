@@ -1,11 +1,28 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from triefringe import simulation, trees
 from triefringe.cli import main
+
+_ENGINE_BLOCK = simulation._engine_block
+
+
+def _block_that_kills_its_worker(config, start, stop):
+    """The engine's block, except that every block after the first ends
+    its process at once, as a worker killed for lack of memory does."""
+    if start > 0:
+        os._exit(3)
+    return _ENGINE_BLOCK(config, start, stop)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("called before the input was refused")
 
 
 def invoke(capsys, *argv):
@@ -63,6 +80,16 @@ class TestSimulate:
         assert code == 0
         row = json.loads(out)["results"]["functionals"][0]
         assert row["mean"] == 1.0 and row["var"] == 0.0
+
+    def test_one_replicate_has_no_spread(self, capsys):
+        code, out, _ = invoke(
+            capsys, "simulate", "--source", "0.3,0.7", "--n", "50",
+            "--replicates", "1", "--seed", "7", "--functional", "k=2",
+        )
+        assert code == 0
+        row = json.loads(out)["results"]["functionals"][0]
+        assert row["mean"] > 0
+        assert (row["var"], row["se_mean"], row["se_var"], row["skew"], row["exkurt"]) == (0.0, 0.0, 0.0, None, None)
 
     def test_csv_schema(self, capsys):
         code, out, _ = invoke(
@@ -140,6 +167,14 @@ class TestEnumerate:
         code, _, err = invoke(capsys, "enumerate", "--k", "12", "--source", "0.5,0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("k, source, count", [("10", "uniform:3", "144342627"), ("5", "uniform:8", "9548392")])
+    def test_shape_count_beyond_budget_refused_at_once(self, capsys, monkeypatch, k, source, count):
+        # both once passed the k <= 10 guard and then ran without end
+        monkeypatch.setattr(trees, "_shapes", _never)
+        code, out, err = invoke(capsys, "enumerate", "--k", k, "--source", source)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and count in err and "budget" in err
+
 
 class TestFringeDist:
     def test_masses(self, capsys):
@@ -177,6 +212,39 @@ class TestOscillate:
         assert len(res["log_lambda"]) == 4
         assert res["psi_overlay"][0] is not None
         assert "trend_tstat" in res
+
+    def test_toll_without_closed_form(self, capsys):
+        code, out, _ = invoke(
+            capsys, "oscillate", "--source", "0.5,0.5", "--functional", "internal",
+            "--lambda-min", "16", "--periods", "1", "--points-per-period", "3",
+            "--replicates", "20", "--seed", "11",
+        )
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert res["psi_overlay"] == [None] * 4
+        # the trend is taken against a constant: the weighted slope of the means
+        x, y = np.array(res["log_lambda"]), np.array(res["mean_over_lambda"])
+        w = 1.0 / np.array(res["se"]) ** 2
+        xm, ym = np.sum(w * x) / np.sum(w), np.sum(w * y) / np.sum(w)
+        slope = np.sum(w * (x - xm) * (y - ym)) / np.sum(w * (x - xm) ** 2)
+        assert res["trend_slope"] == pytest.approx(slope, rel=1e-9)
+
+    def test_two_functionals_are_usage_error(self, capsys):
+        code, out, err = invoke(
+            capsys, "oscillate", "--source", "0.5,0.5", "--functional", "k=2,k=3", "--seed", "1",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error") and "exactly one functional" in err
+
+    def test_grid_past_the_poisson_limit_refused_at_once(self, capsys, monkeypatch):
+        # the grid's point 6142 is lambda 9.255e18, which numpy's poisson rejects
+        monkeypatch.setattr(simulation, "_collect", _never)
+        code, out, err = invoke(
+            capsys, "--threads", "1", "oscillate", "--source", "0.5,0.5", "--functional", "k=2",
+            "--lambda-min", "3", "--periods", "100", "--points-per-period", "100", "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "point 6142 " in err and "Poisson limit" in err
 
     @pytest.mark.parametrize(
         "functional, lambda_min, named",
@@ -231,6 +299,18 @@ class TestTopLevel:
         assert (code, out) == (2, "")
         assert err.startswith("error: Unable to allocate")
 
+    def test_pool_worker_that_stops_is_numeric_error(self, capsys, monkeypatch):
+        # four blocks of one replicate on a pool of two workers; it once
+        # escaped main as BrokenProcessPool, a traceback and exit 1
+        monkeypatch.setattr(simulation, "_engine_block", _block_that_kills_its_worker)
+        monkeypatch.setattr(simulation, "_POOL_KEYS", 1000)
+        code, out, err = invoke(
+            capsys, "--threads", "2", "simulate", "--source", "0.5,0.5", "--n", "20000",
+            "--replicates", "4", "--seed", "1", "--functional", "k=2",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a pool worker stopped") and len(err.splitlines()) == 1
+
     SIM = ("--replicates", "2", "--seed", "1")
 
     @pytest.mark.parametrize(
@@ -242,10 +322,13 @@ class TestTopLevel:
             (("simulate", "--source", "0.5,abc", "--n", "5", *SIM, "--functional", "k=2"), "'abc'"),
             (("fringe-dist", "--source", "uniform:x", "--n", "5", *SIM), "'x'"),
             (("constants", "--source", "0.5,0.5", "--k", "2,x"), "'x'"),
+            (("constants", "--source", "0.5,0.5", "--k", "0"), "'0'"),
+            (("constants", "--source", "0.5,0.5", "--k", "1"), "'1'"),
             (("constants", "--source", "0.5,0.5", "--k", "2", "--tol", "nan"), "--tol"),
             (("constants", "--source", "0.5,0.5", "--k", "2", "--fourier", "-1"), "--fourier"),
             (("simulate", "--source", "0.5,0.5", "--lambda", "nan", *SIM, "--functional", "k=2"), "'nan'"),
             (("simulate", "--source", "0.5,0.5", "--lambda", "inf", *SIM, "--functional", "k=2"), "'inf'"),
+            (("simulate", "--source", "0.5,0.5", "--lambda", "x1", *SIM, "--functional", "k=2"), "'x1'"),
             (("simulate", "--source", "0.5,0.5", "--n", "5", *SIM, "--functional", "k=2", "--max-depth", "-3"),
              "--max-depth"),
             (("simulate", "--source", "0.5,0.5", "--n", "5", *SIM, "--functional", "k=2", "--max-depth", "0"),

@@ -109,6 +109,14 @@ class TestChi:
         for toll in ALL_TOLLS:
             assert toll.value(leaf) == toll.chi
 
+    def test_shapes_and_pullbacks(self):
+        # chi is read off the rule: a shape toll's is 1 for the lone leaf
+        # alone, and a pullback's is its base's
+        leaf, cherry = (enumerate_patricia_shapes(k, 2)[0] for k in (1, 2))
+        assert phi_shape(leaf).chi == 1.0 and phi_shape(cherry).chi == 0.0
+        for toll in ALL_TOLLS + [phi_shape(leaf), phi_shape(cherry)]:
+            assert type(toll.chi) is float and pullback(toll).chi == toll.chi
+
 
 class TestPullback:
     def test_unary_root_toll_zero(self):
@@ -147,6 +155,15 @@ class TestPullback:
         assert not phi_k(2).pulled
         with pytest.raises(TypeError):
             TollFunction(name="k=2", stats_fn=phi_k(2).stats_fn, pulled=True)
+
+    def test_pullback_of_a_pullback_rejected(self):
+        with pytest.raises(ValueError, match="already a pullback"):
+            pullback(pullback(phi_k(2)))
+
+    @pytest.mark.parametrize("make", [phi_k, phi_geq])
+    def test_size_below_one_rejected(self, make):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            make(0)
 
     def test_simulation_rejects_pulled_toll(self):
         with pytest.raises(ValueError, match="paired_trie"):

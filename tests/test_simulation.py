@@ -164,6 +164,10 @@ class TestRun:
         assert s.stats("internal").mean == 0.0
         assert s.stats("alpha").mean == 1.0
         assert s.stats("leaf").skewness is None  # degenerate sample
+        with pytest.raises(KeyError):
+            s.stats("k=2")
+        with pytest.raises(KeyError):
+            s.trie_stats("leaf")  # the run has no trie side
 
     def test_binary_internal_count_deterministic(self):
         from triefringe.functionals import phi_geq
@@ -682,6 +686,11 @@ class TestTollGate:
         assert_roots_match(fast, slow)
         return fast
 
+    def test_chi_of_the_custom_rules(self):
+        # the values these rules' tolls once passed beside them
+        for rule, chi in [(_spread, 0.75), (two_way, 0.0), (_inf_on_unary, 1.0), (_node_count, 1.0)]:
+            assert TollFunction(rule.__name__, rule).chi == chi
+
     def test_non_finite_value_on_unary_rows_counts_zero(self):
         inf_unary = TollFunction(name="inf-unary", stats_fn=_inf_on_unary)
         fast = self.check((inf_unary,))
@@ -1096,6 +1105,10 @@ class TestSllnTrack:
     def test_grid_without_an_answer_rejected(self, n_grid):
         with pytest.raises(ValueError, match="n_grid must be a nonempty grid of integers >= 1"):
             slln_track(BIN_SYM, phi_leaf(), n_grid, 1)
+
+    def test_toll_without_closed_form_needs_psi_e(self):
+        with pytest.raises(ValueError, match="pass psi_e"):
+            slln_track(BIN_SYM, phi_internal(), [4, 8], 1)
 
     def test_leaf_toll_exact_zero(self):
         track = slln_track(BIN_SYM, phi_leaf(), [2**j for j in range(4, 10)], 131)

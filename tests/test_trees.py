@@ -17,7 +17,9 @@ from triefringe.trees import (
     _bottom_up,
     build_patricia,
     build_trie,
+    MAX_ENUMERATION_SHAPES,
     compress,
+    count_patricia_shapes,
     enumerate_patricia_shapes,
     fringe,
     random_key_set,
@@ -343,7 +345,7 @@ class TestFringe:
     def test_drawn_example_child(self):
         p = build_patricia(DRAWN_KEYS, 2)
         f = fringe(p, (1,))
-        assert f.leaf_count() == 2
+        assert f.leaf_count() == f.num_keys == 2
         assert f.root.prefix == ()
         keys = sorted(DRAWN_KEYS[node.key_index] for _, node in f.paths() if node.is_leaf)
         assert keys == ["1100", "1101"]
@@ -379,6 +381,30 @@ class TestEnumerateShapes:
             enumerate_patricia_shapes(11, 2)
         with pytest.raises(LimitExceeded):
             enumerate_patricia_shapes(0, 2)
+
+    @pytest.mark.parametrize("m, kmax", [(2, 8), (3, 5), (4, 4), (5, 3), (9, 3)])
+    def test_count_is_the_enumeration_size(self, m, kmax):
+        for k in range(1, kmax + 1):
+            assert count_patricia_shapes(k, m) == len(enumerate_patricia_shapes(k, m)), (k, m)
+
+    def test_counts(self):
+        for k, m, count in [(10, 2, 4862), (5, 3, 1326), (10, 3, 144_342_627), (5, 8, 9_548_392)]:
+            assert count_patricia_shapes(k, m) == count
+
+    def test_budget_refuses_before_building(self, monkeypatch):
+        from triefringe import trees
+
+        # binary shapes up to k = 10 and ternary ones up to k = 7 fit
+        assert count_patricia_shapes(10, 2) <= MAX_ENUMERATION_SHAPES
+        assert count_patricia_shapes(7, 3) <= MAX_ENUMERATION_SHAPES
+
+        def never(k, m):
+            raise AssertionError("shapes built past the budget")
+
+        monkeypatch.setattr(trees, "_shapes", never)
+        for k, m in [(8, 3), (10, 3), (5, 8), (10, 128)]:
+            with pytest.raises(LimitExceeded, match="budget"):
+                enumerate_patricia_shapes(k, m)
 
 
 class TestShapeProbability:
