@@ -124,16 +124,10 @@ def _int_at_least(low):
     return integer
 
 
-def _fringe_sizes(text):
+def _k_list(text):
     """An argparse type: a comma list of fringe sizes, integers >= 2, else a
     usage error naming the token."""
-    values = []
-    for token in text.split(","):
-        try:
-            values.append(_int_at_least(2)(token))
-        except argparse.ArgumentTypeError:
-            raise argparse.ArgumentTypeError(f"{token!r} in {text!r} is not an integer >= 2") from None
-    return values
+    return [_int_at_least(2)(token) for token in text.split(",")]
 
 
 def _finite_number(low, strict=False):
@@ -401,7 +395,7 @@ def _build_parser():
 
     p = sub.add_parser("constants", help="asymptotic constants of the k-fringe counts")
     p.add_argument("--source", type=_source_spec, required=True)
-    p.add_argument("--k", type=_fringe_sizes, required=True, help="comma list of fringe sizes, e.g. 2,3,4")
+    p.add_argument("--k", type=_k_list, required=True, help="comma list of fringe sizes, e.g. 2,3,4")
     p.add_argument("--fourier", type=_int_at_least(0), default=8)
     p.add_argument("--tol", type=_finite_number(0, strict=True), default=1e-12)
     p.set_defaults(fn=_cmd_constants)

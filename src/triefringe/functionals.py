@@ -54,9 +54,10 @@ class TollFunction:
     """A shape-only toll: per-fringe-subtree contribution of an additive functional.
 
     stats_fn evaluates the toll from node aggregates (leaf_count,
-    node_count, outdeg, essential, shape_sig), and chi is what it gives on
-    a lone leaf, read off the rule when asked for.  The same rule serves the explicit trees here and every toll of
-    the simulation engine, so it must be elementwise: given scalars it
+    node_count, outdeg, essential, shape_sig); chi, the toll's value on a
+    lone leaf, is read off it when asked for, so the two cannot disagree.
+    The same rule serves the explicit trees here and every toll of the
+    simulation engine, so it must be elementwise: given scalars it
     returns a number, given equal-length numpy arrays (one entry per node)
     it returns an array of values or a number for all of them.  shape_sig
     is only compared with ``==`` against a nested signature, of any size.

@@ -586,8 +586,8 @@ def _collect(config, threads=1):
     """Every replicate's engine outputs, in replicate order.  The blocks run
     as tasks of a process pool when there are threads to spare, more than
     one block and more than _POOL_KEYS expected keys, else in turn.  A
-    worker that stops before its block is done, killed for lack of memory
-    say, raises WorkerStopped."""
+    worker that stops before its block is done (killed for lack of memory,
+    say) raises WorkerStopped."""
     blocks = _block_bounds(config)
     results = None
     if threads > 1 and len(blocks) > 1 and config.replicates * _keys_per_replicate(config) > _POOL_KEYS:

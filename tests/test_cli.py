@@ -322,13 +322,10 @@ class TestTopLevel:
             (("simulate", "--source", "0.5,abc", "--n", "5", *SIM, "--functional", "k=2"), "'abc'"),
             (("fringe-dist", "--source", "uniform:x", "--n", "5", *SIM), "'x'"),
             (("constants", "--source", "0.5,0.5", "--k", "2,x"), "'x'"),
-            (("constants", "--source", "0.5,0.5", "--k", "0"), "'0'"),
-            (("constants", "--source", "0.5,0.5", "--k", "1"), "'1'"),
             (("constants", "--source", "0.5,0.5", "--k", "2", "--tol", "nan"), "--tol"),
             (("constants", "--source", "0.5,0.5", "--k", "2", "--fourier", "-1"), "--fourier"),
             (("simulate", "--source", "0.5,0.5", "--lambda", "nan", *SIM, "--functional", "k=2"), "'nan'"),
             (("simulate", "--source", "0.5,0.5", "--lambda", "inf", *SIM, "--functional", "k=2"), "'inf'"),
-            (("simulate", "--source", "0.5,0.5", "--lambda", "x1", *SIM, "--functional", "k=2"), "'x1'"),
             (("simulate", "--source", "0.5,0.5", "--n", "5", *SIM, "--functional", "k=2", "--max-depth", "-3"),
              "--max-depth"),
             (("simulate", "--source", "0.5,0.5", "--n", "5", *SIM, "--functional", "k=2", "--max-depth", "0"),
@@ -341,6 +338,9 @@ class TestTopLevel:
             (("fringe-dist", "--source", "0.5,0.5", "--n", "5", "--replicates", "0", "--seed", "1"), "--replicates"),
             (("simulate", "--source", "0.5,0.5", "--n", "-1", *SIM, "--functional", "k=2"), "--n"),
             (("fringe-dist", "--source", "0.5,0.5", "--n", "5", *SIM, "--kmax", "0"), "--kmax"),
+            (("constants", "--source", "0.5,0.5", "--k", "0"), "'0'"),
+            (("constants", "--source", "0.5,0.5", "--k", "1"), "'1'"),
+            (("simulate", "--source", "0.5,0.5", "--lambda", "x1", *SIM, "--functional", "k=2"), "'x1'"),
         ],
     )
     def test_malformed_token_is_usage_error(self, capsys, argv, named):
