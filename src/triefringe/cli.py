@@ -46,6 +46,7 @@ from .functionals import (
 from .simulation import SimulationConfig, fringe_distribution, oscillation_scan, run
 from .source import SourceDistribution
 from .trees import (
+    DEFAULT_MAX_DEPTH,
     build_patricia,
     build_trie,
     compress,
@@ -408,7 +409,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--functional", required=True)
     p.add_argument("--paired-trie", action="store_true")
-    p.add_argument("--max-depth", type=_int_at_least(1), default=10_000)
+    p.add_argument("--max-depth", type=_int_at_least(1), default=DEFAULT_MAX_DEPTH)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=_cmd_simulate)
 

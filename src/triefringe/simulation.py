@@ -123,7 +123,8 @@ def _check_replicates(replicates):
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """One simulation request; immutable and safe to share."""
+    """One simulation request; immutable and safe to share.  A Poisson
+    lambda past numpy's limit (about 9.2e18) raises LimitExceeded."""
 
     source: SourceDistribution
     mode: str  # "fixed" | "poisson"
@@ -148,6 +149,8 @@ class SimulationConfig:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.mode == "fixed" and self.size != int(self.size):
             raise ValueError("fixed mode needs an integer key count")
+        if self.mode == "poisson" and self.size > _POISSON_LAM_MAX:
+            raise LimitExceeded(f"lambda {self.size:.6g} is past numpy's Poisson limit, lambda {_POISSON_LAM_MAX:.6g}")
         if any(t.pulled for t in self.functionals):
             raise ValueError("simulations evaluate patricia tolls; use paired_trie for the trie side")
         object.__setattr__(self, "functionals", tuple(self.functionals))
@@ -889,20 +892,19 @@ def oscillation_scan(
     h = d.entropy()
     points = periods * points_per_period + 1
     logs = np.log(lam_min) + period * np.arange(points) / points_per_period
+    configs = []
     for j, ll in enumerate(logs):
-        # exp(100) is past the limit already, and the cap keeps exp finite
-        if math.exp(min(ll, 100.0)) > _POISSON_LAM_MAX:
-            raise LimitExceeded(
-                f"oscillation point {j} (log lambda {ll:.6g}) is past numpy's Poisson limit, lambda {_POISSON_LAM_MAX:.6g}"
-            )
+        try:
+            # exp(100) is past the limit already, and the cap keeps exp finite
+            configs.append(SimulationConfig.poisson(d, math.exp(min(ll, 100.0)), replicates, master_seed + j, (toll,)))
+        except LimitExceeded as exc:
+            raise LimitExceeded(f"oscillation point {j} (log lambda {ll:.6g}): {exc}") from None
     means = np.zeros(points)
     ses = np.zeros(points)
     overlay = np.full(points, np.nan)
-    for j, ll in enumerate(logs):
-        lam = math.exp(ll)
-        config = SimulationConfig.poisson(d, lam, replicates, master_seed + j, (toll,))
+    for j, (ll, config) in enumerate(zip(logs, configs)):
         data = _collect(config)
-        means[j], ses[j] = _mean_se(data["pat"][:, 0] / lam)
+        means[j], ses[j] = _mean_se(data["pat"][:, 0] / config.size)
         if psi_e is not None:
             overlay[j] = psi_eval(psi_e, ll) / h + toll.chi
     return OscillationScan(logs, means, ses, overlay)

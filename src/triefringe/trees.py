@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -320,7 +319,6 @@ def fringe(t: _Tree, path):
     return type(t)(node, t.m)
 
 
-MAX_ENUMERATION_KEYS = 10
 # enumerate_patricia_shapes holds every shape it returns, 409-539 bytes
 # each under tracemalloc, so 2^18 shapes take up to about 140 MB
 MAX_ENUMERATION_SHAPES = 1 << 18
@@ -336,53 +334,57 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
 def _shapes(k, m):
-    if k == 1:
-        return (PatriciaNode(),)
-    out = []
-    for size in range(2, min(m, k) + 1):
-        for chars in itertools.combinations(range(m), size):
-            for comp in _compositions(k, size):
-                for subs in itertools.product(*(_shapes(j, m) for j in comp)):
-                    out.append(PatriciaNode(children=dict(zip(chars, subs))))
-    return tuple(out)
+    """The shapes of 1, 2, .., k leaves in turn, the smaller ones shared as
+    subtrees; the table is dropped when the call returns."""
+    by_size = [None, (PatriciaNode(),)]
+    for j in range(2, k + 1):
+        out = []
+        for size in range(2, min(m, j) + 1):
+            for chars in itertools.combinations(range(m), size):
+                for comp in _compositions(j, size):
+                    for subs in itertools.product(*(by_size[i] for i in comp)):
+                        out.append(PatriciaNode(children=dict(zip(chars, subs))))
+        by_size.append(tuple(out))
+    return by_size[k]
 
 
-@lru_cache(maxsize=None)
 def count_patricia_shapes(k: int, m: int) -> int:
     """The number of m-ary trees with k leaves and no unary node.
 
-    One at k = 1; else, summed over s = 2..m children, C(m, s) choices of
-    their characters times the ordered ways ``seq[k]`` for s subtrees to
-    hold k leaves in all, found by convolving the counts of fewer leaves.
+    One at k = 1; the count of j leaves sums, over s = 2..m children,
+    C(m, s) choices of their characters times the ordered ways ``seq[j]``
+    for s subtrees to hold j leaves in all, convolved from the counts of
+    fewer leaves, and a table keeps the counts of 1, 2, .., k - 1 leaves.
     """
-    if k == 1:
-        return 1
-    smaller = [0] + [count_patricia_shapes(j, m) for j in range(1, k)]
-    seq, total = smaller, 0
-    for s in range(2, min(m, k) + 1):
-        seq = [sum(seq[i] * smaller[t - i] for i in range(1, t)) for t in range(k + 1)]
-        total += math.comb(m, s) * seq[k]
-    return total
+    counts = [0, 1]
+    for j in range(2, k + 1):
+        seq, total = counts, 0
+        for s in range(2, min(m, j) + 1):
+            seq = [sum(seq[i] * counts[t - i] for i in range(1, t)) for t in range(j + 1)]
+            total += math.comb(m, s) * seq[j]
+        counts.append(total)
+    return counts[k] if k >= 0 else 0
 
 
 def enumerate_patricia_shapes(k: int, m: int) -> list[PatriciaTrie]:
     """All distinct m-ary trees with k leaves and no unary node, each once.
 
-    Shapes carry neither prefixes nor key labels.  Guarded to k <= 10 and,
-    counted before any is built, to MAX_ENUMERATION_SHAPES (2^18) shapes
-    against combinatorial blowup: binary k <= 10 and ternary k <= 7 fit.
+    Shapes carry neither prefixes nor key labels, and the call keeps
+    nothing.  The shapes of 1, 2, .. leaves are counted before any is built,
+    and the first count past MAX_ENUMERATION_SHAPES (2^18) refuses k: counts
+    never fall as k grows, and by k = 14 the binary shapes alone pass it.
+    The largest k is 13 for 2 letters, 7 for 3, 5 for 4 and 4 for 8.
     """
-    if not 1 <= k <= MAX_ENUMERATION_KEYS:
-        raise LimitExceeded(f"shape enumeration supports 1 <= k <= {MAX_ENUMERATION_KEYS}, got {k}")
+    if k < 1:
+        raise LimitExceeded(f"shape enumeration needs k >= 1, got {k}")
     if m < 2:
         raise ValueError("alphabet size must be >= 2")
-    count = count_patricia_shapes(k, m)
-    if count > MAX_ENUMERATION_SHAPES:
-        raise LimitExceeded(
-            f"{count} shapes of {k} keys over {m} letters: beyond the enumeration budget of {MAX_ENUMERATION_SHAPES}"
-        )
+    for j in range(1, k + 1):
+        if (count := count_patricia_shapes(j, m)) > MAX_ENUMERATION_SHAPES:
+            raise LimitExceeded(
+                f"{count} shapes of {j} keys over {m} letters: k = {k} is past the shape budget of {MAX_ENUMERATION_SHAPES}"
+            )
     return [PatriciaTrie(node, m) for node in _shapes(k, m)]
 
 

@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from triefringe import simulation, trees
-from triefringe.cli import main
+from triefringe.cli import _build_parser, main
+from triefringe.trees import DEFAULT_MAX_DEPTH
 
 _ENGINE_BLOCK = simulation._engine_block
 
@@ -137,6 +139,20 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert "128" in err
 
+    def test_max_depth_default_is_the_library_default(self):
+        argv = ["simulate", "--source", "0.5,0.5", "--n", "5", "--replicates", "2", "--seed", "1", "--functional", "k=2"]
+        assert _build_parser().parse_args(argv).max_depth == DEFAULT_MAX_DEPTH
+
+    def test_lambda_past_the_poisson_limit_refused_at_once(self, capsys, monkeypatch):
+        # this once exited 2 with numpy's bare "lam value too large"
+        monkeypatch.setattr(simulation, "_collect", _never)
+        code, out, err = invoke(
+            capsys, "simulate", "--source", "0.5,0.5", "--lambda", "1e19", "--replicates", "2", "--seed", "1",
+            "--functional", "k=2",
+        )
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "Poisson limit" in err
+
     def test_depth_error_exit_code(self, capsys):
         code, _, err = invoke(
             capsys, "simulate", "--source", "0.5,0.5", "--n", "64",
@@ -164,16 +180,31 @@ class TestEnumerate:
         assert sum(r["probability"] for r in rows) == pytest.approx(1.0, abs=1e-12)
 
     def test_limit_exit_code(self, capsys):
-        code, _, err = invoke(capsys, "enumerate", "--k", "12", "--source", "0.5,0.5")
+        code, _, err = invoke(capsys, "enumerate", "--k", "14", "--source", "0.5,0.5")
         assert code == 2
 
-    @pytest.mark.parametrize("k, source, count", [("10", "uniform:3", "144342627"), ("5", "uniform:8", "9548392")])
+    @pytest.mark.parametrize("k, source, count", [("10", "uniform:3", "1278189"), ("5", "uniform:8", "9548392")])
     def test_shape_count_beyond_budget_refused_at_once(self, capsys, monkeypatch, k, source, count):
-        # both once passed the k <= 10 guard and then ran without end
+        # both once passed the k <= 10 guard and then ran without end; the
+        # count named is that of the first size past the budget (8 keys on
+        # uniform:3)
         monkeypatch.setattr(trees, "_shapes", _never)
         code, out, err = invoke(capsys, "enumerate", "--k", k, "--source", source)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and count in err and "budget" in err
+
+    @pytest.mark.parametrize(
+        "k, source, count",
+        [("14", "0.5,0.5", "742900"), ("1000000", "0.5,0.5", "742900"), ("1000000", "uniform:3", "1278189")],
+    )
+    def test_k_past_the_budget_refused_in_under_a_second(self, capsys, monkeypatch, k, source, count):
+        # counting stops at the first size past the budget, however large k is
+        monkeypatch.setattr(trees, "_shapes", _never)
+        started = time.perf_counter()
+        code, out, err = invoke(capsys, "enumerate", "--k", k, "--source", source)
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and count in err and f"k = {k} " in err
 
 
 class TestFringeDist:

@@ -14,7 +14,7 @@ from triefringe.asymptotics import (
     fv_lambda,
     link_trie_patricia,
 )
-from triefringe.errors import DegenerateVariance, DepthExceeded
+from triefringe.errors import DegenerateVariance, DepthExceeded, LimitExceeded
 from triefringe.functionals import TollFunction, phi_alpha, phi_internal, phi_k, phi_leaf, phi_shape
 from triefringe.simulation import (
     SimulationConfig,
@@ -1003,6 +1003,29 @@ class TestEstimateFX:
         assert abs(est.f_e) < 3 * est.f_e_se
         assert est.f_v_se > 1e-4 and abs(est.f_v) < 3 * est.f_v_se
         assert est.f_c_se > 1e-4 and abs(est.f_c) < 3 * est.f_c_se
+
+
+class TestPoissonLimit:
+    """A lambda past numpy's Poisson limit is refused before any replicate runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_runs(self, monkeypatch):
+        from triefringe import simulation
+
+        def never(*args, **kwargs):
+            raise AssertionError("a replicate ran before the lambda was refused")
+
+        monkeypatch.setattr(simulation, "_collect", never)
+
+    def test_config_refuses(self):
+        with pytest.raises(LimitExceeded, match="Poisson limit"):
+            SimulationConfig.poisson(BIN_SYM, 1e19, 2, 1, (phi_k(2),))
+        SimulationConfig.poisson(BIN_SYM, 9.2e18, 2, 1, (phi_k(2),))
+
+    def test_estimate_fx_refuses(self):
+        # this once raised numpy's bare "lam value too large"
+        with pytest.raises(LimitExceeded, match="Poisson limit"):
+            estimate_fX(phi_k(2), BIN_SYM, 1e19, 2, 1)
 
 
 class TestNormalityDiagnostics:

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -378,11 +380,34 @@ class TestEnumerateShapes:
 
     def test_limit(self):
         with pytest.raises(LimitExceeded):
-            enumerate_patricia_shapes(11, 2)
+            enumerate_patricia_shapes(14, 2)
         with pytest.raises(LimitExceeded):
             enumerate_patricia_shapes(0, 2)
 
-    @pytest.mark.parametrize("m, kmax", [(2, 8), (3, 5), (4, 4), (5, 3), (9, 3)])
+    def test_binary_k11(self):
+        # past the old k <= 10 limit; Catalan(10) shapes
+        shapes = enumerate_patricia_shapes(11, 2)
+        assert len(shapes) == 16_796
+        assert len({shape_signature(s) for s in shapes}) == len(shapes)
+        assert sum(shape_probability(s, BIN_SYM) for s in shapes) == pytest.approx(1.0, abs=1e-12)
+
+    def test_nothing_outlives_the_call(self):
+        # (5, 4) is enumerated by no other test: 21 252 shapes, about 8.5 MB
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            shapes = enumerate_patricia_shapes(5, 4)
+            built = tracemalloc.get_traced_memory()[0] - before
+            del shapes
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert built > 5e6
+        assert kept < 0.1e6
+
+    @pytest.mark.parametrize("m, kmax", [(2, 8), (2, 11), (3, 5), (4, 4), (5, 3), (9, 3)])
     def test_count_is_the_enumeration_size(self, m, kmax):
         for k in range(1, kmax + 1):
             assert count_patricia_shapes(k, m) == len(enumerate_patricia_shapes(k, m)), (k, m)
@@ -394,15 +419,15 @@ class TestEnumerateShapes:
     def test_budget_refuses_before_building(self, monkeypatch):
         from triefringe import trees
 
-        # binary shapes up to k = 10 and ternary ones up to k = 7 fit
-        assert count_patricia_shapes(10, 2) <= MAX_ENUMERATION_SHAPES
+        # binary shapes up to k = 13 and ternary ones up to k = 7 fit
+        assert count_patricia_shapes(13, 2) <= MAX_ENUMERATION_SHAPES
         assert count_patricia_shapes(7, 3) <= MAX_ENUMERATION_SHAPES
 
         def never(k, m):
             raise AssertionError("shapes built past the budget")
 
         monkeypatch.setattr(trees, "_shapes", never)
-        for k, m in [(8, 3), (10, 3), (5, 8), (10, 128)]:
+        for k, m in [(14, 2), (10**6, 2), (8, 3), (10, 3), (5, 8), (10, 128)]:
             with pytest.raises(LimitExceeded, match="budget"):
                 enumerate_patricia_shapes(k, m)
 
