@@ -109,13 +109,10 @@ class AsymptoticConstant:
 
     value: complex
     error_bound: float
-    method: str  # closed-form | truncated-series | quadrature | recursion-bounded
 
     def __post_init__(self):
         if not math.isfinite(self.error_bound) or self.error_bound < 0:
             raise ValueError("error_bound must be finite and nonnegative")
-        if self.method == "closed-form" and self.error_bound != 0.0:
-            raise ValueError("closed-form constants carry error_bound 0")
 
     @property
     def real(self) -> float:
@@ -278,7 +275,7 @@ def fv_lambda(d: SourceDistribution, k: int, lam: float, tol: float = 1e-12) -> 
                - sum*_a (q_k/k!)^2 lam^(2k) p_a^k e^(-lam(1+p_a)),  q_k = 1-rho(k).
     """
     if lam == 0.0:
-        return AsymptoticConstant(0.0, 0.0, "truncated-series")
+        return AsymptoticConstant(0.0, 0.0)
     # h(p) = (q_k/k!)^2 lam^(2k) e^(-lam(1+p)), largest as p -> 0
     log_c = 2.0 * (math.log(1.0 - d.rho(k)) - math.lgamma(k + 1) + k * math.log(lam)) - lam
 
@@ -286,7 +283,7 @@ def fv_lambda(d: SourceDistribution, k: int, lam: float, tol: float = 1e-12) -> 
         return np.exp(log_c - lam * p)
 
     series, tail = star_sum(d, k, h, math.exp(log_c), tol)
-    return AsymptoticConstant(fe_lambda(d, k, lam) - series, tail, "truncated-series")
+    return AsymptoticConstant(fe_lambda(d, k, lam) - series, tail)
 
 
 def fv_k_star(d: SourceDistribution, k: int, s: complex = -1, tol: float = 1e-12) -> AsymptoticConstant:
@@ -318,7 +315,7 @@ def fv_k_star(d: SourceDistribution, k: int, s: complex = -1, tol: float = 1e-12
     value = head - series
     if s.imag == 0:
         value = value.real
-    return AsymptoticConstant(value, tail, "truncated-series")
+    return AsymptoticConstant(value, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +474,7 @@ def fringe_mass_sum(d: SourceDistribution, kmax: int) -> AsymptoticConstant:
             break
         acc += r / (k * (k - 1))
     tail = sum(p ** (kmax + 1) / (1.0 - p) for p in d.probs) / (kmax * (kmax + 1))
-    return AsymptoticConstant(1.0 - acc, tail, "truncated-series")
+    return AsymptoticConstant(1.0 - acc, tail)
 
 
 def shape_limit(d: SourceDistribution, shape) -> float:
@@ -542,7 +539,7 @@ def mellin_numeric(f, s: complex, decay_zero: float, decay_inf="exp", rel_tol: f
 
     low, low_err = quad_c(-np.inf, 0.0)
     high, high_err = quad_c(0.0, np.inf)
-    return AsymptoticConstant(low + high, low_err + high_err, "quadrature")
+    return AsymptoticConstant(low + high, low_err + high_err)
 
 
 # ---------------------------------------------------------------------------

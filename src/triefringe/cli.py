@@ -281,19 +281,14 @@ def _cmd_indnum(args):
 def _cmd_enumerate(args):
     d = SourceDistribution.parse(args.source)
     shapes = enumerate_patricia_shapes(args.k, d.m)
-    rows = [
-        {
-            "shape": shape_string(s),
-            "probability": shape_probability(s, d),
-            "leaves": args.k,
-        }
-        for s in shapes
-    ]
-    if args.format == "json":
-        _emit("enumerate", {"source": list(d.probs), "k": args.k}, {"shapes": rows})
+    if args.format == "text":
+        # each row is written as it is made; the shapes are all built first,
+        # so a refusal still writes nothing
+        for s in shapes:
+            sys.stdout.write(f"{shape_string(s)} {shape_probability(s, d):.15g} {args.k}\n")
         return 0
-    for row in rows:
-        sys.stdout.write(f"{row['shape']} {row['probability']:.15g} {row['leaves']}\n")
+    rows = [{"shape": shape_string(s), "probability": shape_probability(s, d), "leaves": args.k} for s in shapes]
+    _emit("enumerate", {"source": list(d.probs), "k": args.k}, {"shapes": rows})
     return 0
 
 

@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import EmptyTree, LimitExceeded
+from .errors import EmptyTree
 from .trees import Trie, _bottom_up, shape_signature
 
 _LEAF_SIG = "*"
@@ -271,27 +271,17 @@ def matching_number(tree) -> int:
     return tree.node_count() - independence_number(tree)
 
 
-BRUTE_FORCE_NODE_LIMIT = 25
-
-
 def brute_force_independence(tree) -> int:
     """Exact maximum-independent-set size by take/skip dynamic programming.
 
-    Independent of the essentiality recursion; guarded to small trees.
+    Independent of the essentiality recursion: one fold from the leaves up
+    gives each node the largest independent sets of its fringe that take
+    it and that skip it, so any size and depth works.
     """
     if tree.root is None:
         return 0
-    if tree.node_count() > BRUTE_FORCE_NODE_LIMIT:
-        raise LimitExceeded(
-            f"brute-force independence limited to {BRUTE_FORCE_NODE_LIMIT} nodes, got {tree.node_count()}"
-        )
 
-    def dp(node):
-        take, skip = 1, 0
-        for child in node.children.values():
-            c_take, c_skip = dp(child)
-            take += c_skip
-            skip += max(c_take, c_skip)
-        return take, skip
+    def combine(_node, items):
+        return 1 + sum(skip for _, (_, skip) in items), sum(max(pair) for _, pair in items)
 
-    return max(dp(tree.root))
+    return max(_bottom_up(tree.root, combine))

@@ -562,7 +562,8 @@ class CharBlocks:
     (``slln_track``) names such rows: in mid-pass, keys that a larger set
     found alone before the block and that the smaller set has found alone
     too, so it never uses their characters there.  The first block holds
-    every row.
+    every row; a read of every row (None) from a sparse block raises
+    ValueError.
     """
 
     def __init__(self, d: SourceDistribution, rngs, counts):
@@ -622,6 +623,8 @@ class CharBlocks:
         col = self.blocks[t // KEY_BLOCK_WIDTH][:, t % KEY_BLOCK_WIDTH]
         slot = self.slots[t // KEY_BLOCK_WIDTH]
         if slot is not None:
+            if active is None:
+                raise ValueError(f"block {t // KEY_BLOCK_WIDTH} was drawn for named rows; a read of it must name them")
             return col[slot[active]]
         return col if active is None else col[active]
 

@@ -305,7 +305,7 @@ class TestFourier:
 class TestPsiEval:
     def test_constant_case(self):
         assert psi_eval(0.25, 3.3) == 0.25
-        assert psi_eval(AsymptoticConstant(0.25, 0.0, "closed-form"), 1.0) == 0.25
+        assert psi_eval(AsymptoticConstant(0.25, 0.0), 1.0) == 0.25
 
     def test_periodic(self):
         ps = fourier_series(BIN_SYM, 2, "E", M=8)

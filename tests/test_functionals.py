@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from triefringe.errors import EmptyTree, LimitExceeded
+from triefringe.errors import EmptyTree
 from triefringe.functionals import (
     TollFunction,
     brute_force_independence,
@@ -266,12 +266,15 @@ class TestIndependence:
         d = SourceDistribution((0.15, 0.85))  # long unary chains
         for _ in range(300):
             t = random_trie(rng, d=d, max_keys=6)
-            if t.node_count() <= 25:
-                assert independence_number(t) == brute_force_independence(t)
+            assert independence_number(t) == brute_force_independence(t)
+
+    def test_brute_force_at_any_size(self):
+        # a unary chain of 3000 nodes above a node with two leaves
+        t = build_trie(["0" * 3000 + "0", "0" * 3000 + "1"], 2)
+        assert t.node_count() == 3003
+        assert brute_force_independence(t) == independence_number(t) == 1502
 
     def test_limits(self):
-        with pytest.raises(LimitExceeded):
-            brute_force_independence(build_patricia([f"{i:05b}" for i in range(16)], 2))
         with pytest.raises(EmptyTree):
             matching_number(build_patricia([], 2))
 

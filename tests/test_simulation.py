@@ -829,6 +829,22 @@ class TestEngineMatchesExplicitTrees:
 
         check()
 
+    @pytest.mark.parametrize("spec", ["0.3,0.7", "uniform:3", "0.05,0.95", "0.2,0.3,0.5"])
+    def test_alpha_sums_equal_the_take_skip_oracle(self, spec):
+        # an algorithm independent of the essentiality rule, on full-size
+        # trees: up to about 12 000 trie nodes on 0.05,0.95
+        from triefringe.functionals import brute_force_independence
+        from triefringe.simulation import _collect, replicate_rng
+        from triefringe.trees import build_patricia, build_trie, random_key_set
+
+        d = SourceDistribution.parse(spec)
+        cfg = SimulationConfig.fixed(d, 2000, 3, 71, (phi_alpha(),), paired_trie=True)
+        fast = _collect(cfg)
+        for i in range(cfg.replicates):
+            ks = random_key_set(d, 2000, replicate_rng(71, i))
+            assert fast["pat"][i, 0] == brute_force_independence(build_patricia(ks)), (spec, i)
+            assert fast["trie"][i, 0] == brute_force_independence(build_trie(ks)), (spec, i)
+
 
 class TestShapeColumn:
     """``shape_sig == sig`` matches the nested signature on the node table:

@@ -336,6 +336,16 @@ class TestCharBlocks:
         # any other row reads the characters of the block's first slot, row 3
         assert np.array_equal(chars.column(t, np.array([0, 30, 39])), chars.column(t, np.array([3, 30, 3])))
 
+    def test_read_of_every_row_refused_on_a_sparse_block(self):
+        from triefringe.trees import KEY_BLOCK_WIDTH, CharBlocks
+
+        chars = CharBlocks(SourceDistribution((0.3, 0.7)), [np.random.default_rng(4)], [40])
+        chars.column(KEY_BLOCK_WIDTH, np.array([3, 30]))
+        with pytest.raises(ValueError, match="block 1"):
+            chars.column(KEY_BLOCK_WIDTH + 1)
+        # the first block holds every row
+        assert chars.column(0).shape == (40,)
+
 
 class TestFringe:
     def test_root_fringe_clears_prefix(self):
