@@ -189,6 +189,11 @@ def _bd0(x: float, mu: float) -> float:
         total = grown
 
 
+def _check_lam(lam):
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+
+
 def fe_lambda(d: SourceDistribution, k: int, lam: float) -> float:
     """Poissonized mean profile of the k-fringe toll: (1-rho(k)) lam^k e^-lam / k!.
 
@@ -198,6 +203,7 @@ def fe_lambda(d: SourceDistribution, k: int, lam: float) -> float:
     k is near lam.  (C. Loader, Fast and Accurate Computation of Binomial
     Probabilities, 2000.)
     """
+    _check_lam(lam)
     if lam == 0.0:
         return 0.0
     return (1.0 - d.rho(k)) * math.exp(-_stirlerr(k) - _bd0(k, lam)) / math.sqrt(2.0 * math.pi * k)
@@ -238,6 +244,8 @@ def star_sum(d: SourceDistribution, k: int, h, bound: float, tol: float):
     to the first L >= 1 with 2 bound rho(k)^L / (1-rho(k)) <= tol, or raise
     LimitExceeded up front past the budget.  Returns (value, tail_bound).
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     probs, mult = np.unique(d.probs, return_counts=True)
     groups, rho_k = len(probs), d.rho(k)
     excess = 2.0 * bound / ((1.0 - rho_k) * tol)
@@ -274,6 +282,9 @@ def fv_lambda(d: SourceDistribution, k: int, lam: float, tol: float = 1e-12) -> 
     f_V(lam) = q_k lam^k e^-lam / k!
                - sum*_a (q_k/k!)^2 lam^(2k) p_a^k e^(-lam(1+p_a)),  q_k = 1-rho(k).
     """
+    if k < 2:
+        raise ValueError("fringe-count constants require k >= 2")
+    _check_lam(lam)
     if lam == 0.0:
         return AsymptoticConstant(0.0, 0.0)
     # h(p) = (q_k/k!)^2 lam^(2k) e^(-lam(1+p)), largest as p -> 0
@@ -353,6 +364,8 @@ def fc_k_star(d: SourceDistribution, k: int, m: int = 0):
 
 def fourier_series(d: SourceDistribution, k: int, X: str, M: int = 8, tol: float = 1e-12) -> FourierSeries:
     """Truncated Fourier series of psi_X (X in {E, V, C}) for the k-fringe toll."""
+    if M < 0:
+        raise ValueError(f"M must be >= 0, got {M}")
     coeffs = tuple(fourier_coefficient(d, k, X, m, tol) for m in range(M + 1))
     return FourierSeries(period=d.periodicity(), coeffs=coeffs)
 

@@ -887,6 +887,11 @@ def oscillation_scan(
     9.2e18) raises LimitExceeded before any replicate runs.
     """
     _check_replicates(replicates)
+    if not (math.isfinite(lam_min) and lam_min > 0):
+        raise ValueError(f"lam_min must be finite and > 0, got {lam_min}")
+    for name, value in (("periods", periods), ("points_per_period", points_per_period)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     period = d.periodicity() or math.log(2.0)
     psi_e = _default_psi_e(d, toll)
     h = d.entropy()

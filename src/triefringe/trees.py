@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -67,18 +68,33 @@ class PatriciaNode(_Node):
 
 def _same_tree(a, b):
     """Equality of two nodes without recursion, so any depth works: equal
-    types, prefixes and keys and, under equal characters, equal children."""
-    stack = [(a, b)]
+    types, prefixes and keys and, under equal characters, equal children.
+    The walk carries b's node at a's place, and reaches a child only after
+    both parents' characters compared equal; a shared subtree is walked
+    too, but each of its places compares by identity alone."""
+    return all(
+        x is y
+        or (type(x) is type(y) and x.children.keys() == y.children.keys() and x.prefix == y.prefix and x.key_index == y.key_index)
+        for x, y in _preorder(a, b, lambda y, ch: y.children[ch])
+    )
+
+
+def _preorder(root, state, step):
+    """(node, state) pairs of a tree in preorder, children in ascending
+    character order whatever their dict order, and nothing for the empty
+    tree (root None).  A child's state is ``step(parent state, char)``,
+    made when the walk resumes past the parent, so a reader that stops at
+    a node makes none of its children's.  One explicit stack, no recursion,
+    so any depth works."""
+    if root is None:
+        return
+    stack = [(root, state)]
     while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        if type(x) is not type(y) or x.children.keys() != y.children.keys():
-            return False
-        if x.prefix != y.prefix or x.key_index != y.key_index:
-            return False
-        stack.extend((c, y.children[ch]) for ch, c in x.children.items())
-    return True
+        node, state = item = stack.pop()
+        yield item
+        if children := node.children:
+            for a in sorted(children, reverse=True):
+                stack.append((children[a], step(state, a)))
 
 
 class _Tree:
@@ -105,24 +121,11 @@ class _Tree:
 
     def nodes(self):
         """All nodes in preorder, children visited in alphabet order."""
-        if self.root is None:
-            return
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children[a] for a in sorted(node.children, reverse=True))
+        return map(itemgetter(0), _preorder(self.root, None, lambda state, a: None))
 
     def paths(self):
         """(path, node) pairs in preorder; paths are tuples of split characters."""
-        if self.root is None:
-            return
-        stack = [((), self.root)]
-        while stack:
-            path, node = stack.pop()
-            yield path, node
-            for a in sorted(node.children, reverse=True):
-                stack.append((path + (a,), node.children[a]))
+        return map(itemgetter(1, 0), _preorder(self.root, (), lambda path, a: path + (a,)))
 
     def node_at(self, path):
         if self.root is None:
@@ -325,13 +328,11 @@ MAX_ENUMERATION_SHAPES = 1 << 18
 
 
 def _compositions(total, parts):
-    """All orderings of ``total`` into ``parts`` positive integers."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All orderings of ``total`` into ``parts`` positive integers, in
+    lexicographic order: the gaps between ascending cut points."""
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        bounds = (0, *cuts, total)
+        yield tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
 
 
 def _shapes(k, m):
@@ -458,7 +459,9 @@ def shape_probability(shape, d: SourceDistribution) -> float:
     arithmetic rounds it, but every partial product (and path probability)
     keeps its binary exponent apart (``math.frexp``), so none overflows or
     underflows: any k works, a value below the float range is 0.0, and
-    every value inside it has the bits of the plain float product.
+    every value inside it has the bits of the plain float product.  A
+    shape with a character outside the source's alphabet is 0.0, as the
+    engine never draws one.
     """
     root = shape.root if isinstance(shape, _Tree) else shape
     if root is None:
@@ -467,6 +470,8 @@ def shape_probability(shape, d: SourceDistribution) -> float:
     shift = max(0, k_factorial.bit_length() - 64)
     acc, acc_exp = math.frexp(k_factorial / (1 << shift))  # int / int rounds correctly
     acc_exp += shift
+    # its own stack, not _preorder: made through step(), the path
+    # probabilities cost the whole law 8-24 % more time
     stack = [(root, 1.0, 0)]  # a node and its path probability, as mantissa and exponent
     while stack:
         node, path, path_exp = stack.pop()
@@ -477,6 +482,8 @@ def shape_probability(shape, d: SourceDistribution) -> float:
                 raise UnaryNode("shape contains a node with exactly one child")
             factor, factor_exp = 1.0 / (1.0 - d.rho(node.leaf_count)), 0
             for a, child in reversed(node.children.items()):
+                if not 0 <= a < d.m:
+                    return 0.0
                 sub, sub_exp = math.frexp(path * d.probs[a])
                 stack.append((child, sub, path_exp + sub_exp))
         acc, exp = math.frexp(acc * factor)
@@ -567,6 +574,8 @@ class CharBlocks:
     """
 
     def __init__(self, d: SourceDistribution, rngs, counts):
+        if len(rngs) != len(counts):
+            raise ValueError(f"{len(rngs)} generators for {len(counts)} replicate counts: one each")
         self.d = d
         self.rngs = rngs
         self.counts = [int(c) for c in counts]

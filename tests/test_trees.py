@@ -255,6 +255,45 @@ class TestBottomUp:
         assert _bottom_up(root, lambda n, items: 1 + sum(v for _, v in items)) == 5
 
 
+class TestPreorder:
+    def test_ascending_characters_whatever_the_dict_order(self):
+        from triefringe.trees import _preorder
+
+        left = TrieNode(children={1: TrieNode(key_index=1), 0: TrieNode(key_index=0)})
+        root = TrieNode(children={2: TrieNode(key_index=3), 0: left, 1: TrieNode(key_index=2)})
+        walk = list(_preorder(root, "", lambda path, a: path + str(a)))
+        assert [path for _, path in walk] == ["", "0", "00", "01", "1", "2"]
+        assert [node for node, _ in walk] == [root, left, left.children[0], left.children[1], root.children[1], root.children[2]]
+        assert list(_preorder(None, "", None)) == []
+
+    def test_child_states_made_only_past_the_parent(self):
+        from triefringe.trees import _preorder
+
+        root = TrieNode(children={0: TrieNode(), 1: TrieNode()})
+        made = []
+        walk = _preorder(root, (), lambda path, a: made.append(a) or path + (a,))
+        assert next(walk) == (root, ()) and made == []
+        assert next(walk) == (root.children[0], (0,)) and made == [1, 0]
+
+    def test_unequal_trees_compare_without_reading_a_missing_child(self):
+        a = TrieNode(children={0: TrieNode(), 1: TrieNode()})
+        b = TrieNode(children={0: TrieNode(), 2: TrieNode()})
+        assert a != b and b != a
+        assert TrieNode(children={0: TrieNode(key_index=1), 1: TrieNode()}) != a
+
+    def test_compositions_in_the_recursive_order(self):
+        from triefringe.trees import _compositions
+
+        def recursive(total, parts):
+            if parts == 1:
+                return [(total,)]
+            return [(first,) + rest for first in range(1, total - parts + 2) for rest in recursive(total - first, parts - 1)]
+
+        for total in range(1, 13):
+            for parts in range(1, total + 1):
+                assert list(_compositions(total, parts)) == recursive(total, parts), (total, parts)
+
+
 class TestCharBlocks:
     def test_key_set_reads_equal_pooled_columns(self):
         from triefringe.trees import CharBlocks
@@ -335,6 +374,12 @@ class TestCharBlocks:
         t = KEY_BLOCK_WIDTH + 5
         # any other row reads the characters of the block's first slot, row 3
         assert np.array_equal(chars.column(t, np.array([0, 30, 39])), chars.column(t, np.array([3, 30, 3])))
+
+    def test_one_generator_per_count(self):
+        from triefringe.trees import CharBlocks
+
+        with pytest.raises(ValueError, match="1 generators for 2"):
+            CharBlocks(SourceDistribution((0.3, 0.7)), [np.random.default_rng(4)], [3, 4])
 
     def test_read_of_every_row_refused_on_a_sparse_block(self):
         from triefringe.trees import KEY_BLOCK_WIDTH, CharBlocks
@@ -520,6 +565,24 @@ class TestShapeProbability:
         got = shape_probability(root, BIN_SYM)
         assert 1e-68 < got < 1e-67
         assert abs(Fraction(got) / want - 1) < 1e-12
+
+    def test_character_outside_the_alphabet_has_mass_zero(self):
+        from triefringe.asymptotics import shape_limit
+        from triefringe.trees import PatriciaNode
+
+        d = SourceDistribution((0.3, 0.7))
+        below = PatriciaNode(children={-1: PatriciaNode(), 0: PatriciaNode()})
+        ternary = PatriciaNode(children={0: PatriciaNode(), 2: PatriciaNode()})
+        for shape in (below, ternary):
+            assert shape_probability(shape, d) == 0.0
+            assert shape_limit(d, shape) == 0.0
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_ternary_shapes_on_a_binary_source_sum_to_one(self, k):
+        # the shapes with a character 2 get nothing, the binary ones the whole law
+        d = SourceDistribution((0.3, 0.7))
+        total = sum(shape_probability(s, d) for s in enumerate_patricia_shapes(k, 3))
+        assert abs(total - 1.0) <= 1e-12
 
 
 class TestPrefixLaw:
