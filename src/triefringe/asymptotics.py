@@ -23,8 +23,10 @@ the result's error bound.  The stopping length is known up front: when the
 compositions up to it exceed a fixed time and memory budget (2^28 array
 entries in all, 2^22 in one length) the sum raises LimitExceeded at once.
 Gamma factors and factorials enter as log differences, so f_E* is finite
-for every k and f_V* up to k of about 500, where the bound on h itself
-leaves the float range.
+for every k.  f_V* is computed up to k of about 500: past it the bound on
+h, or that bound over the tolerance, leaves the float range, and the sum
+raises LimitExceeded naming k before it starts (on 0.3,0.7 at the default
+tol, from k = 505 for f_V*(-1) and k = 498 for f_V(2k)).
 
 With the source entropy H and the lattice period d_p of {log p_a}, the
 limit mean and variance of the functional per key are H^-1 psi_E(log n)
@@ -242,13 +244,17 @@ def star_sum(d: SourceDistribution, k: int, h, bound: float, tol: float):
     on (0,1].  Each length's strings are one array of compositions over the
     groups of equal-probability letters, weighted in log space; lengths run
     to the first L >= 1 with 2 bound rho(k)^L / (1-rho(k)) <= tol, or raise
-    LimitExceeded up front past the budget.  Returns (value, tail_bound).
+    LimitExceeded up front past the budget, or when bound (which may be
+    inf) or 2 bound / ((1-rho(k)) tol) is not a finite float.  Returns
+    (value, tail_bound).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     probs, mult = np.unique(d.probs, return_counts=True)
     groups, rho_k = len(probs), d.rho(k)
     excess = 2.0 * bound / ((1.0 - rho_k) * tol)
+    if not math.isfinite(excess):
+        raise LimitExceeded(f"k = {k}: the bound {bound:.6g} on the string sum's terms over tol {tol:.6g} has left the float range")
     stop = max(1, math.ceil(min(math.log(excess) / -math.log(rho_k), _STAR_SUM_CELLS))) if excess > 0 else 1
     stop += 2.0 * bound * rho_k**stop / (1.0 - rho_k) > tol  # rounding in the logarithms
     cells = math.comb(stop - 1 + groups, groups) * groups  # lengths 0 .. stop-1
@@ -272,6 +278,14 @@ def star_sum(d: SourceDistribution, k: int, h, bound: float, tol: float):
     return total.item(), 2.0 * bound * rho_k**stop / (1.0 - rho_k)
 
 
+_LOG_FLOAT_MAX = 709.782712893384  # log of the largest float; math.exp raises past it
+
+
+def _exp_or_inf(x):
+    """e^x, or inf past the float range."""
+    return math.exp(x) if x <= _LOG_FLOAT_MAX else math.inf
+
+
 # ---------------------------------------------------------------------------
 # variance constants for the k-key fringe count
 
@@ -293,7 +307,7 @@ def fv_lambda(d: SourceDistribution, k: int, lam: float, tol: float = 1e-12) -> 
     def h(p):
         return np.exp(log_c - lam * p)
 
-    series, tail = star_sum(d, k, h, math.exp(log_c), tol)
+    series, tail = star_sum(d, k, h, _exp_or_inf(log_c), tol)
     return AsymptoticConstant(fe_lambda(d, k, lam) - series, tail)
 
 
@@ -301,7 +315,9 @@ def fv_k_star(d: SourceDistribution, k: int, s: complex = -1, tol: float = 1e-12
     """Mellin transform of the k-fringe variance profile, with tail bound.
 
     f_V*(s) = q_k Gamma(k+s)/k!
-              - (q_k/k!)^2 sum*_a p_a^k Gamma(s+2k) (1+p_a)^(-s-2k).
+              - (q_k/k!)^2 sum*_a p_a^k Gamma(s+2k) (1+p_a)^(-s-2k),
+
+    whose first term is f_E*(s) (``fe_k_star``).
 
     The primary use is s = -1, where the first term is q_k/(k(k-1)) and the
     Gamma factor of the sum is (2k-2)!.  The convergence strip of the
@@ -312,18 +328,16 @@ def fv_k_star(d: SourceDistribution, k: int, s: complex = -1, tol: float = 1e-12
     s = complex(s)
     if s.real <= -k:
         raise NonConvergent(f"f_V* converges for Re(s) > {-k}, got {s}")
-    q = 1.0 - d.rho(k)
-    # Gamma(k+s)/k! and h(p) = (q_k/k!)^2 Gamma(s+2k) (1+p)^(-s-2k) as log
-    # differences: each factor overflows long before the product does
-    head = q * cmath.exp(_log_gamma(s + k) - math.lgamma(k + 1))
-    log_c = 2.0 * (math.log(q) - math.lgamma(k + 1)) + _log_gamma(s + 2 * k)
+    # h(p) = (q_k/k!)^2 Gamma(s+2k) (1+p)^(-s-2k) as a log difference: each
+    # factor overflows long before the product does
+    log_c = 2.0 * (math.log(1.0 - d.rho(k)) - math.lgamma(k + 1)) + _log_gamma(s + 2 * k)
 
     def h(p):
         return np.exp(log_c - (s + 2 * k) * np.log1p(p))
 
     # |h| is largest as p -> 0, since Re(s + 2k) > 0
-    series, tail = star_sum(d, k, h, math.exp(log_c.real), tol)
-    value = head - series
+    series, tail = star_sum(d, k, h, _exp_or_inf(log_c.real), tol)
+    value = fe_k_star(d, k, s) - series
     if s.imag == 0:
         value = value.real
     return AsymptoticConstant(value, tail)

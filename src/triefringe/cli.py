@@ -219,14 +219,11 @@ def _cmd_simulate(args):
     )
     summary = run(config, threads=args.threads)
     if args.format == "csv":
-        rows = ["name,mean,var,se_mean,se_var,skew,exkurt"]
-        for st in summary.functionals:
-            cells = [st.name] + [
-                "" if v is None else f"{v:.15g}"
-                for v in (st.mean, st.variance, st.se_mean, st.se_variance, st.skewness, st.excess_kurtosis)
-            ]
-            rows.append(",".join(cells))
-        sys.stdout.write("\n".join(rows) + "\n")
+        rows = [st.as_dict() for st in summary.functionals]
+        lines = [",".join(rows[0])]
+        for row in rows:
+            lines.append(",".join(v if isinstance(v, str) else "" if v is None else f"{v:.15g}" for v in row.values()))
+        sys.stdout.write("\n".join(lines) + "\n")
         return 0
     cfg_echo = {
         "source": list(d.probs),

@@ -33,6 +33,9 @@ from .errors import EmptyTree
 from .trees import Trie, _bottom_up, shape_signature
 
 _LEAF_SIG = "*"
+# the deepest shape phi_shape and sample_patricia_roots take, in levels
+# below the root; comparing and pickling a signature recurse once per level
+MAX_SHAPE_DEPTH = 256
 
 
 class _Stats:
@@ -60,7 +63,12 @@ class TollFunction:
     simulation engine, so it must be elementwise: given scalars it
     returns a number, given equal-length numpy arrays (one entry per node)
     it returns an array of values or a number for all of them.  shape_sig
-    is only compared with ``==`` against a nested signature, of any size.
+    is only compared with ``==`` against a nested signature.  The
+    comparisons (and the pickling of a forking run) recurse once per level
+    of the signature, so ``phi_shape`` takes shapes of at most
+    MAX_SHAPE_DEPTH = 256 levels; a custom rule that compares a nested
+    signature of its own keeps Python's recursion limit, which a signature
+    of about 490 levels reaches.
     For simulations with threads > 1 the rule must be picklable: a
     module-level function, or a functools.partial of one, as the built-in
     rules are.  ``pullback`` wraps a patricia toll for use on tries: the
@@ -234,16 +242,21 @@ def phi_leaf() -> TollFunction:
 
 
 def _shape_key(shape):
-    """A shape's nested signature and key count; the empty tree is rejected."""
+    """A shape's nested signature and key count; the empty tree and a shape
+    deeper than MAX_SHAPE_DEPTH levels are rejected."""
     sig0 = shape_signature(shape)
     if sig0 == ():
         raise ValueError("the empty tree is not a shape")
     root = shape.root if hasattr(shape, "root") else shape
+    depth = _bottom_up(root, lambda _, items: 1 + max(d for _, d in items) if items else 0)
+    if depth > MAX_SHAPE_DEPTH:
+        raise ValueError(f"a shape {depth} levels deep is past the limit of {MAX_SHAPE_DEPTH} levels")
     return sig0, root.leaf_count
 
 
 def phi_shape(shape) -> TollFunction:
-    """Indicator of fringe subtrees structurally equal to a fixed shape."""
+    """Indicator of fringe subtrees structurally equal to a fixed shape of
+    at most MAX_SHAPE_DEPTH = 256 levels below its root (ValueError past it)."""
     sig0, k0 = _shape_key(shape)
     return TollFunction(f"shape[{k0}]", partial(_matches_signature, sig=sig0))
 

@@ -22,13 +22,14 @@ sweeps give every row the aggregates the explicit-tree evaluator computes
 per node (leaf count, node count, outdegree, essentiality bit, shape), once
 for the trie fringe and once for the compressed fringe, and each toll's own
 rule runs elementwise on those columns; shapes are matched on the table.
-Patricia nodes are the rows without exactly one child.
+Patricia nodes are the rows without exactly one child: the internal ones
+the fringe histogram counts by size, and one leaf per key.
 
 A run is planned once as blocks of consecutive replicates, as many as
 are expected to hold _BLOCK_KEYS = 2^15 keys (n or lam + 1 per
 replicate), or one replicate that alone holds more, and each block runs
 through the whole engine (character draw, forest, tolls, histogram and
-node counts) as one forest.  A block's arrays (a 32-column character
+trie node counts) as one forest.  A block's arrays (a 32-column character
 block is 1 MB at 2^15 keys, each row column a few hundred KB) stay near
 the size of a core's L2 cache (2 MB on the 2-vCPU Xeon the size was
 chosen on), and traced memory is bounded by one block.  On the
@@ -338,13 +339,14 @@ class _Forest:
     max_depth.  The table is the same as grouping one level per pass, and
     so are the character columns read.  Columns are read only at the keys
     still in a row with >= 2 keys, so a character block past the first is
-    drawn only for those keys.  The counts may cover only the first rows of
-    ``chars`` (a smaller set of ``slln_track``'s nested ones), and then
-    every read names its rows.
+    drawn only for those keys.  The alphabet size m is the characters'
+    source's.  The counts may cover only the first rows of ``chars`` (a
+    smaller set of ``slln_track``'s nested ones), and then every read names
+    its rows.
     """
 
-    def __init__(self, chars, counts, m, max_depth, rep_offset=0):
-        R = len(counts)
+    def __init__(self, chars, counts, max_depth, rep_offset=0):
+        R, m = len(counts), chars.d.m
         alive = np.flatnonzero(counts >= 1)
         # per-level pieces of each column, joined once grouping ends
         levels = {
@@ -568,7 +570,9 @@ def _block_bounds(config):
 
 
 def _engine_block(config, start, stop):
-    """Run replicates [start, stop) through the forest engine as one forest."""
+    """Run replicates [start, stop) through the forest engine as one forest.
+    A replicate's patricia nodes are its histogram's internal nodes and one
+    leaf per key."""
     _fix_heap_thresholds()
     rngs = [replicate_rng(config.master_seed, i) for i in range(start, stop)]
     if config.mode == "fixed":
@@ -576,12 +580,12 @@ def _engine_block(config, start, stop):
     else:
         counts = np.array([rng.poisson(config.size) for rng in rngs], dtype=np.int64)
     # the character blocks are freed once the forest is built, before any toll
-    forest = _Forest(CharBlocks(config.source, rngs, counts), counts, config.source.m, config.max_depth, start)
+    forest = _Forest(CharBlocks(config.source, rngs, counts), counts, config.max_depth, start)
     out = _toll_sums(forest, config.functionals, config.paired_trie)
     out["n"] = counts.astype(np.float64)
-    out["pat_nodes"] = forest.per_rep(forest.child_count != 1)
-    out["trie_nodes"] = forest.rows_per_rep()
     out["hist"] = forest.histogram(config.histogram_kmax)
+    out["pat_nodes"] = out["hist"].sum(axis=1) + out["n"]
+    out["trie_nodes"] = forest.rows_per_rep()
     return out
 
 
@@ -739,7 +743,8 @@ def sample_patricia_roots(d: SourceDistribution, n: int, replicates: int, master
 
     Returns (shape_index, prefix_length) integer arrays; the shape index is
     -1 where the tree matches none of the given shapes, and an empty shape
-    raises ValueError as phi_shape does.  The root prefix
+    or one deeper than 256 levels raises ValueError as phi_shape does,
+    before any replicate runs.  The root prefix
     length of the patricia trie is the depth of the trie node it compresses
     to, which for k >= 2 keys follows Geom_0(1 - rho(k)).
     """
@@ -780,14 +785,12 @@ class NormalityDiagnostics:
     skewness_se: float
     excess_kurtosis: float
     excess_kurtosis_se: float
-    flags: tuple[str, ...]
 
 
-def normality_diagnostics(samples, skew_threshold=None, kurtosis_threshold=None) -> NormalityDiagnostics:
+def normality_diagnostics(samples) -> NormalityDiagnostics:
     """Standardized 3rd/4th central moments with jackknife standard errors.
 
-    Flags are raised when an absolute moment exceeds the caller's threshold.
-    Raises DegenerateVariance on constant input.
+    Needs at least 100 samples; raises DegenerateVariance on constant input.
     """
     x = np.asarray(samples, dtype=np.float64)
     R = len(x)
@@ -814,13 +817,7 @@ def normality_diagnostics(samples, skew_threshold=None, kurtosis_threshold=None)
     lskew, lexk = moments(s1 - x, s2 - x**2, s3 - x**3, s4 - x**4, R - 1)
     skew_se = math.sqrt((R - 1) / R * float(np.sum((lskew - lskew.mean()) ** 2)))
     exk_se = math.sqrt((R - 1) / R * float(np.sum((lexk - lexk.mean()) ** 2)))
-
-    flags = []
-    if skew_threshold is not None and abs(skew) > skew_threshold:
-        flags.append("skewness")
-    if kurtosis_threshold is not None and abs(exk) > kurtosis_threshold:
-        flags.append("kurtosis")
-    return NormalityDiagnostics(float(skew), skew_se, float(exk), exk_se, tuple(flags))
+    return NormalityDiagnostics(float(skew), skew_se, float(exk), exk_se)
 
 
 # ---------------------------------------------------------------------------
@@ -991,7 +988,7 @@ def slln_track(
     h = d.entropy()
     out = []
     for n in n_grid:
-        forest = _Forest(chars, np.array([n]), d.m, DEFAULT_MAX_DEPTH)
+        forest = _Forest(chars, np.array([n]), DEFAULT_MAX_DEPTH)
         phi = float(_toll_sums(forest, (toll,))["pat"][0, 0])
         ratio = phi / n
         deviation = ratio - psi_eval(psi_e, math.log(n)) / h - toll.chi

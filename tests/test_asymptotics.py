@@ -218,6 +218,23 @@ class TestFvStar:
             v = fv_k_star(SKEWED, k)
             assert 0.0 < v.value < fe_k_star(SKEWED, k, -1)
 
+    @pytest.mark.parametrize("f, k", [(fv_k_star, 505), (fv_k_star, 600), (fv_lambda, 498), (fv_lambda, 560)])
+    def test_bound_past_the_float_range_refused(self, f, k):
+        # the bound on the string sum's terms over tol is past the float
+        # range, and from k = 520 (f_V) or 560 (f_V*) the bound itself:
+        # these once raised a budget refusal of an endless sum, or OverflowError
+        args = (2.0 * k,) if f is fv_lambda else ()
+        started = time.perf_counter()
+        with pytest.raises(LimitExceeded, match=rf"^k = {k}: .* has left the float range$"):
+            f(SKEWED, k, *args)
+        assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("f, k", [(fv_k_star, 504), (fv_lambda, 497)])
+    def test_largest_k_inside_the_float_range(self, f, k):
+        args = (2.0 * k,) if f is fv_lambda else ()
+        v = f(SKEWED, k, *args)
+        assert math.isfinite(v.value) and v.error_bound <= 1e-12
+
     def test_extreme_binary_sources(self):
         # the string sum runs to lengths near 10^4 here
         for probs in ((0.99, 0.01), (0.999, 0.001)):

@@ -72,6 +72,13 @@ class TestConstants:
             assert code == 2 and out == ""
             assert "budget" in err
 
+    def test_bound_past_the_float_range_exit_code(self, capsys):
+        # this once exited 2 with "error: math range error"
+        code, out, err = invoke(capsys, "constants", "--source", "0.3,0.7", "--k", "600")
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: k = 600: ") and "float range" in lines[0]
+
 
 class TestSimulate:
     def test_single_key(self, capsys):

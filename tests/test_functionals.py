@@ -5,6 +5,7 @@ import pytest
 
 from triefringe.errors import EmptyTree
 from triefringe.functionals import (
+    MAX_SHAPE_DEPTH,
     TollFunction,
     brute_force_independence,
     evaluate_additive,
@@ -339,6 +340,30 @@ class TestDeepTrees:
         assert phi_geq(self.LEVELS + 1).value(trie) == 1.0
         assert pullback(phi_internal()).value(trie) == 1.0
         assert pullback(phi_internal()).value(Trie(TrieNode(children={1: trie.root}), 2)) == 0.0
+
+
+class TestShapeDepthLimit:
+    """phi_shape takes shapes up to MAX_SHAPE_DEPTH = 256 levels deep."""
+
+    @staticmethod
+    def comb_keys(levels):
+        """Keys whose trie branches at every level of a spine of ones, ``levels`` levels deep."""
+        return ["1" * i + "0" for i in range(levels)] + ["1" * levels]
+
+    def test_deepest_shape_evaluates(self):
+        keys = self.comb_keys(MAX_SHAPE_DEPTH)
+        pat, trie = build_patricia(keys, 2), build_trie(keys, 2)
+        toll = phi_shape(pat)
+        assert evaluate_additive(toll, pat) == 1.0
+        assert evaluate_additive(pullback(toll), trie) == 1.0
+
+    def test_deeper_shape_refused(self):
+        deeper = build_patricia(self.comb_keys(MAX_SHAPE_DEPTH + 1), 2)
+        with pytest.raises(ValueError, match="257 levels deep is past the limit of 256 levels"):
+            phi_shape(deeper)
+        # a trie's unary levels count too
+        with pytest.raises(ValueError, match="258 levels deep"):
+            phi_shape(Trie(TrieNode(children={1: deeper.root}), 2))
 
 
 def _spread(st):

@@ -118,6 +118,11 @@ CLI_CASES = {
     ),
     "enumerate-text-0.3,0.7": ("enumerate", "--k", "4", "--source", "0.3,0.7"),
     "enumerate-json-0.3,0.7": ("enumerate", "--k", "4", "--source", "0.3,0.7", "--format", "json"),
+    # the leaf count is the same in every replicate, so its skew cells are empty
+    "simulate-csv-0.3,0.7": (
+        "simulate", "--source", "0.3,0.7", "--n", "300", "--replicates", "7", "--seed", "18",
+        "--functional", TOLLS, "--format", "csv",
+    ),
 }
 
 CLI_DIGESTS = {
@@ -143,6 +148,7 @@ CLI_DIGESTS = {
     "constants-uniform:3": "e638bb67be2c9a539d15a7e969229ece7f8477ae56f93329c1eda39f770edaf3",
     "enumerate-json-0.3,0.7": "13f785f818c2a0f9ea2764a7250a2d6da2c5586417dada448494f37b24e13e30",
     "enumerate-text-0.3,0.7": "cf46c376fa9598198bfa39e1f8ef4558b3685ce8d2e47fd9c8e9226511a0cf0f",
+    "simulate-csv-0.3,0.7": "3ab471f59426912f1fd40d7168f4721c6c5c8a5c1faf4a1d561a5863177da8b8",
 }
 
 
@@ -180,6 +186,27 @@ def shape_run_config(spec):
     shapes = enumerate_patricia_shapes(3, d.m) + enumerate_patricia_shapes(4, d.m)
     tolls = tuple(phi_shape(s) for s in shapes)
     return SimulationConfig.fixed(d, 60, 30, SHAPE_RUN_CASES[spec], tolls, paired_trie=True)
+
+
+def spread(st):
+    """A fractional toll, whose sums depend on the order of their additions."""
+    return 1.0 / (st.leaf_count + st.node_count / 3.0)
+
+
+# replicates of 10^5 keys, each larger than one engine block of 2^15 keys:
+# a symmetric source and a skewed one whose keys run past several
+# character blocks
+BIG_RUN_CASES = {"0.5,0.5": 81, "0.05,0.95": 82}
+
+BIG_RUN_DIGESTS = {
+    "0.5,0.5": "dbbba4e322c73ac66ee137471a563beed10fb133eb5282a4b0d46577fccb3bb1",
+    "0.05,0.95": "076435d22426a1f2e7b1284ee14d4e5c5faef209971576500c05dbc9c18fe465",
+}
+
+
+def big_run_config(spec):
+    tolls = (phi_k(2), phi_k(3), phi_geq(2), phi_internal(), phi_leaf(), phi_alpha(), TollFunction("spread", spread))
+    return SimulationConfig.fixed(SourceDistribution.parse(spec), 100_000, 2, BIG_RUN_CASES[spec], tolls, paired_trie=True)
 
 
 # root statistics: sources with short and long root prefixes and a
@@ -360,6 +387,12 @@ def test_paired_shape_run():
 def test_shape_run(spec):
     summary = run(shape_run_config(spec)).as_dict()
     assert _sha(json.dumps(summary, sort_keys=True)) == SHAPE_RUN_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("spec", sorted(BIG_RUN_CASES))
+def test_big_replicates(spec):
+    summary = run(big_run_config(spec)).as_dict()
+    assert _sha(json.dumps(summary, sort_keys=True)) == BIG_RUN_DIGESTS[spec]
 
 
 def test_unmatched_roots():

@@ -57,14 +57,14 @@ def pooled_keys(d, mode, size, replicates, seed):
     return CharBlocks(d, rngs, counts), counts
 
 
-def level_by_level(chars, counts, m, max_depth, rep_offset=0):
+def level_by_level(chars, counts, max_depth, rep_offset=0):
     """Reference for the forest layout: keys grouped one trie level per pass.
 
     Every active key is re-coded as (row, next char) at every level and the
     occupied cells of one bincount become the next level's rows.  Returns
     the engine's columns and offsets.
     """
-    R = len(counts)
+    R, m = len(counts), chars.d.m
     rep_of_key = np.repeat(np.arange(R, dtype=np.int64), counts)
     alive = np.flatnonzero(counts >= 1)
     root_id = np.full(R, -1, dtype=np.int64)
@@ -530,9 +530,9 @@ class TestForestLayout:
         from triefringe.simulation import _Forest
 
         chars, counts = pooled_keys(d, mode, size, replicates, seed)
-        forest = _Forest(chars, counts, d.m, 10_000)
+        forest = _Forest(chars, counts, 10_000)
         ref_chars, _ = pooled_keys(d, mode, size, replicates, seed)
-        ref = level_by_level(ref_chars, counts, d.m, 10_000)
+        ref = level_by_level(ref_chars, counts, 10_000)
         for name in self.COLUMNS:
             got = getattr(forest, name)
             assert got.dtype == ref[name].dtype and np.array_equal(got, ref[name]), name
@@ -553,7 +553,7 @@ class TestForestLayout:
         for spec in self.SOURCES[:-1]:
             d = SourceDistribution.parse(spec)
             chars, counts = pooled_keys(d, "fixed", 5000, 6, 271)
-            passes = stride_schedule(level_by_level(chars, counts, d.m, 10_000), d.m)
+            passes = stride_schedule(level_by_level(chars, counts, 10_000), d.m)
             assert max(s for _, s in passes) >= 3, spec
             if spec == "0.05,0.95":
                 assert any(t < 32 < t + s for t, s in passes)
@@ -580,7 +580,7 @@ class TestForestLayout:
             for build in (_Forest, level_by_level):
                 chars = CharBlocks(d, [replicate_rng(283, i) for i in range(len(counts))], counts)
                 try:
-                    build(chars, counts, d.m, max_depth, rep_offset=50)
+                    build(chars, counts, max_depth, rep_offset=50)
                     outcomes.append((None, len(chars.blocks)))
                 except DepthExceeded as exc:
                     outcomes.append((exc.replicate, len(chars.blocks)))
@@ -619,7 +619,7 @@ class TestSparseBlocks:
             return got
 
         chars.column = checked
-        _Forest(chars, counts, d.m, 10_000)
+        _Forest(chars, counts, 10_000)
         assert reads and len(chars.blocks) >= 2
         if spec == "0.3,0.7":
             # 48 keys are still together at depth 32: the second block draws a
@@ -639,7 +639,7 @@ class TestEmptyForest:
         counts = np.array(counts, dtype=np.int64)
         R, kmax = len(counts), 4
         rngs = [replicate_rng(31, i) for i in range(R)]
-        forest = _Forest(CharBlocks(SKEWED, rngs, counts), counts, SKEWED.m, 10_000)
+        forest = _Forest(CharBlocks(SKEWED, rngs, counts), counts, 10_000)
         trie_nodes = forest.per_rep(np.ones(len(forest.count)))
         pat_nodes = forest.per_rep(forest.child_count != 1)
         hist = forest.histogram(kmax)
@@ -895,6 +895,47 @@ class TestShapeColumn:
         assert fast["pat"][:, 0].sum() > 0 and fast["trie"][:, 0].sum() > 0
 
 
+def comb(levels):
+    """The patricia trie of the keys 1^i 0 (i < levels) and 1^levels: a
+    shape ``levels`` levels deep, branching at every level of its spine."""
+    from triefringe.trees import build_patricia
+
+    return build_patricia(["1" * i + "0" for i in range(levels)] + ["1" * levels], 2)
+
+
+class TestShapeDepthLimit:
+    """phi_shape and sample_patricia_roots take shapes up to 256 levels deep,
+    which every engine path compares and pickles, and refuse deeper ones
+    before any replicate runs."""
+
+    def test_deeper_shape_refused_before_any_replicate(self, monkeypatch):
+        from triefringe import simulation
+
+        def never(*args, **kwargs):
+            raise AssertionError("a replicate ran before the shape was refused")
+
+        monkeypatch.setattr(simulation, "_collect", never)
+        deep = comb(257)
+        with pytest.raises(ValueError, match="257 levels deep is past the limit of 256"):
+            phi_shape(deep)
+        with pytest.raises(ValueError, match="257 levels deep is past the limit of 256"):
+            sample_patricia_roots(BIN_SYM, 10, 2, 1, [deep])
+
+    def test_deepest_shape_runs(self, monkeypatch):
+        from triefringe.simulation import _collect
+
+        cfg = SimulationConfig.fixed(BIN_SYM, 300, 8, 5, (phi_shape(comb(256)), phi_shape(comb(256)), phi_k(2)))
+        fast, slow = _collect(cfg), explicit_run(cfg)
+        for key in ("pat", "root"):
+            assert np.array_equal(fast[key], slow[key]), key
+        serial = run(cfg)
+        small_blocks(monkeypatch)
+        assert forks(cfg)
+        assert run(cfg, threads=2).as_dict() == serial.as_dict()
+        shape_index, prefix = sample_patricia_roots(BIN_SYM, 257, 4, 1, [comb(256)])
+        assert shape_index.tolist() == [-1] * 4 and (prefix >= 0).all()
+
+
 class TestRootStatistics:
     def test_blocked_like_one_block(self, monkeypatch):
         from triefringe import simulation
@@ -1058,11 +1099,10 @@ class TestNormalityDiagnostics:
             with pytest.raises(DegenerateVariance):
                 normality_diagnostics(np.full(size, value))
 
-    def test_flags(self):
+    def test_exponential_sample(self):
         rng = np.random.default_rng(89)
-        skewed = rng.exponential(size=5000)
-        diag = normality_diagnostics(skewed, skew_threshold=0.5, kurtosis_threshold=0.5)
-        assert "skewness" in diag.flags and "kurtosis" in diag.flags
+        diag = normality_diagnostics(rng.exponential(size=5000))
+        assert diag.skewness > 0.5 and diag.excess_kurtosis > 0.5
 
     def test_short_sample_rejected(self):
         with pytest.raises(ValueError):
