@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Aperiodic, LimitExceeded, MissingDependency, NonConvergent, PoleAt
+from .errors import Aperiodic, LimitExceeded, MissingDependency, NonConvergent, PoleAt, finite_at_least, integer_at_least
 from .source import SourceDistribution
 from .trees import shape_probability
 
@@ -113,8 +113,7 @@ class AsymptoticConstant:
     error_bound: float
 
     def __post_init__(self):
-        if not math.isfinite(self.error_bound) or self.error_bound < 0:
-            raise ValueError("error_bound must be finite and nonnegative")
+        finite_at_least("error_bound", self.error_bound, 0)
 
     @property
     def real(self) -> float:
@@ -191,11 +190,6 @@ def _bd0(x: float, mu: float) -> float:
         total = grown
 
 
-def _check_lam(lam):
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
-
-
 def fe_lambda(d: SourceDistribution, k: int, lam: float) -> float:
     """Poissonized mean profile of the k-fringe toll: (1-rho(k)) lam^k e^-lam / k!.
 
@@ -205,8 +199,8 @@ def fe_lambda(d: SourceDistribution, k: int, lam: float) -> float:
     k is near lam.  (C. Loader, Fast and Accurate Computation of Binomial
     Probabilities, 2000.)
     """
-    _check_lam(lam)
-    if lam == 0.0:
+    k = integer_at_least("k", k, 1)
+    if finite_at_least("lam", lam, 0) == 0.0:
         return 0.0
     return (1.0 - d.rho(k)) * math.exp(-_stirlerr(k) - _bd0(k, lam)) / math.sqrt(2.0 * math.pi * k)
 
@@ -217,8 +211,7 @@ def fe_k_star(d: SourceDistribution, k: int, s: complex):
     At s = -1 this is (1-rho(k))/(k(k-1)).  Raises PoleAt when k+s hits a
     nonpositive integer.
     """
-    if k < 2:
-        raise ValueError("fringe-count constants require k >= 2")
+    k = integer_at_least("k", k, 2)
     z = complex(k) + complex(s)
     if _near_nonpositive_integer(z):
         raise PoleAt(s)
@@ -248,8 +241,7 @@ def star_sum(d: SourceDistribution, k: int, h, bound: float, tol: float):
     inf) or 2 bound / ((1-rho(k)) tol) is not a finite float.  Returns
     (value, tail_bound).
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    finite_at_least("tol", tol, 0, strict=True)
     probs, mult = np.unique(d.probs, return_counts=True)
     groups, rho_k = len(probs), d.rho(k)
     excess = 2.0 * bound / ((1.0 - rho_k) * tol)
@@ -296,10 +288,8 @@ def fv_lambda(d: SourceDistribution, k: int, lam: float, tol: float = 1e-12) -> 
     f_V(lam) = q_k lam^k e^-lam / k!
                - sum*_a (q_k/k!)^2 lam^(2k) p_a^k e^(-lam(1+p_a)),  q_k = 1-rho(k).
     """
-    if k < 2:
-        raise ValueError("fringe-count constants require k >= 2")
-    _check_lam(lam)
-    if lam == 0.0:
+    k = integer_at_least("k", k, 2)
+    if finite_at_least("lam", lam, 0) == 0.0:
         return AsymptoticConstant(0.0, 0.0)
     # h(p) = (q_k/k!)^2 lam^(2k) e^(-lam(1+p)), largest as p -> 0
     log_c = 2.0 * (math.log(1.0 - d.rho(k)) - math.lgamma(k + 1) + k * math.log(lam)) - lam
@@ -323,8 +313,7 @@ def fv_k_star(d: SourceDistribution, k: int, s: complex = -1, tol: float = 1e-12
     Gamma factor of the sum is (2k-2)!.  The convergence strip of the
     transform is Re(s) > -k.
     """
-    if k < 2:
-        raise ValueError("fringe-count constants require k >= 2")
+    k = integer_at_least("k", k, 2)
     s = complex(s)
     if s.real <= -k:
         raise NonConvergent(f"f_V* converges for Re(s) > {-k}, got {s}")
@@ -378,14 +367,14 @@ def fc_k_star(d: SourceDistribution, k: int, m: int = 0):
 
 def fourier_series(d: SourceDistribution, k: int, X: str, M: int = 8, tol: float = 1e-12) -> FourierSeries:
     """Truncated Fourier series of psi_X (X in {E, V, C}) for the k-fringe toll."""
-    if M < 0:
-        raise ValueError(f"M must be >= 0, got {M}")
+    M = integer_at_least("M", M, 0)
     coeffs = tuple(fourier_coefficient(d, k, X, m, tol) for m in range(M + 1))
     return FourierSeries(period=d.periodicity(), coeffs=coeffs)
 
 
 def psi_for_k(d: SourceDistribution, k: int, X: str, M: int = 8, tol: float = 1e-12):
     """psi_X (X in {E, V, C}) for the k-fringe toll: a constant when d_p = 0, else a Fourier series."""
+    integer_at_least("M", M, 0)
     if d.periodicity() == 0.0:
         return _f_star(d, k, X, -1, tol)
     return fourier_series(d, k, X, M, tol)
@@ -439,8 +428,7 @@ def sigma_constants(d: SourceDistribution, k: int, M: int = 8, tol: float = 1e-1
 
     with the psi-based periodic versions evaluated by ``at`` when d_p > 0.
     """
-    if k < 2:
-        raise ValueError("closed-form sigma constants exist for the k-fringe tolls, k >= 2")
+    k, M = integer_at_least("k", k, 2), integer_at_least("M", M, 0)
     fv = fv_k_star(d, k, -1, tol)
     psi_v = complex(fv.value) if d.periodicity() == 0.0 else fourier_series(d, k, "V", M, tol)
     return SigmaConstants(
@@ -462,8 +450,7 @@ def link_trie_patricia(mean_p: float, var_p: float, k: int, d: SourceDistributio
         mean_t = mean_p / (1 - rho(k))
         var_t  = rho(k)/(1-rho(k))^2 * mean_p + var_p/(1-rho(k))^2.
     """
-    if k < 2:
-        raise ValueError("the link is defined for k >= 2")
+    k = integer_at_least("k", k, 2)
     q = 1.0 - d.rho(k)
     return mean_p / q, d.rho(k) / q**2 * mean_p + var_p / q**2
 
@@ -478,8 +465,7 @@ def fringe_limit(d: SourceDistribution, k: int) -> float:
     J is the coentropy; for binary alphabets J = H and the proportion is
     (1-rho(k)) / (2H k(k-1)).
     """
-    if k < 2:
-        raise ValueError("the fringe distribution limit is defined for k >= 2")
+    k = integer_at_least("k", k, 2)
     h, j = d.entropy(), d.coentropy()
     return (1.0 - d.rho(k)) / ((j + h) * k * (k - 1))
 
@@ -492,8 +478,7 @@ def fringe_mass_sum(d: SourceDistribution, kmax: int) -> AsymptoticConstant:
     by sum_a p_a^(kmax+1)/(1-p_a) / (kmax(kmax+1)).  The result equals the
     coentropy J up to the error bound.
     """
-    if kmax < 2:
-        raise ValueError("kmax must be >= 2")
+    kmax = integer_at_least("kmax", kmax, 2)
     acc = 0.0
     for k in range(2, kmax + 1):
         r = d.rho(k)
@@ -511,9 +496,7 @@ def shape_limit(d: SourceDistribution, shape) -> float:
     shape law: P(shape) * (1-rho(k)) / (H k(k-1)).
     """
     root = shape.root if hasattr(shape, "root") else shape
-    k = root.leaf_count
-    if k < 2:
-        raise ValueError("shape limits are defined for shapes with k >= 2 leaves")
+    k = integer_at_least("k", root.leaf_count, 2)
     prob = shape_probability(shape, d)
     return prob * (1.0 - d.rho(k)) / (d.entropy() * k * (k - 1))
 
@@ -584,8 +567,7 @@ def indnum_alphas(N: int) -> np.ndarray:
     Weights are evaluated in log space so the recursion stays overflow-free
     far past n = 5000.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N = integer_at_least("N", N, 1)
     lgamma = np.zeros(N + 2)
     lgamma[1:] = np.cumsum(np.log(np.arange(1, N + 2)))  # lgamma[i] = log(i!)
     log2 = math.log(2.0)
@@ -609,8 +591,7 @@ def indnum_mean_bounds(N: int, alphas: np.ndarray | None = None) -> tuple[float,
     the deterministic 2n - 1 ~ 2n node count yields the interval
     (partial/2, (partial + 1/(N H))/2) of width 1/(2 N H).
     """
-    if N < 2:
-        raise ValueError("N must be >= 2")
+    N = integer_at_least("N", N, 2)
     if alphas is None:
         alphas = indnum_alphas(N)
     if len(alphas) < N + 1:

@@ -1,4 +1,34 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two checks of a
+numeric argument that every module uses.
+
+An argument that counts something (a key count k, a number of replicates,
+a truncation order M, a depth bound) goes through ``integer_at_least``: an
+int, a numpy integer or a float with an integer value, at least its lower
+bound, else ``ValueError("<name> must be >= <low> (an integer), got <value>")``.
+A real-valued argument (a Poisson mean, a tolerance, an error bound) goes
+through ``finite_at_least``: a finite number at least, or when strict above,
+its bound, else ``ValueError("<name> must be a finite number >= <low>, got
+<value>")``, with ``>`` when strict.  NaN, the infinities and a fractional
+count are refused, not passed on to ``range`` or numpy.
+"""
+
+import math
+from numbers import Integral, Real
+
+
+def integer_at_least(name, value, low):
+    """``value`` as an int, when it is an integer (of any numeric type) >= low."""
+    if isinstance(value, Integral) or (isinstance(value, float) and value.is_integer()):
+        if value >= low:
+            return int(value)
+    raise ValueError(f"{name} must be >= {low} (an integer), got {value!r}")
+
+
+def finite_at_least(name, value, low, strict=False):
+    """``value``, when it is a finite number >= low (> low when strict)."""
+    if isinstance(value, Real) and math.isfinite(value) and (value > low if strict else value >= low):
+        return value
+    raise ValueError(f"{name} must be a finite number {'>' if strict else '>='} {low}, got {value!r}")
 
 
 class TrieFringeError(Exception):

@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import EmptyTree
+from .errors import EmptyTree, integer_at_least
 from .trees import Trie, _bottom_up, shape_signature
 
 _LEAF_SIG = "*"
@@ -219,15 +219,13 @@ def _is_essential(st):
 
 def phi_k(k: int) -> TollFunction:
     """Indicator of fringe subtrees holding exactly k keys."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = integer_at_least("k", k, 1)
     return TollFunction(f"k={k}", partial(_count_is, k=k))
 
 
 def phi_geq(k: int) -> TollFunction:
     """Indicator of fringe subtrees holding at least k keys."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = integer_at_least("k", k, 1)
     return TollFunction(f"geq={k}", partial(_count_at_least, k=k))
 
 

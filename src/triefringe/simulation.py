@@ -77,7 +77,7 @@ from functools import cache, partial
 import numpy as np
 
 from .asymptotics import psi_eval, psi_for_k
-from .errors import DegenerateVariance, DepthExceeded, EmptyTree, LimitExceeded, WorkerStopped
+from .errors import DegenerateVariance, DepthExceeded, EmptyTree, LimitExceeded, WorkerStopped, finite_at_least, integer_at_least
 from .functionals import _LEAF_SIG, TollFunction, _count_is, _is_lone_leaf, _shape_key, _Stats, phi_alpha
 from .source import SourceDistribution
 from .trees import DEFAULT_MAX_DEPTH, CharBlocks
@@ -112,12 +112,6 @@ def replicate_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(master_seed & (2**64 - 1), index)))
 
 
-def _check_replicates(replicates):
-    """A standard error needs two replicates."""
-    if replicates < 2:
-        raise ValueError(f"replicates must be >= 2 for a standard error, got {replicates}")
-
-
 # ---------------------------------------------------------------------------
 # configuration and summaries
 
@@ -140,14 +134,9 @@ class SimulationConfig:
     def __post_init__(self):
         if self.mode not in ("fixed", "poisson"):
             raise ValueError(f"mode must be 'fixed' or 'poisson', got {self.mode!r}")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.histogram_kmax < 1:
-            raise ValueError("histogram_kmax must be >= 1")
-        if not (math.isfinite(self.size) and self.size >= 0):
-            raise ValueError(f"size must be finite and nonnegative, got {self.size}")
-        if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
+        for name in ("replicates", "histogram_kmax", "max_depth"):
+            object.__setattr__(self, name, integer_at_least(name, getattr(self, name), 1))
+        finite_at_least("size", self.size, 0)
         if self.mode == "fixed" and self.size != int(self.size):
             raise ValueError("fixed mode needs an integer key count")
         if self.mode == "poisson" and self.size > _POISSON_LAM_MAX:
@@ -703,7 +692,7 @@ def estimate_fX(toll: TollFunction, d: SourceDistribution, lam: float, replicate
     Standard errors come from the per-replicate influence values of each
     estimator.
     """
-    _check_replicates(replicates)
+    replicates = integer_at_least("replicates", replicates, 2)
     base = toll.base if toll.pulled else toll
     config = SimulationConfig.poisson(d, lam, replicates, master_seed, (base,))
     data = _collect(config)
@@ -769,7 +758,7 @@ def estimate_root_essential(d: SourceDistribution, n: int, replicates: int, mast
     root this is the toll of the patricia trie itself, so it stays positive
     even when every key shares its first character.
     """
-    _check_replicates(replicates)
+    replicates = integer_at_least("replicates", replicates, 2)
     vals = _collect(SimulationConfig.fixed(d, n, replicates, master_seed, (phi_alpha(),)))["root"][:, 0]
     mean, se = _mean_se(vals)
     return float(mean), float(se)
@@ -790,12 +779,15 @@ class NormalityDiagnostics:
 def normality_diagnostics(samples) -> NormalityDiagnostics:
     """Standardized 3rd/4th central moments with jackknife standard errors.
 
-    Needs at least 100 samples; raises DegenerateVariance on constant input.
+    Needs at least 100 finite samples; raises DegenerateVariance on constant input.
     """
     x = np.asarray(samples, dtype=np.float64)
     R = len(x)
     if R < 100:
         raise ValueError("need at least 100 samples for moment diagnostics")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"sample {bad[0]} is {x[bad[0]]}, not a finite number")
     if x.min() == x.max():  # np.var of a constant like 0.1 need not be 0
         raise DegenerateVariance("sample variance is zero")
     # the moments do not change under a shift, and power sums of a sample
@@ -825,11 +817,13 @@ def normality_diagnostics(samples) -> NormalityDiagnostics:
 
 
 def _default_psi_e(d, toll):
-    """psi_E of the k-fringe tolls with k >= 2 (closed form) and of the leaf
-    count (zero), recognized by their rules; None for any other toll."""
+    """psi_E of the k-fringe tolls (a closed form for k >= 2; k = 1 counts
+    the leaves) and of the leaf count (zero), recognized by their rules;
+    None for any other toll."""
     rule = toll.stats_fn
-    if isinstance(rule, partial) and rule.func is _count_is and rule.keywords["k"] >= 2:
-        return psi_for_k(d, rule.keywords["k"], "E")
+    if isinstance(rule, partial) and rule.func is _count_is:
+        k = rule.keywords["k"]
+        return psi_for_k(d, k, "E") if k >= 2 else 0.0
     if rule is _is_lone_leaf:
         return 0.0
     return None
@@ -883,12 +877,10 @@ def oscillation_scan(
     else NaN.  A grid that reaches past numpy's Poisson limit (about
     9.2e18) raises LimitExceeded before any replicate runs.
     """
-    _check_replicates(replicates)
-    if not (math.isfinite(lam_min) and lam_min > 0):
-        raise ValueError(f"lam_min must be finite and > 0, got {lam_min}")
-    for name, value in (("periods", periods), ("points_per_period", points_per_period)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    replicates = integer_at_least("replicates", replicates, 2)
+    finite_at_least("lam_min", lam_min, 0, strict=True)
+    periods = integer_at_least("periods", periods, 1)
+    points_per_period = integer_at_least("points_per_period", points_per_period, 1)
     period = d.periodicity() or math.log(2.0)
     psi_e = _default_psi_e(d, toll)
     h = d.entropy()

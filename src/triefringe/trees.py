@@ -21,7 +21,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DepthExceeded, InvalidPath, LimitExceeded, UnaryNode
+from .errors import DepthExceeded, InvalidPath, LimitExceeded, UnaryNode, integer_at_least
 from .source import SourceDistribution
 
 DEFAULT_MAX_DEPTH = 10_000
@@ -175,9 +175,7 @@ class KeySet:
     """
 
     def __init__(self, keys, m: int):
-        if m < 2:
-            raise ValueError("alphabet size must be >= 2")
-        self.m = m
+        self.m = m = integer_at_least("m (alphabet size)", m, 2)
         self.keys = []
         finite = []
         for key in keys:
@@ -225,8 +223,7 @@ def _build(keys, m, max_depth, combine):
     Raises DepthExceeded when two keys agree on ``max_depth`` characters.
     """
     ks = _as_keyset(keys, m)
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
+    max_depth = integer_at_least("max_depth", max_depth, 1)
 
     def expand(task):
         """A key subset's key and chain (its label) and its split."""
@@ -379,8 +376,7 @@ def enumerate_patricia_shapes(k: int, m: int) -> list[PatriciaTrie]:
     """
     if k < 1:
         raise LimitExceeded(f"shape enumeration needs k >= 1, got {k}")
-    if m < 2:
-        raise ValueError("alphabet size must be >= 2")
+    m = integer_at_least("m (alphabet size)", m, 2)
     for j in range(1, k + 1):
         if (count := count_patricia_shapes(j, m)) > MAX_ENUMERATION_SHAPES:
             raise LimitExceeded(
@@ -499,9 +495,7 @@ class PrefixLaw:
     """
 
     def __init__(self, i: int, d: SourceDistribution):
-        if i < 2:
-            raise ValueError("prefix law defined for nodes with at least 2 keys")
-        self.i = i
+        self.i = i = integer_at_least("i", i, 2)
         self.d = d
         self.rho_i = d.rho(i)
         # character law tilted by the i-th power

@@ -1108,6 +1108,14 @@ class TestNormalityDiagnostics:
         with pytest.raises(ValueError):
             normality_diagnostics(np.arange(10))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, value):
+        # refused before any moment, which would read nan (and warn for inf)
+        x = np.random.default_rng(1).standard_normal(300)
+        x[150] = x[200] = value
+        with pytest.raises(ValueError, match=f"^sample 150 is {value}, not a finite number$"):
+            normality_diagnostics(x)
+
     @pytest.mark.parametrize("shift", [1e4, 1e6])
     def test_shift_invariant(self, shift):
         # raw power sums of a sample far from 0 cancel: at a shift of 10^4
@@ -1138,6 +1146,14 @@ class TestOscillationScan:
         assert scan.se[0] > 0 and scan.se[1] == 0
         with pytest.raises(DegenerateVariance, match=r"point 1 \(log lambda 1.95601\)"):
             scan.residual_trend()
+
+    def test_one_key_fringes_are_the_leaves(self):
+        # phi_k(1) counts the same fringes as phi_leaf: chi = 1 and psi_E = 0
+        kw = dict(lam_min=16.0, replicates=4, master_seed=3, periods=1, points_per_period=2)
+        one, leaf = (oscillation_scan(BIN_SYM, toll, **kw) for toll in (phi_k(1), phi_leaf()))
+        assert np.array_equal(one.psi_overlay, leaf.psi_overlay)
+        assert np.array_equal(one.mean_over_lambda, leaf.mean_over_lambda)
+        assert one.residual_trend() == leaf.residual_trend()
 
     def test_mean_tracks_overlay(self):
         scan = oscillation_scan(BIN_SYM, phi_k(2), lam_min=128.0, replicates=400, master_seed=103, periods=2, points_per_period=3)
@@ -1194,6 +1210,10 @@ class TestSllnTrack:
         for _n, ratio, dev in track:
             assert ratio == 1.0
             assert dev == pytest.approx(0.0, abs=1e-12)
+
+    def test_one_key_fringes_are_the_leaves(self):
+        n_grid = [2**j for j in range(4, 10)]
+        assert slln_track(BIN_SYM, phi_k(1), n_grid, 131) == slln_track(BIN_SYM, phi_leaf(), n_grid, 131)
 
     def test_custom_rule(self):
         # every internal node of a binary patricia trie splits two ways
