@@ -349,7 +349,9 @@ def _f_star(d: SourceDistribution, k: int, X: str, s: complex, tol: float) -> co
 
 
 def fourier_coefficient(d: SourceDistribution, k: int, X: str, m: int, tol: float = 1e-12) -> complex:
-    """m-th Fourier coefficient of psi_X (X in {E, V, C}) for the k-fringe toll: f_X*(-1 - 2 pi m i / d_p)."""
+    """m-th Fourier coefficient of psi_X (X in {E, V, C}) for the k-fringe toll:
+    f_X*(-1 - 2 pi m i / d_p), for any integer m."""
+    m = integer_at_least("m", m)
     d_p = d.periodicity()
     if d_p == 0.0:
         raise Aperiodic("the source has no oscillation period")
@@ -359,8 +361,8 @@ def fourier_coefficient(d: SourceDistribution, k: int, X: str, m: int, tol: floa
 def fc_k_star(d: SourceDistribution, k: int, m: int = 0):
     """m-th Fourier coefficient of psi_C = psi_E + psi_E'; the aperiodic
     case (constant psi_E, zero derivative) and the m = 0 coefficient are
-    both just f_E*(-1)."""
-    if m == 0 or d.periodicity() == 0.0:
+    both just f_E*(-1).  m is any integer."""
+    if integer_at_least("m", m) == 0 or d.periodicity() == 0.0:
         return fe_k_star(d, k, -1)
     return fourier_coefficient(d, k, "C", m)
 

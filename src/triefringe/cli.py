@@ -302,6 +302,7 @@ def _cmd_oscillate(args):
         master_seed=args.seed,
         periods=args.periods,
         points_per_period=args.points_per_period,
+        threads=args.threads,
     )
     slope, tstat = scan.residual_trend()
     results = {

@@ -5,6 +5,9 @@ An argument that counts something (a key count k, a number of replicates,
 a truncation order M, a depth bound) goes through ``integer_at_least``: an
 int, a numpy integer or a float with an integer value, at least its lower
 bound, else ``ValueError("<name> must be >= <low> (an integer), got <value>")``.
+An integer of any sign (a Fourier index, or the leaf count of a shape
+count, which is 0 below 1) passes low=None, and a non-integer is refused
+with "<name> must be an integer".
 A real-valued argument (a Poisson mean, a tolerance, an error bound) goes
 through ``finite_at_least``: a finite number at least, or when strict above,
 its bound, else ``ValueError("<name> must be a finite number >= <low>, got
@@ -16,12 +19,14 @@ import math
 from numbers import Integral, Real
 
 
-def integer_at_least(name, value, low):
-    """``value`` as an int, when it is an integer (of any numeric type) >= low."""
+def integer_at_least(name, value, low=None):
+    """``value`` as an int, when it is an integer (of any numeric type) >= low,
+    or of any sign when low is None."""
     if isinstance(value, Integral) or (isinstance(value, float) and value.is_integer()):
-        if value >= low:
+        if low is None or value >= low:
             return int(value)
-    raise ValueError(f"{name} must be >= {low} (an integer), got {value!r}")
+    bound = "an integer" if low is None else f">= {low} (an integer)"
+    raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
 def finite_at_least(name, value, low, strict=False):
@@ -48,6 +53,10 @@ class DepthExceeded(TrieFringeError):
         if replicate is not None:
             msg += f" (replicate {replicate})"
         super().__init__(msg)
+
+    def __reduce__(self):
+        # rebuilt from its fields, so it crosses from a pool worker whole
+        return type(self), (self.max_depth, self.replicate)
 
 
 class InvalidPath(TrieFringeError):

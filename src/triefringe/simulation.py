@@ -36,10 +36,14 @@ chosen on), and traced memory is bounded by one block.  On the
 benchmark's fixed-binary runs (n = 10^4, three replicates to a block)
 2^15 keys ran 10-15 % faster than blocks of 2^14 (one replicate), 2^16
 or 2^17 keys; with 5*10^4-key replicates the size made no difference.
-The blocks are also the process pool's tasks: a run forks a pool of at
-most one worker per block, and only with more than one thread and one
-block and more than _POOL_KEYS = 2^20 expected keys, since every forking
-run starts and stops a pool of its own.  Outputs are concatenated in
+The blocks are also the tasks of one process pool kept for the life of
+the process: a call hands it the blocks of all its configs as one task
+list, and only with more than one thread and one task and more than
+_POOL_KEYS = 2^20 expected keys in all.  The pool has min(threads, tasks)
+workers; a call that needs another count shuts the kept pool down, and
+waits for it, before the new one forks.  Keeping the pool spares every
+call a fork and fresh workers' cold heaps, and its workers end at
+interpreter exit.  Outputs are concatenated in
 replicate order, and since replicates own their streams and every
 per-replicate sum adds in an order no other replicate affects, neither
 the block plan nor the worker count changes a single output bit.
@@ -70,6 +74,7 @@ where the C library has no mallopt nothing is set.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from functools import cache, partial
@@ -578,32 +583,78 @@ def _engine_block(config, start, stop):
     return out
 
 
-def _collect(config, threads=1):
-    """Every replicate's engine outputs, in replicate order.  The blocks run
-    as tasks of a process pool when there are threads to spare, more than
-    one block and more than _POOL_KEYS expected keys, else in turn.  A
-    worker that stops before its block is done (killed for lack of memory,
-    say) raises WorkerStopped."""
-    blocks = _block_bounds(config)
-    results = None
-    if threads > 1 and len(blocks) > 1 and config.replicates * _keys_per_replicate(config) > _POOL_KEYS:
+# the kept process pool: (owning pid, worker count, executor), or None
+_pool = None
+
+
+def _kept_pool(workers):
+    """The kept process pool, when it belongs to this process and has
+    `workers` workers; else a new one, started once the old one is gone.
+    Its workers hold the module state of the moment they forked."""
+    global _pool
+    if _pool is None or _pool[:2] != (os.getpid(), workers):
         import concurrent.futures as cf
 
+        _drop_pool()
+        _pool = (os.getpid(), workers, cf.ProcessPoolExecutor(max_workers=workers))
+    return _pool[2]
+
+
+def _drop_pool():
+    """Empty the pool slot.  A pool of this process is shut down first, its
+    queued tasks cancelled and its workers waited for; one inherited
+    through os.fork belongs to the parent and is only forgotten."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None and pool[0] == os.getpid():
+        pool[2].shutdown(wait=True, cancel_futures=True)
+
+
+def _collect(configs, threads=1):
+    """Each config's engine outputs, every replicate's in replicate order.
+
+    The blocks of all configs are one task list.  They run as tasks of the
+    kept process pool when there are threads to spare, more than one task
+    and more than _POOL_KEYS expected keys in all, else in turn.  A worker
+    that stops before its block is done (killed for lack of memory, say)
+    raises WorkerStopped and drops the pool; any other error of a block
+    cancels the tasks not yet started and waits for the running ones
+    before it propagates, so no later call queues behind them."""
+    plans = [_block_bounds(config) for config in configs]
+    tasks = [(config, a, b) for config, blocks in zip(configs, plans) for a, b in blocks]
+    keys = sum(config.replicates * _keys_per_replicate(config) for config in configs)
+    results = None
+    if threads > 1 and len(tasks) > 1 and keys > _POOL_KEYS:
+        import concurrent.futures as cf
+
+        futures = []
         try:
-            with cf.ProcessPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
-                futures = [pool.submit(_engine_block, config, a, b) for a, b in blocks]
-                results = [fut.result() for fut in futures]
+            pool = _kept_pool(min(threads, len(tasks)))
+            futures = [pool.submit(_engine_block, *task) for task in tasks]
+            results = [fut.result() for fut in futures]
         except cf.BrokenExecutor as exc:
+            _drop_pool()
             raise WorkerStopped(f"a pool worker stopped before its block was done: {exc}") from exc
         except OSError as exc:  # sandboxed environments may forbid subprocesses
+            _drop_pool()
             warnings.warn(
-                f"process pool unavailable ({exc!r}); running {len(blocks)} blocks serially",
+                f"process pool unavailable ({exc!r}); running {len(tasks)} blocks serially",
                 RuntimeWarning,
                 stacklevel=2,
             )
+        except BaseException:
+            for fut in futures:
+                fut.cancel()
+            cf.wait(futures)
+            raise
     if results is None:
-        results = [_engine_block(config, a, b) for a, b in blocks]
-    return {key: np.concatenate([r[key] for r in results]) for key in results[0]}
+        results = [_engine_block(*task) for task in tasks]
+    done = iter(results)
+    outs = []
+    for blocks in plans:
+        mine = [next(done) for _ in blocks]
+        outs.append({key: np.concatenate([r[key] for r in mine]) for key in mine[0]})
+    return outs
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +692,7 @@ def _moment_stats(name, samples) -> FunctionalStats:
 def run(config: SimulationConfig, threads: int = 1) -> SimulationSummary:
     """Execute a simulation; deterministic in (config, master_seed) regardless
     of threads or the block plan."""
-    data = _collect(config, threads=threads)
+    data = _collect([config], threads)[0]
     names = [t.name for t in config.functionals]
     stats = tuple(_moment_stats(nm, data["pat"][:, j]) for j, nm in enumerate(names))
     trie_stats = None
@@ -695,7 +746,7 @@ def estimate_fX(toll: TollFunction, d: SourceDistribution, lam: float, replicate
     replicates = integer_at_least("replicates", replicates, 2)
     base = toll.base if toll.pulled else toll
     config = SimulationConfig.poisson(d, lam, replicates, master_seed, (base,))
-    data = _collect(config)
+    data = _collect([config])[0]
     # the pulled toll vanishes where the trie root is unary
     x = np.where(data["root_depth"] == 0, data["root"][:, 0], 0.0)
     y = data["pat"][:, 0]  # pulled functional of the trie = functional of its patricia trie
@@ -739,7 +790,7 @@ def sample_patricia_roots(d: SourceDistribution, n: int, replicates: int, master
     """
     sigs = tuple(_shape_key(shape)[0] for shape in shapes)
     toll = TollFunction("shape-index", partial(_shape_index, sigs=sigs))
-    data = _collect(SimulationConfig.fixed(d, n, replicates, master_seed, (toll,)))
+    data = _collect([SimulationConfig.fixed(d, n, replicates, master_seed, (toll,))])[0]
     return data["root"][:, 0].astype(np.int64) - 1, data["root_depth"]
 
 
@@ -759,7 +810,7 @@ def estimate_root_essential(d: SourceDistribution, n: int, replicates: int, mast
     even when every key shares its first character.
     """
     replicates = integer_at_least("replicates", replicates, 2)
-    vals = _collect(SimulationConfig.fixed(d, n, replicates, master_seed, (phi_alpha(),)))["root"][:, 0]
+    vals = _collect([SimulationConfig.fixed(d, n, replicates, master_seed, (phi_alpha(),))])[0]["root"][:, 0]
     mean, se = _mean_se(vals)
     return float(mean), float(se)
 
@@ -868,9 +919,13 @@ def oscillation_scan(
     master_seed: int,
     periods: int = 3,
     points_per_period: int = 8,
+    threads: int = 1,
 ) -> OscillationScan:
     """Scan E[Phi]/lambda over a geometric lambda grid spanning `periods`
     periods d_p of the source, or spans of log 2 for an aperiodic source.
+    The blocks of all points are one task list, so at more than one
+    thread the process pool runs points side by side; threads never
+    changes the result.
 
     The companion overlay column is psi_E(log lam)/H + chi when the toll has
     a closed-form limit function (the k-fringe tolls and the leaf count),
@@ -896,8 +951,7 @@ def oscillation_scan(
     means = np.zeros(points)
     ses = np.zeros(points)
     overlay = np.full(points, np.nan)
-    for j, (ll, config) in enumerate(zip(logs, configs)):
-        data = _collect(config)
+    for j, (ll, config, data) in enumerate(zip(logs, configs, _collect(configs, threads))):
         means[j], ses[j] = _mean_se(data["pat"][:, 0] / config.size)
         if psi_e is not None:
             overlay[j] = psi_eval(psi_e, ll) / h + toll.chi
@@ -927,7 +981,7 @@ def fringe_distribution(config: SimulationConfig, threads: int = 1) -> FringeDis
 
     Raises EmptyTree when a replicate has no keys, since its masses are 0/0.
     """
-    data = _collect(config, threads=threads)
+    data = _collect([config], threads)[0]
     empty = np.flatnonzero(data["n"] == 0)
     if empty.size:
         raise EmptyTree(f"replicate {empty[0]} has no keys, so its fringe masses are undefined")

@@ -354,7 +354,9 @@ def count_patricia_shapes(k: int, m: int) -> int:
     C(m, s) choices of their characters times the ordered ways ``seq[j]``
     for s subtrees to hold j leaves in all, convolved from the counts of
     fewer leaves, and a table keeps the counts of 1, 2, .., k - 1 leaves.
+    A k below 1 has no shapes; a k or m that is no integer raises ValueError.
     """
+    k, m = integer_at_least("k", k), integer_at_least("m (alphabet size)", m)
     counts = [0, 1]
     for j in range(2, k + 1):
         seq, total = counts, 0
@@ -374,6 +376,7 @@ def enumerate_patricia_shapes(k: int, m: int) -> list[PatriciaTrie]:
     never fall as k grows, and by k = 14 the binary shapes alone pass it.
     The largest k is 13 for 2 letters, 7 for 3, 5 for 4 and 4 for 8.
     """
+    k = integer_at_least("k", k)
     if k < 1:
         raise LimitExceeded(f"shape enumeration needs k >= 1, got {k}")
     m = integer_at_least("m (alphabet size)", m, 2)

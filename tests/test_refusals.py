@@ -12,8 +12,10 @@ from triefringe import simulation
 
 from triefringe.asymptotics import (
     AsymptoticConstant,
+    fc_k_star,
     fe_k_star,
     fe_lambda,
+    fourier_coefficient,
     fourier_series,
     fringe_limit,
     fringe_mass_sum,
@@ -39,6 +41,7 @@ from triefringe.trees import (
     Trie,
     build_patricia,
     build_trie,
+    count_patricia_shapes,
     enumerate_patricia_shapes,
     fringe,
     shape_probability,
@@ -88,6 +91,9 @@ REFUSALS = [
     ("fv_lambda lam=inf", lambda: fv_lambda(SKEW, 2, math.inf), ValueError, "lam must be"),
     ("fv_lambda k=1", lambda: fv_lambda(SKEW, 1, 3.0), ValueError, "k must be >= 2"),
     ("fv_lambda k=1 lam=0", lambda: fv_lambda(SKEW, 1, 0.0), ValueError, "k must be >= 2"),
+    ("fourier_coefficient m=0.5", lambda: fourier_coefficient(BIN_SYM, 2, "E", 0.5), ValueError, "m must be an integer"),
+    ("fourier_coefficient m=nan", lambda: fourier_coefficient(BIN_SYM, 2, "E", math.nan), ValueError, "m must be an integer"),
+    ("fc_k_star m=0.5 aperiodic", lambda: fc_k_star(SKEW, 2, 0.5), ValueError, "m must be an integer"),
     # simulation
     ("SimulationConfig mode", lambda: _config(mode="exact"), ValueError, "mode must be"),
     ("SimulationConfig replicates=0", lambda: _config(replicates=0), ValueError, "replicates"),
@@ -109,6 +115,11 @@ REFUSALS = [
     ("build_trie without m", lambda: build_trie(["0", "1"]), ValueError, "alphabet size m"),
     ("build_trie max_depth=0", lambda: build_trie(["0", "1"], 2, max_depth=0), ValueError, "max_depth"),
     ("enumerate_patricia_shapes m=1", lambda: enumerate_patricia_shapes(3, 1), ValueError, "alphabet size"),
+    ("enumerate_patricia_shapes k=2.5", lambda: enumerate_patricia_shapes(2.5, 2), ValueError, "k must be an integer"),
+    ("enumerate_patricia_shapes k=nan", lambda: enumerate_patricia_shapes(math.nan, 2), ValueError, "k must be an integer"),
+    ("count_patricia_shapes k=2.5", lambda: count_patricia_shapes(2.5, 2), ValueError, "k must be an integer"),
+    ("count_patricia_shapes k=nan", lambda: count_patricia_shapes(math.nan, 2), ValueError, "k must be an integer"),
+    ("count_patricia_shapes m=2.5", lambda: count_patricia_shapes(3, 2.5), ValueError, "m (alphabet size) must be an integer"),
     ("shape_probability of the empty tree", lambda: shape_probability(PatriciaTrie(None, 2), SKEW), ValueError, "empty"),
     ("PrefixLaw i=1", lambda: PrefixLaw(1, SKEW), ValueError, "i must be >= 2"),
     ("node_at on the empty tree", lambda: EMPTY.node_at(()), InvalidPath, "empty tree"),
@@ -214,6 +225,14 @@ def test_integer_values_of_other_types_accepted():
     as_int = run(SimulationConfig.fixed(SKEW, 100, 3, 7, (phi_k(2),)))
     assert as_float.config.replicates == 3 and type(as_float.config.replicates) is int
     assert json.dumps(as_float.as_dict()) == json.dumps(as_int.as_dict())
+
+
+def test_integer_indices_of_any_sign_accepted():
+    z = fourier_coefficient(BIN_SYM, 2, "E", -1)
+    assert fourier_coefficient(BIN_SYM, 2, "E", -1.0) == z == fourier_coefficient(BIN_SYM, 2, "E", np.int64(-1))
+    assert fc_k_star(SKEW, 2, -3) == fc_k_star(SKEW, 2, 0)
+    assert count_patricia_shapes(-1, 2) == count_patricia_shapes(0, 2) == 0
+    assert count_patricia_shapes(4.0, 2) == count_patricia_shapes(4, 2) == 5
 
 
 def test_lambda_zero_profiles():

@@ -1,6 +1,12 @@
+import json
 import math
+import multiprocessing
+import os
 import platform
+import subprocess
 import sys
+import tempfile
+import time
 import warnings
 from functools import partial
 
@@ -14,7 +20,8 @@ from triefringe.asymptotics import (
     fv_lambda,
     link_trie_patricia,
 )
-from triefringe.errors import DegenerateVariance, DepthExceeded, LimitExceeded
+from triefringe import simulation
+from triefringe.errors import DegenerateVariance, DepthExceeded, LimitExceeded, WorkerStopped
 from triefringe.functionals import TollFunction, phi_alpha, phi_internal, phi_k, phi_leaf, phi_shape
 from triefringe.simulation import (
     SimulationConfig,
@@ -267,6 +274,7 @@ class TestRun:
         assert len(simulation._block_bounds(cfg)) == 3
         pools = inline_pool(monkeypatch)
         for threads, workers in ((64, 3), (3, 3), (2, 2)):
+            simulation._drop_pool()  # so that every run starts a pool
             assert run(cfg, threads=threads).as_dict() == seq.as_dict()
             assert pools.pop()[0] == workers and not pools
 
@@ -371,20 +379,141 @@ def inline_pool(monkeypatch):
             self.tasks = []
             pools.append((max_workers, self.tasks))
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def submit(self, fn, config, start, stop):
             self.tasks.append((start, stop))
             future = concurrent.futures.Future()
             future.set_result(fn(config, start, stop))
             return future
 
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
     return pools
+
+
+ENGINE_BLOCK = simulation._engine_block
+
+
+def _block_that_kills_its_worker(config, start, stop):
+    """The engine's block, except that every block after the first ends
+    its process at once, as a worker killed for lack of memory does."""
+    if start > 0:
+        os._exit(3)
+    return ENGINE_BLOCK(config, start, stop)
+
+
+def _noted_slowly(st, folder):
+    """A toll of 0 that leaves a new file in `folder` and takes a tenth of
+    a second, so that the files count the blocks that reached their tolls."""
+    os.close(tempfile.mkstemp(dir=folder)[0])
+    time.sleep(0.1)
+    return 0.0
+
+
+# a script that makes two forking runs and prints the pids of its live
+# workers after each; a child forked after them runs once more and prints
+# whether it started a pool of its own and got the same result
+KEPT_POOL_SCRIPT = """
+import json, multiprocessing, os, sys
+from triefringe import simulation
+from triefringe.functionals import phi_k
+from triefringe.simulation import SimulationConfig, run
+from triefringe.source import SourceDistribution
+
+simulation._BLOCK_KEYS = simulation._POOL_KEYS = 1000
+cfg = SimulationConfig.fixed(SourceDistribution.uniform(3), 100, 30, 53, (phi_k(2),))
+want = run(cfg).as_dict()
+for _ in range(2):
+    assert run(cfg, threads=2).as_dict() == want
+    print(json.dumps(sorted(p.pid for p in multiprocessing.active_children())), flush=True)
+if sys.argv[1] == "fork":
+    parent_pool = simulation._pool
+    pid = os.fork()
+    if pid == 0:
+        same = run(cfg, threads=2).as_dict() == want
+        own = simulation._pool[0] == os.getpid() and simulation._pool is not parent_pool
+        print(json.dumps([same, own]), flush=True)
+        simulation._drop_pool()
+        os._exit(0)
+    os.waitpid(pid, 0)
+"""
+
+
+def _kept_pool_script(mode):
+    """Run KEPT_POOL_SCRIPT in a fresh interpreter; its stdout lines as JSON."""
+    done = subprocess.run(
+        [sys.executable, "-c", KEPT_POOL_SCRIPT, mode], capture_output=True, text=True, timeout=30
+    )
+    assert done.returncode == 0, done.stderr
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+class TestKeptPool:
+    """One process pool serves every forking call of a process: it is
+    started again only for another worker count or after a worker stops,
+    an error in a block leaves no task of its call behind, and the workers
+    end with the interpreter."""
+
+    def test_workers_are_reused_and_end_with_the_interpreter(self):
+        first, second = _kept_pool_script("plain")
+        assert len(first) == 2 and second == first
+        for pid in first:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_pool_inherited_through_fork_is_not_used(self):
+        *_, child = _kept_pool_script("fork")
+        assert child == [True, True]
+
+    def test_workers_capped_at_blocks(self, monkeypatch):
+        cfg = SimulationConfig.fixed(TERNARY, 100, 30, 53, (phi_k(2), phi_alpha()))
+        seq = run(cfg, threads=1).as_dict()
+        small_blocks(monkeypatch)
+        assert len(simulation._block_bounds(cfg)) == 3
+        assert run(cfg, threads=64).as_dict() == seq
+        assert len(multiprocessing.active_children()) == 3
+        # another worker count replaces the pool, whose workers are gone
+        assert run(cfg, threads=2).as_dict() == seq
+        assert len(multiprocessing.active_children()) == 2
+
+    def test_pool_starts_afresh_after_a_worker_stops(self, monkeypatch):
+        cfg = SimulationConfig.fixed(TERNARY, 100, 30, 53, (phi_k(2), phi_alpha()))
+        seq = run(cfg, threads=1).as_dict()
+        small_blocks(monkeypatch)
+        monkeypatch.setattr(simulation, "_engine_block", _block_that_kills_its_worker)
+        with pytest.raises(WorkerStopped):
+            run(cfg, threads=2)
+        assert simulation._pool is None
+        monkeypatch.setattr(simulation, "_engine_block", ENGINE_BLOCK)
+        assert run(cfg, threads=2).as_dict() == seq
+
+    def test_error_in_a_block_cancels_the_rest(self, monkeypatch, tmp_path):
+        from triefringe.trees import build_trie, random_key_set
+
+        # one replicate of 6 keys to a block, and depth bound 6: a replicate
+        # past the first raises DepthExceeded in its block
+        toll = TollFunction("noted", partial(_noted_slowly, folder=str(tmp_path)))
+        cfg = SimulationConfig.fixed(BIN_SYM, 6, 40, 37, (toll,), max_depth=6)
+        failing = []
+        for i in range(cfg.replicates):
+            try:
+                build_trie(random_key_set(BIN_SYM, 6, simulation.replicate_rng(37, i)), max_depth=6)
+            except DepthExceeded:
+                failing.append(i)
+        assert failing[0] >= 1 and len(failing) <= 20
+        monkeypatch.setattr(simulation, "_BLOCK_KEYS", 6)
+        monkeypatch.setattr(simulation, "_POOL_KEYS", 6)
+        with pytest.raises(DepthExceeded) as err:
+            run(cfg, threads=2)
+        assert (err.value.replicate, err.value.max_depth) == (failing[0], 6)
+        ran = len(list(tmp_path.iterdir()))
+        assert ran < cfg.replicates - len(failing)
+        pool = simulation._pool
+        cfg = SimulationConfig.fixed(BIN_SYM, 6, 40, 37, (phi_leaf(),))
+        assert run(cfg, threads=2).as_dict() == run(cfg, threads=1).as_dict()
+        # the pool was kept, and no task of the failed call ran since
+        assert simulation._pool is pool and len(list(tmp_path.iterdir())) == ran
 
 
 def _spread(st):
@@ -430,7 +559,7 @@ class TestBlocks:
         for block_keys in (1, 5000, 2**30):
             monkeypatch.setattr(simulation, "_BLOCK_KEYS", block_keys)
             blocks.clear()
-            outs[block_keys] = simulation._collect(cfg)
+            outs[block_keys] = simulation._collect([cfg])[0]
             # consecutive blocks cover the run's replicates in order
             starts = [start for start, _ in blocks]
             assert starts == [0] + [start + reps for start, reps in blocks[:-1]]
@@ -456,7 +585,7 @@ class TestBlocks:
         for block_keys, sizes in ((1, [1] * 12), (999, [1] * 12), (5000, [5, 5, 2]), (2**30, [12])):
             monkeypatch.setattr(simulation, "_BLOCK_KEYS", block_keys)
             blocks.clear()
-            simulation._collect(cfg)
+            simulation._collect([cfg])
             assert [reps for _, reps in blocks] == sizes, block_keys
 
     def test_depth_bound_names_first_replicate_in_a_later_block(self, monkeypatch):
@@ -478,7 +607,7 @@ class TestBlocks:
         for block_keys in (6, 12, 2**30):
             monkeypatch.setattr(simulation, "_BLOCK_KEYS", block_keys)
             with pytest.raises(DepthExceeded) as err:
-                simulation._collect(cfg)
+                simulation._collect([cfg])
             assert err.value.replicate == first, block_keys
         # a block may start past replicate 0, as every block but the first does
         for start, named in ((0, first), (1, first), (first + 1, failing[1])):
@@ -679,7 +808,7 @@ class TestTollGate:
         cfg = SimulationConfig.fixed(SKEWED, 60, replicates, 53, tolls, paired_trie=paired_trie)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fast = _collect(cfg)
+            fast = _collect([cfg])[0]
         slow = explicit_run(cfg)
         for key in ("pat", "pat_nodes", "hist") + (("trie",) if paired_trie else ()):
             assert np.array_equal(fast[key], slow[key]), key
@@ -742,7 +871,7 @@ class TestEngineMatchesExplicitTrees:
         for d in self.SOURCES:
             for mode, size in (("fixed", 7.0), ("poisson", 5.0), ("fixed", 1.0), ("fixed", 0.0)):
                 cfg = SimulationConfig(d, mode, size, 50, 4242, tolls)
-                fast = _collect(cfg)
+                fast = _collect([cfg])[0]
                 slow = explicit_run(cfg)
                 for key in ("n", "pat", "pat_nodes", "trie_nodes", "hist"):
                     assert np.array_equal(fast[key], slow[key]), (key, d.probs, mode, size)
@@ -768,7 +897,7 @@ class TestEngineMatchesExplicitTrees:
         found = {"pat": np.zeros(len(tolls)), "trie": np.zeros(len(tolls))}
         for d in self.SOURCES:
             cfg = SimulationConfig.fixed(d, 9, 40, 99, tolls, paired_trie=True)
-            fast = _collect(cfg)
+            fast = _collect([cfg])[0]
             slow = explicit_run(cfg)
             for key in ("pat", "trie", "trie_nodes"):
                 assert np.array_equal(fast[key], slow[key]), (key, d.probs)
@@ -787,7 +916,7 @@ class TestEngineMatchesExplicitTrees:
         d = SourceDistribution.uniform(128)
         tolls = (phi_k(2), phi_k(3), phi_internal(), phi_leaf(), phi_alpha())
         cfg = SimulationConfig.fixed(d, 3000, 2, 61, tolls)
-        fast = _collect(cfg)
+        fast = _collect([cfg])[0]
         keys = random_key_set(d, 3000, replicate_rng(61, 0))
         pat = build_patricia(keys)
         assert np.array_equal(fast["pat"][0], evaluate_additive(tolls, pat))
@@ -821,7 +950,7 @@ class TestEngineMatchesExplicitTrees:
             d = SourceDistribution(tuple(w / sum(weights) for w in weights))
             mode = "fixed" if fixed else "poisson"
             cfg = SimulationConfig(d, mode, float(size), 12, seed, tolls, paired_trie=True)
-            fast = _collect(cfg)
+            fast = _collect([cfg])[0]
             slow = explicit_run(cfg)
             for key in ("n", "pat", "trie", "pat_nodes", "trie_nodes", "hist"):
                 assert np.array_equal(fast[key], slow[key]), key
@@ -839,7 +968,7 @@ class TestEngineMatchesExplicitTrees:
 
         d = SourceDistribution.parse(spec)
         cfg = SimulationConfig.fixed(d, 2000, 3, 71, (phi_alpha(),), paired_trie=True)
-        fast = _collect(cfg)
+        fast = _collect([cfg])[0]
         for i in range(cfg.replicates):
             ks = random_key_set(d, 2000, replicate_rng(71, i))
             assert fast["pat"][i, 0] == brute_force_independence(build_patricia(ks)), (spec, i)
@@ -868,7 +997,7 @@ class TestShapeColumn:
         assert forks(custom) and len(simulation._block_bounds(custom)) > 1
         for threads in (1, 3):
             for cfg in (custom, builtin):
-                fast = simulation._collect(cfg, threads=threads)
+                fast = simulation._collect([cfg], threads)[0]
                 for key in ("pat", "trie", "root"):
                     assert np.array_equal(fast[key], want[key]), (key, threads, cfg.functionals)
 
@@ -887,7 +1016,7 @@ class TestShapeColumn:
         cherry = ((0, "*"), (1, "*"))
         tolls = tuple(TollFunction(repr(sig), partial(matches, sig=sig)) for sig in (cherry, *bad))
         cfg = SimulationConfig.fixed(d, 12, 20, 73, tolls, paired_trie=True)
-        fast = _collect(cfg)
+        fast = _collect([cfg])[0]
         slow = explicit_run(cfg)
         for key in ("pat", "trie", "root"):
             assert np.array_equal(fast[key], slow[key]), key
@@ -925,7 +1054,7 @@ class TestShapeDepthLimit:
         from triefringe.simulation import _collect
 
         cfg = SimulationConfig.fixed(BIN_SYM, 300, 8, 5, (phi_shape(comb(256)), phi_shape(comb(256)), phi_k(2)))
-        fast, slow = _collect(cfg), explicit_run(cfg)
+        fast, slow = _collect([cfg])[0], explicit_run(cfg)
         for key in ("pat", "root"):
             assert np.array_equal(fast[key], slow[key]), key
         serial = run(cfg)
@@ -970,7 +1099,7 @@ class TestRootStatistics:
             index, depth = sample_patricia_roots(SKEWED, n, 300, 19, shapes)
             found[n] = set(index.tolist())
             cfg = SimulationConfig.fixed(SKEWED, n, 300, 19, tuple(phi_shape(s) for s in shapes))
-            ref = _collect(cfg)
+            ref = _collect([cfg])[0]
             want = np.full(300, -1)
             for j in range(len(shapes)):
                 want[ref["root"][:, j] > 0] = j
@@ -1166,7 +1295,7 @@ class TestFringeDistribution:
         from triefringe.simulation import _collect
 
         cfg = SimulationConfig.fixed(BIN_SYM, 300, 40, 107, ())
-        data = _collect(cfg)
+        data = _collect([cfg])[0]
         masses = data["hist"].sum(axis=1) + data["n"]
         assert np.array_equal(masses, data["pat_nodes"])
 
