@@ -43,10 +43,14 @@ _POOL_KEYS = 2^20 expected keys in all.  The pool has min(threads, tasks)
 workers; a call that needs another count shuts the kept pool down, and
 waits for it, before the new one forks.  Keeping the pool spares every
 call a fork and fresh workers' cold heaps, and its workers end at
-interpreter exit.  Outputs are concatenated in
-replicate order, and since replicates own their streams and every
-per-replicate sum adds in an order no other replicate affects, neither
-the block plan nor the worker count changes a single output bit.
+interpreter exit.  Workers keep the module state of their fork, so a call
+with a toll rule from outside this package (which may be defined or
+redefined after the fork) drops the kept pool and gets one forked for it
+alone.  One forking call at a time holds the pool; calls from other
+threads wait for it.  Outputs are concatenated in replicate order, and
+since replicates own their streams and every per-replicate sum adds in
+an order no other replicate affects, neither the block plan nor the
+worker count changes a single output bit.
 
 The root statistics (sample_patricia_roots, estimate_root_essential and
 the root toll of estimate_fX) run on the same engine: each
@@ -75,6 +79,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import cache, partial
@@ -583,8 +588,10 @@ def _engine_block(config, start, stop):
     return out
 
 
-# the kept process pool: (owning pid, worker count, executor), or None
+# the kept process pool: (owning pid, worker count, executor), or None;
+# the lock makes one forking call at a time use it
 _pool = None
+_pool_lock = threading.Lock()
 
 
 def _kept_pool(workers):
@@ -610,28 +617,39 @@ def _drop_pool():
         pool[2].shutdown(wait=True, cancel_futures=True)
 
 
-def _collect(configs, threads=1):
-    """Each config's engine outputs, every replicate's in replicate order.
+def _library_rules(configs):
+    """Whether every toll's rule is a function of this package or a partial
+    of one.  A worker looks a rule up by name in the module state of its
+    fork, so a rule defined or redefined later (in __main__, say) is
+    missing there or stale; only the package's own rules stay as forked."""
+    for config in configs:
+        for toll in config.functionals:
+            rule = toll.stats_fn
+            while isinstance(rule, partial):
+                rule = rule.func
+            if (getattr(rule, "__module__", None) or "").partition(".")[0] != __package__:
+                return False
+    return True
 
-    The blocks of all configs are one task list.  They run as tasks of the
-    kept process pool when there are threads to spare, more than one task
-    and more than _POOL_KEYS expected keys in all, else in turn.  A worker
-    that stops before its block is done (killed for lack of memory, say)
-    raises WorkerStopped and drops the pool; any other error of a block
-    cancels the tasks not yet started and waits for the running ones
-    before it propagates, so no later call queues behind them."""
-    plans = [_block_bounds(config) for config in configs]
-    tasks = [(config, a, b) for config, blocks in zip(configs, plans) for a, b in blocks]
-    keys = sum(config.replicates * _keys_per_replicate(config) for config in configs)
-    results = None
-    if threads > 1 and len(tasks) > 1 and keys > _POOL_KEYS:
-        import concurrent.futures as cf
 
-        futures = []
+def _run_on_pool(tasks, workers, keep):
+    """Every task's block outputs, in task order, from the kept pool, or
+    when not `keep` from a pool forked for this call alone.  None when no
+    pool can start.  A worker that stops before its block is done (killed
+    for lack of memory, say) raises WorkerStopped and drops the pool; any
+    other error of a block cancels the tasks not yet started and waits for
+    the running ones before it propagates, so no later call queues behind
+    them."""
+    import concurrent.futures as cf
+
+    futures = []
+    with _pool_lock:
         try:
-            pool = _kept_pool(min(threads, len(tasks)))
+            if not keep:
+                _drop_pool()
+            pool = _kept_pool(workers)
             futures = [pool.submit(_engine_block, *task) for task in tasks]
-            results = [fut.result() for fut in futures]
+            return [fut.result() for fut in futures]
         except cf.BrokenExecutor as exc:
             _drop_pool()
             raise WorkerStopped(f"a pool worker stopped before its block was done: {exc}") from exc
@@ -640,21 +658,43 @@ def _collect(configs, threads=1):
             warnings.warn(
                 f"process pool unavailable ({exc!r}); running {len(tasks)} blocks serially",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
+            return None
         except BaseException:
             for fut in futures:
                 fut.cancel()
             cf.wait(futures)
             raise
-    if results is None:
-        results = [_engine_block(*task) for task in tasks]
-    done = iter(results)
-    outs = []
-    for blocks in plans:
-        mine = [next(done) for _ in blocks]
-        outs.append({key: np.concatenate([r[key] for r in mine]) for key in mine[0]})
-    return outs
+        finally:
+            if not keep:
+                _drop_pool()
+
+
+def _collect(configs, threads=1):
+    """Yield each config's engine outputs, every replicate's in replicate
+    order.
+
+    The blocks of all configs are one task list.  They run on a process
+    pool when there are threads to spare, more than one task and more than
+    _POOL_KEYS expected keys in all: the kept pool when every toll's rule
+    is the package's own, else one forked for this call.  Otherwise each
+    config's blocks run in turn when its output is asked for, so a caller
+    that reduces each output as it comes holds one config's at a time."""
+    plans = [_block_bounds(config) for config in configs]
+    tasks = [(config, a, b) for config, blocks in zip(configs, plans) for a, b in blocks]
+    keys = sum(config.replicates * _keys_per_replicate(config) for config in configs)
+    results = None
+    if threads > 1 and len(tasks) > 1 and keys > _POOL_KEYS:
+        results = _run_on_pool(tasks, min(threads, len(tasks)), _library_rules(configs))
+    if results is not None:
+        results.reverse()  # popped in task order, each as its config's output is built
+    for config, blocks in zip(configs, plans):
+        if results is None:
+            mine = [_engine_block(config, a, b) for a, b in blocks]
+        else:
+            mine = [results.pop() for _ in blocks]
+        yield {key: np.concatenate([r[key] for r in mine]) for key in mine[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +732,7 @@ def _moment_stats(name, samples) -> FunctionalStats:
 def run(config: SimulationConfig, threads: int = 1) -> SimulationSummary:
     """Execute a simulation; deterministic in (config, master_seed) regardless
     of threads or the block plan."""
-    data = _collect([config], threads)[0]
+    (data,) = _collect([config], threads)
     names = [t.name for t in config.functionals]
     stats = tuple(_moment_stats(nm, data["pat"][:, j]) for j, nm in enumerate(names))
     trie_stats = None
@@ -746,7 +786,7 @@ def estimate_fX(toll: TollFunction, d: SourceDistribution, lam: float, replicate
     replicates = integer_at_least("replicates", replicates, 2)
     base = toll.base if toll.pulled else toll
     config = SimulationConfig.poisson(d, lam, replicates, master_seed, (base,))
-    data = _collect([config])[0]
+    (data,) = _collect([config])
     # the pulled toll vanishes where the trie root is unary
     x = np.where(data["root_depth"] == 0, data["root"][:, 0], 0.0)
     y = data["pat"][:, 0]  # pulled functional of the trie = functional of its patricia trie
@@ -790,7 +830,7 @@ def sample_patricia_roots(d: SourceDistribution, n: int, replicates: int, master
     """
     sigs = tuple(_shape_key(shape)[0] for shape in shapes)
     toll = TollFunction("shape-index", partial(_shape_index, sigs=sigs))
-    data = _collect([SimulationConfig.fixed(d, n, replicates, master_seed, (toll,))])[0]
+    (data,) = _collect([SimulationConfig.fixed(d, n, replicates, master_seed, (toll,))])
     return data["root"][:, 0].astype(np.int64) - 1, data["root_depth"]
 
 
@@ -810,8 +850,8 @@ def estimate_root_essential(d: SourceDistribution, n: int, replicates: int, mast
     even when every key shares its first character.
     """
     replicates = integer_at_least("replicates", replicates, 2)
-    vals = _collect([SimulationConfig.fixed(d, n, replicates, master_seed, (phi_alpha(),))])[0]["root"][:, 0]
-    mean, se = _mean_se(vals)
+    (data,) = _collect([SimulationConfig.fixed(d, n, replicates, master_seed, (phi_alpha(),))])
+    mean, se = _mean_se(data["root"][:, 0])
     return float(mean), float(se)
 
 
@@ -951,7 +991,7 @@ def oscillation_scan(
     means = np.zeros(points)
     ses = np.zeros(points)
     overlay = np.full(points, np.nan)
-    for j, (ll, config, data) in enumerate(zip(logs, configs, _collect(configs, threads))):
+    for j, (data, ll, config) in enumerate(zip(_collect(configs, threads), logs, configs)):
         means[j], ses[j] = _mean_se(data["pat"][:, 0] / config.size)
         if psi_e is not None:
             overlay[j] = psi_eval(psi_e, ll) / h + toll.chi
@@ -981,7 +1021,7 @@ def fringe_distribution(config: SimulationConfig, threads: int = 1) -> FringeDis
 
     Raises EmptyTree when a replicate has no keys, since its masses are 0/0.
     """
-    data = _collect([config], threads)[0]
+    (data,) = _collect([config], threads)
     empty = np.flatnonzero(data["n"] == 0)
     if empty.size:
         raise EmptyTree(f"replicate {empty[0]} has no keys, so its fringe masses are undefined")

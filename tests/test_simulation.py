@@ -5,7 +5,6 @@ import os
 import platform
 import subprocess
 import sys
-import tempfile
 import time
 import warnings
 from functools import partial
@@ -403,12 +402,13 @@ def _block_that_kills_its_worker(config, start, stop):
     return ENGINE_BLOCK(config, start, stop)
 
 
-def _noted_slowly(st, folder):
-    """A toll of 0 that leaves a new file in `folder` and takes a tenth of
-    a second, so that the files count the blocks that reached their tolls."""
-    os.close(tempfile.mkstemp(dir=folder)[0])
+def _noted_block(config, start, stop, folder):
+    """The engine's block, after it leaves a file named by the run's depth
+    bound and the block's start in `folder` and waits a tenth of a second,
+    so that the files name the blocks that started."""
+    open(os.path.join(folder, f"{config.max_depth}-{start}"), "w").close()
     time.sleep(0.1)
-    return 0.0
+    return ENGINE_BLOCK(config, start, stop)
 
 
 # a script that makes two forking runs and prints the pids of its live
@@ -437,6 +437,34 @@ if sys.argv[1] == "fork":
         simulation._drop_pool()
         os._exit(0)
     os.waitpid(pid, 0)
+"""
+
+
+# a script whose kept pool forks for a built-in toll; then __main__
+# defines a rule, runs it, redefines it and runs it again, and prints
+# whether each forking run matched the serial one
+REDEFINED_RULE_SCRIPT = """
+import json
+from triefringe import simulation
+from triefringe.functionals import TollFunction, phi_k
+from triefringe.simulation import SimulationConfig, run
+from triefringe.source import SourceDistribution
+
+simulation._BLOCK_KEYS = simulation._POOL_KEYS = 1000
+
+def check(toll):
+    cfg = SimulationConfig.fixed(SourceDistribution.uniform(3), 100, 30, 53, (toll,))
+    want = run(cfg).as_dict()
+    return [run(cfg, threads=2).as_dict() == want, run(cfg, threads=2).as_dict() == want]
+
+seen = [check(phi_k(2))]
+def rule(st):
+    return st.leaf_count
+seen.append(check(TollFunction("rule", rule)))
+def rule(st):
+    return 2 * st.leaf_count
+seen.append(check(TollFunction("rule", rule)))
+print(json.dumps(seen))
 """
 
 
@@ -493,8 +521,7 @@ class TestKeptPool:
 
         # one replicate of 6 keys to a block, and depth bound 6: a replicate
         # past the first raises DepthExceeded in its block
-        toll = TollFunction("noted", partial(_noted_slowly, folder=str(tmp_path)))
-        cfg = SimulationConfig.fixed(BIN_SYM, 6, 40, 37, (toll,), max_depth=6)
+        cfg = SimulationConfig.fixed(BIN_SYM, 6, 40, 37, (phi_leaf(),), max_depth=6)
         failing = []
         for i in range(cfg.replicates):
             try:
@@ -504,16 +531,38 @@ class TestKeptPool:
         assert failing[0] >= 1 and len(failing) <= 20
         monkeypatch.setattr(simulation, "_BLOCK_KEYS", 6)
         monkeypatch.setattr(simulation, "_POOL_KEYS", 6)
+        monkeypatch.setattr(simulation, "_engine_block", partial(_noted_block, folder=str(tmp_path)))
         with pytest.raises(DepthExceeded) as err:
             run(cfg, threads=2)
         assert (err.value.replicate, err.value.max_depth) == (failing[0], 6)
-        ran = len(list(tmp_path.iterdir()))
-        assert ran < cfg.replicates - len(failing)
+        started = sorted(os.listdir(tmp_path))
+        assert len(started) < cfg.replicates - len(failing)
         pool = simulation._pool
         cfg = SimulationConfig.fixed(BIN_SYM, 6, 40, 37, (phi_leaf(),))
         assert run(cfg, threads=2).as_dict() == run(cfg, threads=1).as_dict()
         # the pool was kept, and no task of the failed call ran since
-        assert simulation._pool is pool and len(list(tmp_path.iterdir())) == ran
+        assert simulation._pool is pool
+        assert sorted(f for f in os.listdir(tmp_path) if f.startswith("6-")) == started
+
+    def test_calls_from_two_threads_share_the_pool(self, monkeypatch):
+        # a run that needs another worker count waits for the other
+        # thread's run to finish with the pool before it replaces it
+        from concurrent.futures import ThreadPoolExecutor
+
+        cfg = SimulationConfig.fixed(TERNARY, 100, 30, 53, (phi_k(2), phi_alpha()))
+        seq = run(cfg, threads=1).as_dict()
+        small_blocks(monkeypatch)
+        with ThreadPoolExecutor(2) as callers:
+            got = list(callers.map(lambda threads: run(cfg, threads=threads).as_dict(), [2, 3] * 8))
+        assert got == [seq] * 16
+
+    def test_rule_redefined_after_the_fork_runs_as_redefined(self):
+        # a custom rule runs on a pool forked for its call, so a rule that
+        # __main__ defines or redefines after the kept pool forked still
+        # gives the serial result
+        done = subprocess.run([sys.executable, "-c", REDEFINED_RULE_SCRIPT], capture_output=True, text=True, timeout=30)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [[True, True], [True, True], [True, True]]
 
 
 def _spread(st):
@@ -559,7 +608,7 @@ class TestBlocks:
         for block_keys in (1, 5000, 2**30):
             monkeypatch.setattr(simulation, "_BLOCK_KEYS", block_keys)
             blocks.clear()
-            outs[block_keys] = simulation._collect([cfg])[0]
+            outs[block_keys] = next(simulation._collect([cfg]))
             # consecutive blocks cover the run's replicates in order
             starts = [start for start, _ in blocks]
             assert starts == [0] + [start + reps for start, reps in blocks[:-1]]
@@ -585,7 +634,7 @@ class TestBlocks:
         for block_keys, sizes in ((1, [1] * 12), (999, [1] * 12), (5000, [5, 5, 2]), (2**30, [12])):
             monkeypatch.setattr(simulation, "_BLOCK_KEYS", block_keys)
             blocks.clear()
-            simulation._collect([cfg])
+            list(simulation._collect([cfg]))
             assert [reps for _, reps in blocks] == sizes, block_keys
 
     def test_depth_bound_names_first_replicate_in_a_later_block(self, monkeypatch):
@@ -607,7 +656,7 @@ class TestBlocks:
         for block_keys in (6, 12, 2**30):
             monkeypatch.setattr(simulation, "_BLOCK_KEYS", block_keys)
             with pytest.raises(DepthExceeded) as err:
-                simulation._collect([cfg])
+                list(simulation._collect([cfg]))
             assert err.value.replicate == first, block_keys
         # a block may start past replicate 0, as every block but the first does
         for start, named in ((0, first), (1, first), (first + 1, failing[1])):
@@ -808,7 +857,7 @@ class TestTollGate:
         cfg = SimulationConfig.fixed(SKEWED, 60, replicates, 53, tolls, paired_trie=paired_trie)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fast = _collect([cfg])[0]
+            fast = next(_collect([cfg]))
         slow = explicit_run(cfg)
         for key in ("pat", "pat_nodes", "hist") + (("trie",) if paired_trie else ()):
             assert np.array_equal(fast[key], slow[key]), key
@@ -871,7 +920,7 @@ class TestEngineMatchesExplicitTrees:
         for d in self.SOURCES:
             for mode, size in (("fixed", 7.0), ("poisson", 5.0), ("fixed", 1.0), ("fixed", 0.0)):
                 cfg = SimulationConfig(d, mode, size, 50, 4242, tolls)
-                fast = _collect([cfg])[0]
+                fast = next(_collect([cfg]))
                 slow = explicit_run(cfg)
                 for key in ("n", "pat", "pat_nodes", "trie_nodes", "hist"):
                     assert np.array_equal(fast[key], slow[key]), (key, d.probs, mode, size)
@@ -897,7 +946,7 @@ class TestEngineMatchesExplicitTrees:
         found = {"pat": np.zeros(len(tolls)), "trie": np.zeros(len(tolls))}
         for d in self.SOURCES:
             cfg = SimulationConfig.fixed(d, 9, 40, 99, tolls, paired_trie=True)
-            fast = _collect([cfg])[0]
+            fast = next(_collect([cfg]))
             slow = explicit_run(cfg)
             for key in ("pat", "trie", "trie_nodes"):
                 assert np.array_equal(fast[key], slow[key]), (key, d.probs)
@@ -916,7 +965,7 @@ class TestEngineMatchesExplicitTrees:
         d = SourceDistribution.uniform(128)
         tolls = (phi_k(2), phi_k(3), phi_internal(), phi_leaf(), phi_alpha())
         cfg = SimulationConfig.fixed(d, 3000, 2, 61, tolls)
-        fast = _collect([cfg])[0]
+        fast = next(_collect([cfg]))
         keys = random_key_set(d, 3000, replicate_rng(61, 0))
         pat = build_patricia(keys)
         assert np.array_equal(fast["pat"][0], evaluate_additive(tolls, pat))
@@ -950,7 +999,7 @@ class TestEngineMatchesExplicitTrees:
             d = SourceDistribution(tuple(w / sum(weights) for w in weights))
             mode = "fixed" if fixed else "poisson"
             cfg = SimulationConfig(d, mode, float(size), 12, seed, tolls, paired_trie=True)
-            fast = _collect([cfg])[0]
+            fast = next(_collect([cfg]))
             slow = explicit_run(cfg)
             for key in ("n", "pat", "trie", "pat_nodes", "trie_nodes", "hist"):
                 assert np.array_equal(fast[key], slow[key]), key
@@ -968,7 +1017,7 @@ class TestEngineMatchesExplicitTrees:
 
         d = SourceDistribution.parse(spec)
         cfg = SimulationConfig.fixed(d, 2000, 3, 71, (phi_alpha(),), paired_trie=True)
-        fast = _collect([cfg])[0]
+        fast = next(_collect([cfg]))
         for i in range(cfg.replicates):
             ks = random_key_set(d, 2000, replicate_rng(71, i))
             assert fast["pat"][i, 0] == brute_force_independence(build_patricia(ks)), (spec, i)
@@ -997,7 +1046,7 @@ class TestShapeColumn:
         assert forks(custom) and len(simulation._block_bounds(custom)) > 1
         for threads in (1, 3):
             for cfg in (custom, builtin):
-                fast = simulation._collect([cfg], threads)[0]
+                fast = next(simulation._collect([cfg], threads))
                 for key in ("pat", "trie", "root"):
                     assert np.array_equal(fast[key], want[key]), (key, threads, cfg.functionals)
 
@@ -1016,7 +1065,7 @@ class TestShapeColumn:
         cherry = ((0, "*"), (1, "*"))
         tolls = tuple(TollFunction(repr(sig), partial(matches, sig=sig)) for sig in (cherry, *bad))
         cfg = SimulationConfig.fixed(d, 12, 20, 73, tolls, paired_trie=True)
-        fast = _collect([cfg])[0]
+        fast = next(_collect([cfg]))
         slow = explicit_run(cfg)
         for key in ("pat", "trie", "root"):
             assert np.array_equal(fast[key], slow[key]), key
@@ -1054,7 +1103,7 @@ class TestShapeDepthLimit:
         from triefringe.simulation import _collect
 
         cfg = SimulationConfig.fixed(BIN_SYM, 300, 8, 5, (phi_shape(comb(256)), phi_shape(comb(256)), phi_k(2)))
-        fast, slow = _collect([cfg])[0], explicit_run(cfg)
+        fast, slow = next(_collect([cfg])), explicit_run(cfg)
         for key in ("pat", "root"):
             assert np.array_equal(fast[key], slow[key]), key
         serial = run(cfg)
@@ -1099,7 +1148,7 @@ class TestRootStatistics:
             index, depth = sample_patricia_roots(SKEWED, n, 300, 19, shapes)
             found[n] = set(index.tolist())
             cfg = SimulationConfig.fixed(SKEWED, n, 300, 19, tuple(phi_shape(s) for s in shapes))
-            ref = _collect([cfg])[0]
+            ref = next(_collect([cfg]))
             want = np.full(300, -1)
             for j in range(len(shapes)):
                 want[ref["root"][:, j] > 0] = j
@@ -1295,7 +1344,7 @@ class TestFringeDistribution:
         from triefringe.simulation import _collect
 
         cfg = SimulationConfig.fixed(BIN_SYM, 300, 40, 107, ())
-        data = _collect([cfg])[0]
+        data = next(_collect([cfg]))
         masses = data["hist"].sum(axis=1) + data["n"]
         assert np.array_equal(masses, data["pat_nodes"])
 
