@@ -166,6 +166,9 @@ def _threads_default():
             return _int_at_least(1)(env)
         except argparse.ArgumentTypeError as exc:
             raise _UsageError(f"TRIEFRINGE_THREADS: {exc}") from None
+    # the CPUs this process may run on (a cpuset or taskset mask), not the machine's
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -383,7 +386,7 @@ def _build_parser():
     parser = _Parser(prog="triefringe", description=__doc__)
     parser.add_argument(
         "--threads", type=_int_at_least(1), default=None,
-        help="parallelism cap, a positive integer (default: TRIEFRINGE_THREADS, else cores)",
+        help="parallelism cap, a positive integer (default: TRIEFRINGE_THREADS, else the usable CPUs)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

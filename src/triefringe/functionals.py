@@ -69,9 +69,9 @@ class TollFunction:
     MAX_SHAPE_DEPTH = 256 levels; a custom rule that compares a nested
     signature of its own keeps Python's recursion limit, which a signature
     of about 490 levels reaches.
-    For simulations with threads > 1 the rule must be picklable: a
-    module-level function, or a functools.partial of one, as the built-in
-    rules are.  ``pullback`` wraps a patricia toll for use on tries: the
+    Any callable serves, a lambda or a closure too: a simulation runs a
+    rule from outside this package in the calling process at every thread
+    count.  ``pullback`` wraps a patricia toll for use on tries: the
     wrapper's base is that toll, and it is ``pulled``.
     """
 

@@ -38,19 +38,21 @@ benchmark's fixed-binary runs (n = 10^4, three replicates to a block)
 or 2^17 keys; with 5*10^4-key replicates the size made no difference.
 The blocks are also the tasks of one process pool kept for the life of
 the process: a call hands it the blocks of all its configs as one task
-list, and only with more than one thread and one task and more than
-_POOL_KEYS = 2^20 expected keys in all.  The pool has min(threads, tasks)
-workers; a call that needs another count shuts the kept pool down, and
-waits for it, before the new one forks.  Keeping the pool spares every
-call a fork and fresh workers' cold heaps, and its workers end at
-interpreter exit.  Workers keep the module state of their fork, so a call
-with a toll rule from outside this package (which may be defined or
-redefined after the fork) drops the kept pool and gets one forked for it
-alone.  One forking call at a time holds the pool; calls from other
-threads wait for it.  Outputs are concatenated in replicate order, and
-since replicates own their streams and every per-replicate sum adds in
-an order no other replicate affects, neither the block plan nor the
-worker count changes a single output bit.
+list, and only with more than one thread and one task, more than
+_POOL_KEYS = 2^20 expected keys in all, and no toll rule from outside
+this package.  The pool has min(threads, tasks) workers; a call that
+needs another count shuts the kept pool down, and waits for it, before
+the new one forks.  Keeping the pool spares every call a fork and fresh
+workers' cold heaps, and its workers end at interpreter exit.  A rule of
+the caller's own may not pickle (a lambda or a closure), or may be
+missing or stale in a worker, which keeps the module state of its fork
+(a rule defined or redefined after it), so a run with such a rule runs
+its blocks in the calling process at every thread count.  One forking
+call at a time holds the pool; calls from other threads wait for it.
+Outputs are concatenated in replicate order, and since replicates own
+their streams and every per-replicate sum adds in an order no other
+replicate affects, neither the block plan nor the worker count changes a
+single output bit.
 
 The root statistics (sample_patricia_roots, estimate_root_essential and
 the root toll of estimate_fX) run on the same engine: each
@@ -619,9 +621,9 @@ def _drop_pool():
 
 def _library_rules(configs):
     """Whether every toll's rule is a function of this package or a partial
-    of one.  A worker looks a rule up by name in the module state of its
-    fork, so a rule defined or redefined later (in __main__, say) is
-    missing there or stale; only the package's own rules stay as forked."""
+    of one, the only rules a pool worker runs: it looks a rule up by name
+    in the module state of its fork, where the package's own rules are as
+    the caller has them."""
     for config in configs:
         for toll in config.functionals:
             rule = toll.stats_fn
@@ -632,21 +634,18 @@ def _library_rules(configs):
     return True
 
 
-def _run_on_pool(tasks, workers, keep):
+def _run_on_pool(tasks, workers):
     """Every task's block outputs, in task order, from the kept pool, or
-    when not `keep` from a pool forked for this call alone.  None when no
-    pool can start.  A worker that stops before its block is done (killed
-    for lack of memory, say) raises WorkerStopped and drops the pool; any
-    other error of a block cancels the tasks not yet started and waits for
-    the running ones before it propagates, so no later call queues behind
-    them."""
+    None when no pool can start.  A worker that stops before its block is
+    done (killed for lack of memory, say) raises WorkerStopped and drops
+    the pool; any other error of a block cancels the tasks not yet started
+    and waits for the running ones before it propagates, so no later call
+    queues behind them."""
     import concurrent.futures as cf
 
     futures = []
     with _pool_lock:
         try:
-            if not keep:
-                _drop_pool()
             pool = _kept_pool(workers)
             futures = [pool.submit(_engine_block, *task) for task in tasks]
             return [fut.result() for fut in futures]
@@ -666,27 +665,24 @@ def _run_on_pool(tasks, workers, keep):
                 fut.cancel()
             cf.wait(futures)
             raise
-        finally:
-            if not keep:
-                _drop_pool()
 
 
 def _collect(configs, threads=1):
     """Yield each config's engine outputs, every replicate's in replicate
     order.
 
-    The blocks of all configs are one task list.  They run on a process
-    pool when there are threads to spare, more than one task and more than
-    _POOL_KEYS expected keys in all: the kept pool when every toll's rule
-    is the package's own, else one forked for this call.  Otherwise each
-    config's blocks run in turn when its output is asked for, so a caller
-    that reduces each output as it comes holds one config's at a time."""
+    The blocks of all configs are one task list.  They run on the kept
+    process pool when there are threads to spare, more than one task, more
+    than _POOL_KEYS expected keys in all, and every toll's rule is the
+    package's own.  Otherwise each config's blocks run in this process in
+    turn when its output is asked for, so a caller that reduces each output
+    as it comes holds one config's at a time."""
     plans = [_block_bounds(config) for config in configs]
     tasks = [(config, a, b) for config, blocks in zip(configs, plans) for a, b in blocks]
     keys = sum(config.replicates * _keys_per_replicate(config) for config in configs)
     results = None
-    if threads > 1 and len(tasks) > 1 and keys > _POOL_KEYS:
-        results = _run_on_pool(tasks, min(threads, len(tasks)), _library_rules(configs))
+    if threads > 1 and len(tasks) > 1 and keys > _POOL_KEYS and _library_rules(configs):
+        results = _run_on_pool(tasks, min(threads, len(tasks)))
     if results is not None:
         results.reverse()  # popped in task order, each as its config's output is built
     for config, blocks in zip(configs, plans):

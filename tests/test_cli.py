@@ -411,6 +411,25 @@ class TestTopLevel:
         code, _, _ = invoke(capsys, "indnum", "--N", "10")
         assert code == 0
 
+    def test_thread_default_counts_the_usable_cpus(self, monkeypatch):
+        # a cpuset or taskset mask of one CPU on a 64-CPU machine: one thread
+        from triefringe.cli import _threads_default
+
+        monkeypatch.delenv("TRIEFRINGE_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert _threads_default() == 1
+        args = _build_parser().parse_args(["--threads", "5", "indnum", "--N", "10"])
+        assert args.threads == 5
+        monkeypatch.setenv("TRIEFRINGE_THREADS", "7")
+        assert _threads_default() == 7
+        # where os has no sched_getaffinity, the machine's count
+        monkeypatch.delenv("TRIEFRINGE_THREADS")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _threads_default() == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _threads_default() == 1
+
     def test_selftest_passes(self, capsys):
         code, out, _ = invoke(capsys, "selftest")
         assert code == 0

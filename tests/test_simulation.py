@@ -48,6 +48,15 @@ def two_way(st):
 TWO_WAY = TollFunction(name="two-way", stats_fn=two_way)
 
 
+def outdeg_is(k):
+    """A closure rule: the fringe's root splits k ways."""
+
+    def rule(st):
+        return (st.outdeg == k) * 1.0
+
+    return rule
+
+
 def matches(st, sig):
     """A custom shape rule: it compares shape_sig and declares no size."""
     return (st.shape_sig == sig) * 1.0
@@ -212,13 +221,32 @@ class TestRun:
             seq = run(cfg, threads=1)
             par = run(cfg, threads=3)
             assert seq.as_dict() == par.as_dict()
-        # shape tolls and custom rules on the trie side travel to the workers
-        # too, in small blocks
+        # shape tolls on the trie side travel to the workers too, in small
+        # blocks
         small_blocks(monkeypatch)
-        tolls = (phi_shape(enumerate_patricia_shapes(3, 2)[0]), TWO_WAY, phi_alpha())
+        tolls = (phi_shape(enumerate_patricia_shapes(3, 2)[0]), phi_alpha())
         cfg = SimulationConfig.fixed(SKEWED, 200, 24, 29, tolls, paired_trie=True)
         assert forks(cfg) and len(simulation._block_bounds(cfg)) == 5
-        assert run(cfg, threads=1).as_dict() == run(cfg, threads=3).as_dict()
+        seq = run(cfg, threads=1)
+        simulation._drop_pool()
+        assert run(cfg, threads=3).as_dict() == seq.as_dict()
+        assert simulation._pool[:2] == (os.getpid(), 3)
+
+    @pytest.mark.parametrize("form", ["lambda", "closure", "module function"])
+    def test_user_rule_runs_in_the_caller(self, monkeypatch, form):
+        # a rule from outside the package never goes to a pool worker, where
+        # a lambda or a closure does not pickle, so it gives the one-thread
+        # result at two threads and starts no pool, beside a package rule
+        rule = {"lambda": lambda st: (st.outdeg == 2) * 1.0, "closure": outdeg_is(2), "module function": two_way}[form]
+        tolls = (TollFunction("two-way", rule), phi_alpha())
+        cfg = SimulationConfig.fixed(SKEWED, 200, 24, 29, tolls, paired_trie=True)
+        seq = run(cfg, threads=1).as_dict()
+        small_blocks(monkeypatch)
+        assert forks(cfg) and len(simulation._block_bounds(cfg)) == 5
+        assert run(cfg, threads=2).as_dict() == seq
+        assert simulation._pool is None and not multiprocessing.active_children()
+        pools = inline_pool(monkeypatch)
+        assert run(cfg, threads=2).as_dict() == seq and pools == []
 
     def test_block_plan(self):
         from triefringe.simulation import _BLOCK_KEYS, _block_bounds
@@ -442,7 +470,7 @@ if sys.argv[1] == "fork":
 
 # a script whose kept pool forks for a built-in toll; then __main__
 # defines a rule, runs it, redefines it and runs it again, and prints
-# whether each forking run matched the serial one
+# whether each two-thread run matched the serial one
 REDEFINED_RULE_SCRIPT = """
 import json
 from triefringe import simulation
@@ -557,7 +585,7 @@ class TestKeptPool:
         assert got == [seq] * 16
 
     def test_rule_redefined_after_the_fork_runs_as_redefined(self):
-        # a custom rule runs on a pool forked for its call, so a rule that
+        # a custom rule runs in the calling process, so a rule that
         # __main__ defines or redefines after the kept pool forked still
         # gives the serial result
         done = subprocess.run([sys.executable, "-c", REDEFINED_RULE_SCRIPT], capture_output=True, text=True, timeout=30)
