@@ -393,10 +393,10 @@ class SigmaConstants:
     sigma2_hat scales Phi(poissonized)/sqrt(lam), sigma2 scales
     Phi(fixed n)/sqrt(n).  For a periodic source both oscillate; ``at``
     evaluates them at t = log lam respectively t = log n, and the *_mean
-    properties give the zero-frequency (average) values.
+    properties give the zero-frequency (average) values.  The toll's chi
+    (its value on a one-key tree) is 0 for k >= 2, so no chi term appears.
     """
 
-    chi: float
     entropy: float
     fv_star: AsymptoticConstant
     fc_star: complex
@@ -406,9 +406,7 @@ class SigmaConstants:
     def _sigma2(self, psi_v: float, psi_c: float) -> tuple[float, float]:
         """(sigma2_hat, sigma2) from values of psi_V and psi_C."""
         h = self.entropy
-        sigma2_hat = self.chi**2 + psi_v / h
-        sigma2 = psi_v / h - (psi_c / h) ** 2 - 2.0 * self.chi * psi_c / h
-        return sigma2_hat, sigma2
+        return psi_v / h, psi_v / h - (psi_c / h) ** 2
 
     def at(self, t: float) -> tuple[float, float]:
         return self._sigma2(psi_eval(self.psi_v, t), psi_eval(self.psi_c, t))
@@ -423,22 +421,27 @@ class SigmaConstants:
 
 
 def sigma_constants(d: SourceDistribution, k: int, M: int = 8, tol: float = 1e-12) -> SigmaConstants:
-    """Limit variance constants for the k-fringe count (k >= 2, so chi = 0).
+    """Limit variance constants for the k-fringe count.
 
-    sigma2_hat = chi^2 + H^-1 f_V*(-1)
-    sigma2     = H^-1 f_V*(-1) - H^-2 f_C*(-1)^2 - 2 chi H^-1 f_C*(-1)
+    sigma2_hat = H^-1 f_V*(-1)
+    sigma2     = H^-1 f_V*(-1) - H^-2 f_C*(-1)^2
 
-    with the psi-based periodic versions evaluated by ``at`` when d_p > 0.
+    (the chi^2 and 2 chi H^-1 f_C*(-1) terms of the general toll vanish,
+    since chi = 0 for k >= 2), with the psi-based periodic versions
+    evaluated by ``at`` when d_p > 0.  f_V* is evaluated once per
+    frequency: fv_star is the zero-frequency term of psi_V.
     """
     k, M = integer_at_least("k", k, 2), integer_at_least("M", M, 0)
-    fv = fv_k_star(d, k, -1, tol)
-    psi_v = complex(fv.value) if d.periodicity() == 0.0 else fourier_series(d, k, "V", M, tol)
+    d_p = d.periodicity()
+    # the frequencies s_m of fourier_coefficient
+    freqs = [complex(-1.0, -2.0 * math.pi * m / d_p) for m in range(M + 1)] if d_p > 0 else [-1]
+    fv = [fv_k_star(d, k, s, tol) for s in freqs]
+    coeffs = tuple(complex(c.value) for c in fv)
     return SigmaConstants(
-        chi=0.0,
         entropy=d.entropy(),
-        fv_star=fv,
+        fv_star=fv[0],
         fc_star=complex(fc_k_star(d, k, 0)),
-        psi_v=psi_v,
+        psi_v=FourierSeries(period=d_p, coeffs=coeffs) if d_p > 0 else coeffs[0],
         psi_c=psi_for_k(d, k, "C", M, tol),
     )
 

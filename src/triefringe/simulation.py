@@ -48,7 +48,12 @@ the caller's own may not pickle (a lambda or a closure), or may be
 missing or stale in a worker, which keeps the module state of its fork
 (a rule defined or redefined after it), so a run with such a rule runs
 its blocks in the calling process at every thread count.  One forking
-call at a time holds the pool; calls from other threads wait for it.
+call at a time holds the pool; calls from other threads wait for it.  A
+child forked from the process (os.fork, or a multiprocessing fork) starts
+with an empty pool slot and a free lock, even when a thread of its parent
+held the lock, so its first forking call starts a pool of its own.  The
+library's `threads` is checked as every count is: an integer of at least
+1, else ValueError, before any block runs.
 Outputs are concatenated in replicate order, and since replicates own
 their streams and every per-replicate sum adds in an order no other
 replicate affects, neither the block plan nor the worker count changes a
@@ -590,33 +595,31 @@ def _engine_block(config, start, stop):
     return out
 
 
-# the kept process pool: (owning pid, worker count, executor), or None;
-# the lock makes one forking call at a time use it
+# the kept process pool: (worker count, executor), or None; the lock makes
+# one forking call at a time use it
 _pool = None
 _pool_lock = threading.Lock()
 
 
-def _kept_pool(workers):
-    """The kept process pool, when it belongs to this process and has
-    `workers` workers; else a new one, started once the old one is gone.
-    Its workers hold the module state of the moment they forked."""
-    global _pool
-    if _pool is None or _pool[:2] != (os.getpid(), workers):
-        import concurrent.futures as cf
+def _forget_pool():
+    """Empty the pool slot and renew its lock in a forked child: the pool
+    belongs to the parent, and the lock may have been held by a parent
+    thread the child does not have."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
-        _drop_pool()
-        _pool = (os.getpid(), workers, cf.ProcessPoolExecutor(max_workers=workers))
-    return _pool[2]
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _drop_pool():
-    """Empty the pool slot.  A pool of this process is shut down first, its
-    queued tasks cancelled and its workers waited for; one inherited
-    through os.fork belongs to the parent and is only forgotten."""
+    """Empty the pool slot, shutting its pool down first: its queued tasks
+    are cancelled and its workers waited for."""
     global _pool
     pool, _pool = _pool, None
-    if pool is not None and pool[0] == os.getpid():
-        pool[2].shutdown(wait=True, cancel_futures=True)
+    if pool is not None:
+        pool[1].shutdown(wait=True, cancel_futures=True)
 
 
 def _library_rules(configs):
@@ -636,18 +639,23 @@ def _library_rules(configs):
 
 def _run_on_pool(tasks, workers):
     """Every task's block outputs, in task order, from the kept pool, or
-    None when no pool can start.  A worker that stops before its block is
+    None when no pool can start.  A kept pool of another worker count is
+    shut down before the new one starts; its workers hold the module state
+    of the moment they forked.  A worker that stops before its block is
     done (killed for lack of memory, say) raises WorkerStopped and drops
     the pool; any other error of a block cancels the tasks not yet started
     and waits for the running ones before it propagates, so no later call
     queues behind them."""
     import concurrent.futures as cf
 
+    global _pool
     futures = []
     with _pool_lock:
         try:
-            pool = _kept_pool(workers)
-            futures = [pool.submit(_engine_block, *task) for task in tasks]
+            if _pool is None or _pool[0] != workers:
+                _drop_pool()
+                _pool = (workers, cf.ProcessPoolExecutor(max_workers=workers))
+            futures = [_pool[1].submit(_engine_block, *task) for task in tasks]
             return [fut.result() for fut in futures]
         except cf.BrokenExecutor as exc:
             _drop_pool()
@@ -677,19 +685,18 @@ def _collect(configs, threads=1):
     package's own.  Otherwise each config's blocks run in this process in
     turn when its output is asked for, so a caller that reduces each output
     as it comes holds one config's at a time."""
+    threads = integer_at_least("threads", threads, 1)
     plans = [_block_bounds(config) for config in configs]
     tasks = [(config, a, b) for config, blocks in zip(configs, plans) for a, b in blocks]
     keys = sum(config.replicates * _keys_per_replicate(config) for config in configs)
     results = None
     if threads > 1 and len(tasks) > 1 and keys > _POOL_KEYS and _library_rules(configs):
         results = _run_on_pool(tasks, min(threads, len(tasks)))
-    if results is not None:
-        results.reverse()  # popped in task order, each as its config's output is built
     for config, blocks in zip(configs, plans):
         if results is None:
             mine = [_engine_block(config, a, b) for a, b in blocks]
         else:
-            mine = [results.pop() for _ in blocks]
+            mine = [results.pop(0) for _ in blocks]  # each let go as its config's output is built
         yield {key: np.concatenate([r[key] for r in mine]) for key in mine[0]}
 
 

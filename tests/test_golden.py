@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from triefringe.asymptotics import fc_k_star, fourier_series, psi_for_k, sigma_constants
+from triefringe.asymptotics import fc_k_star, fourier_series, indnum_alphas, psi_for_k, sigma_constants
 from triefringe.cli import main
 from triefringe.functionals import (
     TollFunction,
@@ -116,6 +116,8 @@ CLI_CASES = {
     "constants-fourier-uniform:3": (
         "constants", "--source", "uniform:3", "--k", "2,3,5", "--fourier", "3", "--tol", "1e-10",
     ),
+    "indnum-800": ("indnum", "--N", "800"),
+    "indnum-3000": ("indnum", "--N", "3000"),
     "enumerate-text-0.3,0.7": ("enumerate", "--k", "4", "--source", "0.3,0.7"),
     "enumerate-json-0.3,0.7": ("enumerate", "--k", "4", "--source", "0.3,0.7", "--format", "json"),
     # the leaf count is the same in every replicate, so its skew cells are empty
@@ -146,6 +148,8 @@ CLI_DIGESTS = {
     "constants-0.5,0.5": "5cc05b175dacd1f27d9c19565f2d232c17103fad44091f2dd087a2efe346e386",
     "constants-fourier-uniform:3": "1cfbeb2775796198cd83c61f6fc6c76afb2901638fb7cc4b379d11dcf3a65239",
     "constants-uniform:3": "e638bb67be2c9a539d15a7e969229ece7f8477ae56f93329c1eda39f770edaf3",
+    "indnum-800": "ce9525131eb05b1aee20f5d88e8923379812845191f9a4c5f7cd6617f9e78bb9",
+    "indnum-3000": "607b20d0c260ea13d7bdc4ee6b1f432a24acff6f414db365beb095d841820527",
     "enumerate-json-0.3,0.7": "13f785f818c2a0f9ea2764a7250a2d6da2c5586417dada448494f37b24e13e30",
     "enumerate-text-0.3,0.7": "cf46c376fa9598198bfa39e1f8ef4558b3685ce8d2e47fd9c8e9226511a0cf0f",
     "simulate-csv-0.3,0.7": "3ab471f59426912f1fd40d7168f4721c6c5c8a5c1faf4a1d561a5863177da8b8",
@@ -358,6 +362,10 @@ def slln_outputs(spec):
     }
 
 
+# the exact floats of indnum_alphas; the CLI rounds them to 15 digits
+INDNUM_ALPHAS_DIGEST = "53df72fe91f63eabfde01706445f5f297f6ea4a3f491657b31d827111f1ed482"
+
+
 UNMATCHED_ROOTS_DIGEST = "35e7863225722e66c7397ad9280b43c2374a4e548a427caf7f8b251958c75c95"
 
 
@@ -408,6 +416,11 @@ def test_root_statistics(spec, n):
 @pytest.mark.parametrize("spec", CONSTANT_SOURCES)
 def test_constants(spec):
     assert _sha(json.dumps(constant_outputs(spec), sort_keys=True)) == CONSTANT_DIGESTS[spec]
+
+
+def test_indnum_alphas():
+    alphas = [float(a).hex() for a in indnum_alphas(200)]
+    assert _sha(json.dumps(alphas)) == INDNUM_ALPHAS_DIGEST
 
 
 @pytest.mark.parametrize("spec", TREE_SOURCES)

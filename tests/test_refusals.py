@@ -31,7 +31,14 @@ from triefringe.asymptotics import (
 )
 from triefringe.errors import InvalidPath
 from triefringe.functionals import brute_force_independence, phi_geq, phi_k
-from triefringe.simulation import SimulationConfig, estimate_fX, estimate_root_essential, oscillation_scan, run
+from triefringe.simulation import (
+    SimulationConfig,
+    estimate_fX,
+    estimate_root_essential,
+    fringe_distribution,
+    oscillation_scan,
+    run,
+)
 from triefringe.source import SourceDistribution
 from triefringe.trees import (
     KeySet,
@@ -216,6 +223,31 @@ def test_argument_refused(call, name, value, monkeypatch):
     with pytest.raises(ValueError) as info:
         call(value)
     assert str(info.value).startswith(f"{name} must be ")
+
+
+# every library entry point that takes a thread count: (label, call of it)
+THREADS_ARGUMENTS = [
+    ("run", lambda v: run(_config(), threads=v)),
+    ("fringe_distribution", lambda v: fringe_distribution(_config(), threads=v)),
+    ("oscillation_scan", lambda v: oscillation_scan(SKEW, phi_k(2), 8.0, 2, 1, threads=v)),
+]
+BAD_THREADS = [(label, call, value) for label, call in THREADS_ARGUMENTS for value in (math.nan, 2.5, 0, -3, "2")]
+
+
+@pytest.mark.parametrize(
+    "call, value", [row[1:] for row in BAD_THREADS], ids=[f"{row[0]} threads={row[2]!r}" for row in BAD_THREADS]
+)
+def test_threads_refused(call, value, monkeypatch):
+    """A thread count that is not an integer >= 1 is refused by name before
+    any block runs, whether or not the run would fork."""
+
+    def no_block(*args, **kw):
+        raise AssertionError("ran a block before checking threads")
+
+    monkeypatch.setattr(simulation, "_engine_block", no_block)
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"threads must be >= 1 (an integer), got {value!r}"
 
 
 def test_integer_values_of_other_types_accepted():

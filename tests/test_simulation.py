@@ -230,7 +230,7 @@ class TestRun:
         seq = run(cfg, threads=1)
         simulation._drop_pool()
         assert run(cfg, threads=3).as_dict() == seq.as_dict()
-        assert simulation._pool[:2] == (os.getpid(), 3)
+        assert simulation._pool[0] == 3
 
     @pytest.mark.parametrize("form", ["lambda", "closure", "module function"])
     def test_user_rule_runs_in_the_caller(self, monkeypatch, form):
@@ -460,11 +460,56 @@ if sys.argv[1] == "fork":
     pid = os.fork()
     if pid == 0:
         same = run(cfg, threads=2).as_dict() == want
-        own = simulation._pool[0] == os.getpid() and simulation._pool is not parent_pool
+        own = simulation._pool[1] is not parent_pool[1]
         print(json.dumps([same, own]), flush=True)
         simulation._drop_pool()
         os._exit(0)
     os.waitpid(pid, 0)
+"""
+
+
+# a script in which a thread holds the pool lock while the process forks;
+# the child makes one forking run, and the parent, once it has let the lock
+# go, waits at most 20 s for it, kills the child's process group (the child
+# and any workers of its own) when it is still running, and prints whether
+# the child finished and got the serial result
+FORK_HOOK_SCRIPT = """
+import json, os, signal, threading, time
+from triefringe import simulation
+from triefringe.functionals import phi_k
+from triefringe.simulation import SimulationConfig, run
+from triefringe.source import SourceDistribution
+
+simulation._BLOCK_KEYS = simulation._POOL_KEYS = 1000
+cfg = SimulationConfig.fixed(SourceDistribution.uniform(3), 100, 30, 53, (phi_k(2),))
+want = run(cfg).as_dict()
+held, release = threading.Event(), threading.Event()
+
+def hold():
+    with simulation._pool_lock:
+        held.set()
+        release.wait()
+
+holder = threading.Thread(target=hold)
+holder.start()
+held.wait()
+pid = os.fork()
+if pid == 0:
+    os.setpgid(0, 0)
+    same = run(cfg, threads=2).as_dict() == want
+    simulation._drop_pool()
+    os._exit(0 if same else 1)
+release.set()
+holder.join()
+deadline = time.monotonic() + 20
+done, status = os.waitpid(pid, os.WNOHANG)
+while not done and time.monotonic() < deadline:
+    time.sleep(0.05)
+    done, status = os.waitpid(pid, os.WNOHANG)
+if not done:
+    os.killpg(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+print(json.dumps({"finished": bool(done), "same": bool(done) and os.waitstatus_to_exitcode(status) == 0}))
 """
 
 
@@ -521,6 +566,14 @@ class TestKeptPool:
     def test_pool_inherited_through_fork_is_not_used(self):
         *_, child = _kept_pool_script("fork")
         assert child == [True, True]
+
+    def test_child_forked_while_the_lock_is_held_runs(self):
+        # the fork hook gives the child an empty pool slot and a lock of its
+        # own, so its forking run neither waits for a parent thread that the
+        # child does not have nor uses the parent's pool
+        done = subprocess.run([sys.executable, "-c", FORK_HOOK_SCRIPT], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {"finished": True, "same": True}
 
     def test_workers_capped_at_blocks(self, monkeypatch):
         cfg = SimulationConfig.fixed(TERNARY, 100, 30, 53, (phi_k(2), phi_alpha()))
