@@ -32,7 +32,11 @@ With the source entropy H and the lattice period d_p of {log p_a}, the
 limit mean and variance of the functional per key are H^-1 psi_E(log n)
 and the sigma^2 expressions below; for d_p = 0 the psi_X collapse to the
 constants f_X*(-1), for d_p > 0 they are d_p-periodic Fourier series with
-coefficients f_X*(-1 - 2 pi i m / d_p).
+coefficients f_X*(-1 - 2 pi i m / d_p).  psi is built in one place: every
+function here that evaluates f_X* at the s_m takes d_p and the s_m from
+``_frequencies``, and only ``_psi`` chooses between the constant and the
+series, for ``psi_for_k`` (and through it ``fourier_series``) and
+``sigma_constants`` alike.
 
 The independence-number pipeline computes the essential-node probabilities
 alpha_n by recursion (binary symmetric source) and turns their partial
@@ -336,7 +340,7 @@ def fv_k_star(d: SourceDistribution, k: int, s: complex = -1, tol: float = 1e-12
 # oscillation Fourier coefficients
 
 
-def _f_star(d: SourceDistribution, k: int, X: str, s: complex, tol: float) -> complex:
+def _f_star(d: SourceDistribution, k: int, X: str, s: complex, tol: float = 1e-12) -> complex:
     """f_X*(s) of the k-fringe toll, X in {E, V, C}.  psi_C = psi_E + psi_E'
     multiplies the m-th coefficient of psi_E by 1 + 2 pi i m / d_p = -s_m,
     so f_C*(s) = -s f_E*(s)."""
@@ -348,38 +352,48 @@ def _f_star(d: SourceDistribution, k: int, X: str, s: complex, tol: float) -> co
     return -s * fe if X == "C" else fe
 
 
+def _frequencies(d: SourceDistribution, ms) -> tuple[float, list]:
+    """d_p and the frequencies s_m = -1 - 2 pi i m / d_p of psi's
+    coefficients, m in ms; (0, [-1]) on an aperiodic source."""
+    d_p = d.periodicity()
+    return d_p, ([complex(-1.0, -2.0 * math.pi * m / d_p) for m in ms] if d_p > 0 else [-1])
+
+
+def _psi(d_p: float, values: list):
+    """psi from f_X* at ``_frequencies``: the constant values[0] when d_p = 0, else the Fourier series."""
+    return FourierSeries(period=d_p, coeffs=tuple(values)) if d_p > 0 else values[0]
+
+
 def fourier_coefficient(d: SourceDistribution, k: int, X: str, m: int, tol: float = 1e-12) -> complex:
     """m-th Fourier coefficient of psi_X (X in {E, V, C}) for the k-fringe toll:
     f_X*(-1 - 2 pi m i / d_p), for any integer m."""
-    m = integer_at_least("m", m)
-    d_p = d.periodicity()
+    d_p, [s] = _frequencies(d, [integer_at_least("m", m)])
     if d_p == 0.0:
         raise Aperiodic("the source has no oscillation period")
-    return _f_star(d, k, X, complex(-1.0, -2.0 * math.pi * m / d_p), tol)
+    return _f_star(d, k, X, s, tol)
 
 
-def fc_k_star(d: SourceDistribution, k: int, m: int = 0):
+def fc_k_star(d: SourceDistribution, k: int, m: int = 0) -> complex:
     """m-th Fourier coefficient of psi_C = psi_E + psi_E'; the aperiodic
     case (constant psi_E, zero derivative) and the m = 0 coefficient are
     both just f_E*(-1).  m is any integer."""
-    if integer_at_least("m", m) == 0 or d.periodicity() == 0.0:
-        return fe_k_star(d, k, -1)
-    return fourier_coefficient(d, k, "C", m)
+    _, [s] = _frequencies(d, [integer_at_least("m", m)])
+    return _f_star(d, k, "C", s)
 
 
 def fourier_series(d: SourceDistribution, k: int, X: str, M: int = 8, tol: float = 1e-12) -> FourierSeries:
-    """Truncated Fourier series of psi_X (X in {E, V, C}) for the k-fringe toll."""
-    M = integer_at_least("M", M, 0)
-    coeffs = tuple(fourier_coefficient(d, k, X, m, tol) for m in range(M + 1))
-    return FourierSeries(period=d.periodicity(), coeffs=coeffs)
+    """Truncated Fourier series of psi_X (X in {E, V, C}) for the k-fringe
+    toll: ``psi_for_k``'s series; an aperiodic source is refused before any
+    f_X* is evaluated."""
+    if d.periodicity() == 0.0:
+        raise Aperiodic("the source has no oscillation period")
+    return psi_for_k(d, k, X, M, tol)
 
 
 def psi_for_k(d: SourceDistribution, k: int, X: str, M: int = 8, tol: float = 1e-12):
     """psi_X (X in {E, V, C}) for the k-fringe toll: a constant when d_p = 0, else a Fourier series."""
-    integer_at_least("M", M, 0)
-    if d.periodicity() == 0.0:
-        return _f_star(d, k, X, -1, tol)
-    return fourier_series(d, k, X, M, tol)
+    d_p, freqs = _frequencies(d, range(integer_at_least("M", M, 0) + 1))
+    return _psi(d_p, [_f_star(d, k, X, s, tol) for s in freqs])
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +407,16 @@ class SigmaConstants:
     sigma2_hat scales Phi(poissonized)/sqrt(lam), sigma2 scales
     Phi(fixed n)/sqrt(n).  For a periodic source both oscillate; ``at``
     evaluates them at t = log lam respectively t = log n, and the *_mean
-    properties give the zero-frequency (average) values.  The toll's chi
-    (its value on a one-key tree) is 0 for k >= 2, so no chi term appears.
+    properties give the zero-frequency (average) values.  psi_e, psi_v and
+    psi_c are the limit functions of ``psi_for_k``: constants when d_p = 0,
+    else Fourier series.  The toll's chi (its value on a one-key tree) is 0
+    for k >= 2, so no chi term appears.
     """
 
     entropy: float
     fv_star: AsymptoticConstant
     fc_star: complex
+    psi_e: object
     psi_v: object
     psi_c: object
 
@@ -428,21 +445,21 @@ def sigma_constants(d: SourceDistribution, k: int, M: int = 8, tol: float = 1e-1
 
     (the chi^2 and 2 chi H^-1 f_C*(-1) terms of the general toll vanish,
     since chi = 0 for k >= 2), with the psi-based periodic versions
-    evaluated by ``at`` when d_p > 0.  f_V* is evaluated once per
-    frequency: fv_star is the zero-frequency term of psi_V.
+    evaluated by ``at`` when d_p > 0.  f_V* and f_E* are each evaluated
+    once per frequency s: fv_star is the zero-frequency term of psi_V,
+    fc_star = f_E*(-1) that of psi_E, and psi_C's terms are -s f_E*(s).
     """
-    k, M = integer_at_least("k", k, 2), integer_at_least("M", M, 0)
-    d_p = d.periodicity()
-    # the frequencies s_m of fourier_coefficient
-    freqs = [complex(-1.0, -2.0 * math.pi * m / d_p) for m in range(M + 1)] if d_p > 0 else [-1]
+    k = integer_at_least("k", k, 2)
+    d_p, freqs = _frequencies(d, range(integer_at_least("M", M, 0) + 1))
     fv = [fv_k_star(d, k, s, tol) for s in freqs]
-    coeffs = tuple(complex(c.value) for c in fv)
+    fe = [complex(fe_k_star(d, k, s)) for s in freqs]
     return SigmaConstants(
         entropy=d.entropy(),
         fv_star=fv[0],
-        fc_star=complex(fc_k_star(d, k, 0)),
-        psi_v=FourierSeries(period=d_p, coeffs=coeffs) if d_p > 0 else coeffs[0],
-        psi_c=psi_for_k(d, k, "C", M, tol),
+        fc_star=fe[0],
+        psi_e=_psi(d_p, fe),
+        psi_v=_psi(d_p, [complex(c.value) for c in fv]),
+        psi_c=_psi(d_p, [-s * f for s, f in zip(freqs, fe)]),
     )
 
 
@@ -601,8 +618,8 @@ def indnum_mean_bounds(N: int, alphas: np.ndarray | None = None) -> tuple[float,
         alphas = indnum_alphas(N)
     if len(alphas) < N + 1:
         raise ValueError(f"need alpha_0..alpha_{N}, got {len(alphas)} values")
-    h = math.log(2.0)
+    d = SourceDistribution((0.5, 0.5))
     ks = np.arange(2, N + 1)
-    rho = 2.0 ** (1 - ks.astype(float))
-    partial = 1.0 + float(np.sum((1.0 - rho) * alphas[2 : N + 1] / (ks * (ks - 1) * h)))
-    return partial / 2.0, (partial + 1.0 / (N * h)) / 2.0
+    rho = np.array([d.rho(k) for k in range(2, N + 1)])
+    partial = 1.0 + float(np.sum((1.0 - rho) * alphas[2 : N + 1] / (ks * (ks - 1) * d.entropy())))
+    return partial / 2.0, (partial + 1.0 / (N * d.entropy())) / 2.0

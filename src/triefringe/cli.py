@@ -24,7 +24,6 @@ from . import __version__
 from .asymptotics import (
     fe_k_star,
     fe_lambda,
-    fourier_series,
     fringe_limit,
     indnum_alphas,
     indnum_mean_bounds,
@@ -182,12 +181,12 @@ def _cmd_constants(args):
     per_k = []
     for k in args.k:
         sc = sigma_constants(d, k, M=args.fourier, tol=args.tol)
-        coeffs = fourier_series(d, k, "E", args.fourier, args.tol).coeffs if d_p > 0 else ()
+        coeffs = sc.psi_e.coeffs if d_p > 0 else ()
         per_k.append(
             {
                 "k": k,
                 "rho_k": d.rho(k),
-                "fe_star": fe_k_star(d, k, -1),
+                "fe_star": sc.fc_star.real,  # f_C*(-1) = f_E*(-1)
                 "fv_star": sc.fv_star.real,
                 "fv_star_error_bound": sc.fv_star.error_bound,
                 "fc_star": sc.fc_star.real,
@@ -272,7 +271,7 @@ def _cmd_indnum(args):
     results = {
         "alphas": list(alphas),
         "interval": [lo, hi],
-        "width_bound": 1.0 / (2.0 * args.N * math.log(2.0)),
+        "width_bound": 1.0 / (2.0 * args.N * SourceDistribution((0.5, 0.5)).entropy()),
     }
     _emit("indnum", {"N": args.N}, results)
     return 0

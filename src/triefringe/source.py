@@ -22,6 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import integer_at_least
+
 _PROB_SUM_TOL = 1e-12
 # characters are stored as int8, so the largest character is 127
 MAX_ALPHABET = 128
@@ -56,6 +58,16 @@ def _rational_from_float(x: float) -> Fraction | None:
     return None
 
 
+def _alphabet_size(m) -> int:
+    """m, when it is an integer from 2 to MAX_ALPHABET."""
+    m = integer_at_least("alphabet size", m)
+    if m < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {m}")
+    if m > MAX_ALPHABET:
+        raise ValueError(f"alphabet size must be <= {MAX_ALPHABET} (characters are int8), got {m}")
+    return m
+
+
 @dataclass(frozen=True)
 class SourceDistribution:
     """Character distribution of a memoryless source.
@@ -70,12 +82,7 @@ class SourceDistribution:
 
     def __post_init__(self):
         probs = tuple(float(p) for p in self.probs)
-        if len(probs) < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {len(probs)}")
-        if len(probs) > MAX_ALPHABET:
-            raise ValueError(
-                f"alphabet size must be <= {MAX_ALPHABET} (characters are int8), got {len(probs)}"
-            )
+        _alphabet_size(len(probs))
         for p in probs:
             if not (0.0 < p < 1.0):
                 raise ValueError(f"every probability must lie strictly in (0,1), got {p}")
@@ -88,6 +95,8 @@ class SourceDistribution:
 
     @classmethod
     def uniform(cls, m: int) -> "SourceDistribution":
+        """m equal letters; m is checked before any probability is built."""
+        m = _alphabet_size(m)
         return cls(tuple(1.0 / m for _ in range(m)))
 
     @classmethod

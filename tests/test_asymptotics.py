@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import math
 import time
@@ -6,8 +8,10 @@ import numpy as np
 import pytest
 from scipy.special import gamma as scipy_gamma
 
+from triefringe import asymptotics, cli
 from triefringe.asymptotics import (
     AsymptoticConstant,
+    FourierSeries,
     fc_k_star,
     fe_k_star,
     fe_lambda,
@@ -23,6 +27,7 @@ from triefringe.asymptotics import (
     link_trie_patricia,
     mellin_numeric,
     psi_eval,
+    psi_for_k,
     shape_limit,
     sigma_constants,
     star_sum,
@@ -306,6 +311,9 @@ class TestFourier:
     def test_aperiodic_raises(self):
         with pytest.raises(Aperiodic):
             fourier_coefficient(SKEWED, 2, "E", 1)
+        for X in "EVC":
+            with pytest.raises(Aperiodic):
+                fourier_series(SKEWED, 2, X)
 
     def test_fc_reduces_to_fe(self):
         # aperiodic source: psi_E is constant, so psi_C = psi_E
@@ -362,6 +370,58 @@ class TestSigmaConstants:
         hat_t, sig_t = sc.at(math.log(1e4))
         assert hat_t == pytest.approx(sc.sigma2_hat_mean, rel=1e-3)
         assert sig_t == pytest.approx(sc.sigma2_mean, rel=1e-3)
+
+
+def _bits(psi):
+    """A constant or a Fourier series as text that keeps every bit."""
+    if isinstance(psi, FourierSeries):
+        return psi.period.hex(), [_bits(c) for c in psi.coeffs]
+    return psi.real.hex(), psi.imag.hex()
+
+
+class TestOneOwnerOfPsi:
+    """sigma_constants builds psi_E, psi_V and psi_C from one list of
+    frequencies, with the same helpers as psi_for_k."""
+
+    @pytest.mark.parametrize("d", [BIN_SYM, SKEWED, TERNARY], ids=["0.5,0.5", "0.3,0.7", "uniform:3"])
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_fields_equal_psi_for_k_bit_for_bit(self, d, k):
+        sc = sigma_constants(d, k, M=3)
+        for X, psi in (("E", sc.psi_e), ("V", sc.psi_v), ("C", sc.psi_c)):
+            assert _bits(psi) == _bits(psi_for_k(d, k, X, M=3))
+        assert _bits(sc.fc_star) == _bits(complex(fe_k_star(d, k, -1)))
+        assert _bits(sc.fc_star) == _bits(complex(fc_k_star(d, k, 0)))
+
+    def test_constants_evaluates_each_value_once(self, monkeypatch):
+        calls, active = [], []  # (name, the counted calls it ran inside)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, tuple(active)))
+                active.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    active.pop()
+
+            return wrapper
+
+        monkeypatch.setattr(SourceDistribution, "periodicity", counted("periodicity", SourceDistribution.periodicity))
+        fe_k_star_counted = counted("fe_k_star", asymptotics.fe_k_star)
+        monkeypatch.setattr(asymptotics, "fe_k_star", fe_k_star_counted)
+        monkeypatch.setattr(cli, "fe_k_star", fe_k_star_counted)
+        monkeypatch.setattr(asymptotics, "fv_k_star", counted("fv_k_star", asymptotics.fv_k_star))
+        monkeypatch.setattr(cli, "sigma_constants", counted("sigma_constants", cli.sigma_constants))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["--threads", "1", "constants", "--source", "0.5,0.5", "--k", "2,3", "--fourier", "8"]) == 0
+        # the printed d_p, then one per sigma_constants (k = 2, 3)
+        periodicity = [outer for name, outer in calls if name == "periodicity"]
+        assert periodicity == [(), ("sigma_constants",), ("sigma_constants",)]
+        # f_E* once per frequency m = 0..8 and k, besides f_V*'s own leading term
+        fe = [outer for name, outer in calls if name == "fe_k_star"]
+        assert all("sigma_constants" in outer for outer in fe)
+        assert sum("fv_k_star" not in outer for outer in fe) == 2 * 9
+        assert sum("fv_k_star" in outer for outer in fe) == 2 * 9
 
 
 class TestLink:

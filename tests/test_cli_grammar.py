@@ -14,6 +14,7 @@ import contextlib
 import io
 import json
 import math
+import time
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -136,6 +137,8 @@ def _check_success(argv, out):
           "--functional", "k=2"])
 @example(["oscillate", "--source", "0.5,0.5", "--functional", "k=2", "--lambda-min", "3", "--periods", "100",
           "--points-per-period", "100", "--seed", "1"])
+# an alphabet past 128 letters, refused before its probabilities are built
+@example(["constants", "--source", "uniform:1000000000000", "--k", "2"])
 def test_every_argv_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -148,3 +151,13 @@ def test_every_argv_exits_cleanly(argv):
     else:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith(("error:", "usage error:"))
+
+
+def test_huge_uniform_alphabet_refused_at_once():
+    out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--threads", "1", "constants", "--source", "uniform:1000000000000", "--k", "2"])
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue() == "error: alphabet size must be <= 128 (characters are int8), got 1000000000000\n"

@@ -117,6 +117,14 @@ REFUSALS = [
         ValueError,
         "points_per_period",
     ),
+    # source: the size is checked before any probability is built
+    ("uniform m=1", lambda: SourceDistribution.uniform(1), ValueError, "alphabet size must be >= 2, got 1"),
+    ("uniform m=129", lambda: SourceDistribution.uniform(129), ValueError, "alphabet size must be <= 128"),
+    ("uniform m=1e12", lambda: SourceDistribution.uniform(10**12), ValueError, "alphabet size must be <= 128"),
+    ("uniform m=2.5", lambda: SourceDistribution.uniform(2.5), ValueError, "alphabet size must be an integer"),
+    ("uniform m=nan", lambda: SourceDistribution.uniform(math.nan), ValueError, "alphabet size must be an integer"),
+    ("uniform m='3'", lambda: SourceDistribution.uniform("3"), ValueError, "alphabet size must be an integer"),
+    ("SourceDistribution one letter", lambda: SourceDistribution((1.0,)), ValueError, "alphabet size must be >= 2, got 1"),
     # trees
     ("KeySet m=1", lambda: KeySet([], 1), ValueError, "alphabet size"),
     ("build_trie without m", lambda: build_trie(["0", "1"]), ValueError, "alphabet size m"),
