@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 numeric or limit error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -42,7 +43,7 @@ from .functionals import (
     phi_leaf,
     pullback,
 )
-from .simulation import SimulationConfig, fringe_distribution, oscillation_scan, run
+from .simulation import SimulationConfig, fringe_distribution, histogram_labels, oscillation_scan, run
 from .source import SourceDistribution
 from .trees import (
     DEFAULT_MAX_DEPTH,
@@ -66,8 +67,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _round15(obj):
-    """Clamp every float in a JSON-ready structure to 15 significant digits."""
+    """A copy of a JSON-ready structure with every float clamped to 15
+    significant digits; a NaN or an infinity raises ValueError."""
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"the result holds {obj}, which JSON cannot carry")
         return float(f"{obj:.15g}")
     if isinstance(obj, dict):
         return {k: _round15(v) for k, v in obj.items()}
@@ -84,8 +88,13 @@ def _emit(command, config, results):
         "config": _round15(config),
         "results": _round15(results),
     }
-    # encode before writing, so a NaN or infinity leaves no partial document
-    sys.stdout.write(json.dumps(envelope, indent=2, allow_nan=False) + "\n")
+    # written as it is encoded, a few thousand chunks per write; _round15
+    # refused any NaN or infinity before the first write, so no partial
+    # document is left
+    chunks = json.JSONEncoder(indent=2).iterencode(envelope)
+    for text in iter(lambda: "".join(itertools.islice(chunks, 4096)), ""):
+        sys.stdout.write(text)
+    sys.stdout.write("\n")
 
 
 def _parse_functionals(spec: str):
@@ -159,12 +168,6 @@ def _source_spec(text):
 
 
 def _threads_default():
-    env = os.environ.get("TRIEFRINGE_THREADS")
-    if env:
-        try:
-            return _int_at_least(1)(env)
-        except argparse.ArgumentTypeError as exc:
-            raise _UsageError(f"TRIEFRINGE_THREADS: {exc}") from None
     # the CPUs this process may run on (a cpuset or taskset mask), not the machine's
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -210,8 +213,6 @@ def _cmd_constants(args):
 def _cmd_simulate(args):
     d = SourceDistribution.parse(args.source)
     tolls = _parse_functionals(args.functional)
-    if (args.n is None) == (args.lam is None):
-        raise _UsageError("exactly one of --n and --lambda is required")
     if args.paired_trie and args.format == "csv":
         raise _UsageError("--paired-trie and --format csv do not combine: the CSV has no column for the trie side")
     mode, size = ("fixed", args.n) if args.n is not None else ("poisson", args.lam)
@@ -248,7 +249,7 @@ def _cmd_fringe_dist(args):
     )
     fd = fringe_distribution(config, threads=args.threads)
     results = {
-        "k": [int(v) for v in fd.k[:-1]] + ["overflow"],
+        "k": histogram_labels(args.kmax),
         "mass": list(fd.mass_mean),
         "se": list(fd.mass_se),
         "leaf_mass": fd.leaf_mass_mean,
@@ -384,8 +385,8 @@ def _cmd_selftest(_args):
 def _build_parser():
     parser = _Parser(prog="triefringe", description=__doc__)
     parser.add_argument(
-        "--threads", type=_int_at_least(1), default=None,
-        help="parallelism cap, a positive integer (default: TRIEFRINGE_THREADS, else the usable CPUs)",
+        "--threads", type=_int_at_least(1), default=_threads_default(),
+        help="parallelism cap, a positive integer (default: the CPUs this process may run on)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -398,8 +399,9 @@ def _build_parser():
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo of additive functionals")
     p.add_argument("--source", type=_source_spec, required=True)
-    p.add_argument("--n", type=_int_at_least(0), default=None)
-    p.add_argument("--lambda", dest="lam", type=_finite_number(0), default=None)
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("--n", type=_int_at_least(0))
+    size.add_argument("--lambda", dest="lam", type=_finite_number(0))
     p.add_argument("--replicates", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--functional", required=True)
@@ -413,7 +415,7 @@ def _build_parser():
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--replicates", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--kmax", type=_int_at_least(1), default=64)
+    p.add_argument("--kmax", type=_int_at_least(1), default=SimulationConfig.histogram_kmax)
     p.set_defaults(fn=_cmd_fringe_dist)
 
     p = sub.add_parser("indnum", help="essential-node probabilities and ratio bounds")
@@ -446,8 +448,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads is None:
-            args.threads = _threads_default()
         started = time.time()
         code = args.fn(args)
         print(f"completed in {time.time() - started:.2f}s", file=sys.stderr)

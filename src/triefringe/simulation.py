@@ -234,7 +234,7 @@ class SimulationSummary:
             if self.trie_functionals is not None
             else None,
             "fringe_histogram": {
-                "k": [int(k) for k in self.histogram_k[:-1]] + ["overflow"],
+                "k": histogram_labels(self.config.histogram_kmax),
                 "mean_count": list(self.histogram_mean),
                 "se": list(self.histogram_se),
             },
@@ -253,6 +253,11 @@ def _fringe_sizes(kmax):
     """The fringe sizes of a histogram's buckets: 2..kmax, then kmax + 1
     for the overflow bucket of every larger size."""
     return np.concatenate([np.arange(2, kmax + 1), [kmax + 1]])
+
+
+def histogram_labels(kmax):
+    """The printed labels of a histogram's buckets: 2..kmax, then "overflow"."""
+    return [*range(2, kmax + 1), "overflow"]
 
 
 # ---------------------------------------------------------------------------
@@ -1016,7 +1021,12 @@ class FringeDistribution:
     replicates: int
 
     def mass(self, k: int) -> float:
-        return float(self.mass_mean[int(k) - 2])
+        """The mean mass of fringe size k, for k in 2..kmax + 1 (kmax + 1 is
+        the overflow bucket); any other k raises ValueError."""
+        k, top = integer_at_least("k", k, 2), int(self.k[-1])
+        if k > top:
+            raise ValueError(f"k must be in 2..{top} ({top} is the overflow bucket), got {k}")
+        return float(self.mass_mean[k - 2])
 
 
 def fringe_distribution(config: SimulationConfig, threads: int = 1) -> FringeDistribution:

@@ -10,6 +10,7 @@ import pytest
 
 from triefringe import simulation, trees
 from triefringe.cli import _build_parser, main
+from triefringe.simulation import SimulationConfig
 from triefringe.trees import DEFAULT_MAX_DEPTH
 
 _ENGINE_BLOCK = simulation._engine_block
@@ -146,6 +147,14 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert "128" in err
 
+    def test_both_sizes_refused(self, capsys):
+        code, out, err = invoke(
+            capsys, "simulate", "--source", "0.5,0.5", "--n", "5", "--lambda", "5",
+            "--replicates", "5", "--seed", "7", "--functional", "leaf",
+        )
+        assert (code, out) == (1, "")
+        assert "--n" in err and "--lambda" in err
+
     def test_max_depth_default_is_the_library_default(self):
         argv = ["simulate", "--source", "0.5,0.5", "--n", "5", "--replicates", "2", "--seed", "1", "--functional", "k=2"]
         assert _build_parser().parse_args(argv).max_depth == DEFAULT_MAX_DEPTH
@@ -225,6 +234,10 @@ class TestFringeDist:
         assert res["k"][-1] == "overflow"
         assert abs(res["mass"][0] - 1 / (8 * math.log(2))) < 0.02
         assert abs(res["limits"][0] - 1 / (8 * math.log(2))) < 1e-12
+
+    def test_kmax_default_is_the_library_default(self):
+        argv = ["fringe-dist", "--source", "0.5,0.5", "--n", "5", "--replicates", "2", "--seed", "1"]
+        assert _build_parser().parse_args(argv).kmax == SimulationConfig.histogram_kmax
 
 
 class TestIndnum:
@@ -399,15 +412,17 @@ class TestTopLevel:
         assert code == 1 and out == ""
         assert "--threads" in err and value in err
 
-    @pytest.mark.parametrize("value", ["0", "-1", "2x"])
-    def test_bad_thread_env_is_usage_error(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("TRIEFRINGE_THREADS", value)
-        code, out, err = invoke(capsys, "indnum", "--N", "10")
-        assert code == 1 and out == ""
-        assert "TRIEFRINGE_THREADS" in err
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_result_writes_nothing(self, capsys, monkeypatch, value):
+        # JSON has no NaN or infinity, and the document is refused whole
+        monkeypatch.setattr("triefringe.cli.fringe_limit", lambda d, k: value)
+        code, out, err = invoke(capsys, "constants", "--source", "0.5,0.5", "--k", "2")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
-    def test_thread_env_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("TRIEFRINGE_THREADS", "2")
+    def test_thread_environment_variable_is_ignored(self, capsys, monkeypatch):
+        # --threads is the one knob; TRIEFRINGE_THREADS=0 was once refused
+        monkeypatch.setenv("TRIEFRINGE_THREADS", "0")
         code, _, _ = invoke(capsys, "indnum", "--N", "10")
         assert code == 0
 
@@ -415,16 +430,13 @@ class TestTopLevel:
         # a cpuset or taskset mask of one CPU on a 64-CPU machine: one thread
         from triefringe.cli import _threads_default
 
-        monkeypatch.delenv("TRIEFRINGE_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
         assert _threads_default() == 1
+        assert _build_parser().parse_args(["indnum", "--N", "10"]).threads == 1
         args = _build_parser().parse_args(["--threads", "5", "indnum", "--N", "10"])
         assert args.threads == 5
-        monkeypatch.setenv("TRIEFRINGE_THREADS", "7")
-        assert _threads_default() == 7
         # where os has no sched_getaffinity, the machine's count
-        monkeypatch.delenv("TRIEFRINGE_THREADS")
         monkeypatch.delattr(os, "sched_getaffinity")
         assert _threads_default() == 64
         monkeypatch.setattr(os, "cpu_count", lambda: None)

@@ -66,6 +66,11 @@ def _config(**kw):
     return SimulationConfig(**{**args, **kw})
 
 
+def _fringe_kmax5():
+    """A small run's fringe distribution with histogram_kmax=5, so k = 2..6."""
+    return fringe_distribution(_config(histogram_kmax=5))
+
+
 REFUSALS = [
     # asymptotics
     ("AsymptoticConstant negative bound", lambda: AsymptoticConstant(1.0, -1.0), ValueError, "error_bound"),
@@ -106,6 +111,12 @@ REFUSALS = [
     ("SimulationConfig replicates=0", lambda: _config(replicates=0), ValueError, "replicates"),
     ("SimulationConfig histogram_kmax=0", lambda: _config(histogram_kmax=0), ValueError, "histogram_kmax"),
     ("SimulationConfig fixed n=2.5", lambda: _config(size=2.5), ValueError, "integer key count"),
+    ("FringeDistribution.mass k=0", lambda: _fringe_kmax5().mass(0), ValueError, "k must be >= 2 (an integer), got 0"),
+    ("FringeDistribution.mass k=1", lambda: _fringe_kmax5().mass(1), ValueError, "k must be >= 2 (an integer), got 1"),
+    ("FringeDistribution.mass k=2.5", lambda: _fringe_kmax5().mass(2.5), ValueError, "got 2.5"),
+    ("FringeDistribution.mass k=nan", lambda: _fringe_kmax5().mass(math.nan), ValueError, "got nan"),
+    ("FringeDistribution.mass k=7", lambda: _fringe_kmax5().mass(7), ValueError, "k must be in 2..6"),
+    ("FringeDistribution.mass k=8", lambda: _fringe_kmax5().mass(8), ValueError, "k must be in 2..6"),
     ("oscillation_scan lam_min=0", lambda: oscillation_scan(SKEW, phi_k(2), 0.0, 2, 1), ValueError, "lam_min"),
     ("oscillation_scan lam_min=-1", lambda: oscillation_scan(SKEW, phi_k(2), -1.0, 2, 1), ValueError, "lam_min"),
     ("oscillation_scan lam_min=inf", lambda: oscillation_scan(SKEW, phi_k(2), math.inf, 2, 1), ValueError, "lam_min"),
@@ -265,6 +276,12 @@ def test_integer_values_of_other_types_accepted():
     as_int = run(SimulationConfig.fixed(SKEW, 100, 3, 7, (phi_k(2),)))
     assert as_float.config.replicates == 3 and type(as_float.config.replicates) is int
     assert json.dumps(as_float.as_dict()) == json.dumps(as_int.as_dict())
+
+
+def test_fringe_mass_of_every_bucket():
+    fd = _fringe_kmax5()
+    assert [fd.mass(k) for k in fd.k] == list(fd.mass_mean)
+    assert fd.mass(6.0) == fd.mass(np.int64(6)) == fd.mass_mean[-1]
 
 
 def test_integer_indices_of_any_sign_accepted():
