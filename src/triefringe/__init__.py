@@ -61,7 +61,6 @@ from .asymptotics import (
     fe_k_star,
     fe_lambda,
     fourier_coefficient,
-    fourier_series,
     fringe_limit,
     fringe_mass_sum,
     fv_k_star,

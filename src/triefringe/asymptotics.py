@@ -35,8 +35,7 @@ constants f_X*(-1), for d_p > 0 they are d_p-periodic Fourier series with
 coefficients f_X*(-1 - 2 pi i m / d_p).  psi is built in one place: every
 function here that evaluates f_X* at the s_m takes d_p and the s_m from
 ``_frequencies``, and only ``_psi`` chooses between the constant and the
-series, for ``psi_for_k`` (and through it ``fourier_series``) and
-``sigma_constants`` alike.
+series, for ``psi_for_k`` and ``sigma_constants`` alike.
 
 The independence-number pipeline computes the essential-node probabilities
 alpha_n by recursion (binary symmetric source) and turns their partial
@@ -55,7 +54,7 @@ import numpy as np
 
 from .errors import Aperiodic, LimitExceeded, MissingDependency, NonConvergent, PoleAt, finite_at_least, integer_at_least
 from .source import SourceDistribution
-from .trees import shape_probability
+from .trees import _shape_root, shape_probability
 
 # ---------------------------------------------------------------------------
 # complex Gamma (Lanczos, g = 7, 9 coefficients; reflection below Re z = 1/2)
@@ -209,6 +208,14 @@ def fe_lambda(d: SourceDistribution, k: int, lam: float) -> float:
     return (1.0 - d.rho(k)) * math.exp(-_stirlerr(k) - _bd0(k, lam)) / math.sqrt(2.0 * math.pi * k)
 
 
+def _finite_s(s) -> complex:
+    """s as a complex number, when its real and imaginary parts are finite."""
+    z = complex(s)
+    if not cmath.isfinite(z):
+        raise ValueError(f"s must have a finite real and imaginary part, got {s!r}")
+    return z
+
+
 def fe_k_star(d: SourceDistribution, k: int, s: complex):
     """Mellin transform of the k-fringe mean profile: (1-rho(k)) Gamma(k+s) / k!.
 
@@ -216,7 +223,7 @@ def fe_k_star(d: SourceDistribution, k: int, s: complex):
     nonpositive integer.
     """
     k = integer_at_least("k", k, 2)
-    z = complex(k) + complex(s)
+    z = complex(k) + _finite_s(s)
     if _near_nonpositive_integer(z):
         raise PoleAt(s)
     # Gamma(k+s)/k! as a log difference: either factor alone overflows past k = 170
@@ -318,7 +325,7 @@ def fv_k_star(d: SourceDistribution, k: int, s: complex = -1, tol: float = 1e-12
     transform is Re(s) > -k.
     """
     k = integer_at_least("k", k, 2)
-    s = complex(s)
+    s = _finite_s(s)
     if s.real <= -k:
         raise NonConvergent(f"f_V* converges for Re(s) > {-k}, got {s}")
     # h(p) = (q_k/k!)^2 Gamma(s+2k) (1+p)^(-s-2k) as a log difference: each
@@ -379,15 +386,6 @@ def fc_k_star(d: SourceDistribution, k: int, m: int = 0) -> complex:
     both just f_E*(-1).  m is any integer."""
     _, [s] = _frequencies(d, [integer_at_least("m", m)])
     return _f_star(d, k, "C", s)
-
-
-def fourier_series(d: SourceDistribution, k: int, X: str, M: int = 8, tol: float = 1e-12) -> FourierSeries:
-    """Truncated Fourier series of psi_X (X in {E, V, C}) for the k-fringe
-    toll: ``psi_for_k``'s series; an aperiodic source is refused before any
-    f_X* is evaluated."""
-    if d.periodicity() == 0.0:
-        raise Aperiodic("the source has no oscillation period")
-    return psi_for_k(d, k, X, M, tol)
 
 
 def psi_for_k(d: SourceDistribution, k: int, X: str, M: int = 8, tol: float = 1e-12):
@@ -517,10 +515,9 @@ def shape_limit(d: SourceDistribution, shape) -> float:
     The k-fringe mean limit splits over shapes proportionally to the exact
     shape law: P(shape) * (1-rho(k)) / (H k(k-1)).
     """
-    root = shape.root if hasattr(shape, "root") else shape
+    root = _shape_root(shape)
     k = integer_at_least("k", root.leaf_count, 2)
-    prob = shape_probability(shape, d)
-    return prob * (1.0 - d.rho(k)) / (d.entropy() * k * (k - 1))
+    return shape_probability(root, d) * (1.0 - d.rho(k)) / (d.entropy() * k * (k - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from .errors import EmptyTree, integer_at_least
-from .trees import Trie, _bottom_up, shape_signature
+from .trees import Trie, _bottom_up, _shape_root, shape_signature
 
 _LEAF_SIG = "*"
 # the deepest shape phi_shape and sample_patricia_roots take, in levels
@@ -242,14 +242,11 @@ def phi_leaf() -> TollFunction:
 def _shape_key(shape):
     """A shape's nested signature and key count; the empty tree and a shape
     deeper than MAX_SHAPE_DEPTH levels are rejected."""
-    sig0 = shape_signature(shape)
-    if sig0 == ():
-        raise ValueError("the empty tree is not a shape")
-    root = shape.root if hasattr(shape, "root") else shape
+    root = _shape_root(shape)
     depth = _bottom_up(root, lambda _, items: 1 + max(d for _, d in items) if items else 0)
     if depth > MAX_SHAPE_DEPTH:
         raise ValueError(f"a shape {depth} levels deep is past the limit of {MAX_SHAPE_DEPTH} levels")
-    return sig0, root.leaf_count
+    return shape_signature(root), root.leaf_count
 
 
 def phi_shape(shape) -> TollFunction:

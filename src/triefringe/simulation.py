@@ -208,11 +208,6 @@ class SimulationSummary:
     mean_pat_nodes: float
     mean_trie_nodes: float
 
-    @property
-    def histogram_k(self) -> np.ndarray:
-        """The fringe sizes of the histogram's buckets."""
-        return _fringe_sizes(self.config.histogram_kmax)
-
     def stats(self, name: str) -> FunctionalStats:
         return _named(self.functionals, name)
 
@@ -247,12 +242,6 @@ def _named(stats, name):
         if st.name == name:
             return st
     raise KeyError(name)
-
-
-def _fringe_sizes(kmax):
-    """The fringe sizes of a histogram's buckets: 2..kmax, then kmax + 1
-    for the overflow bucket of every larger size."""
-    return np.concatenate([np.arange(2, kmax + 1), [kmax + 1]])
 
 
 def histogram_labels(kmax):
@@ -1043,7 +1032,7 @@ def fringe_distribution(config: SimulationConfig, threads: int = 1) -> FringeDis
     leaf_mass = data["n"] / nodes
     mass_mean, mass_se = _mean_se(masses)
     return FringeDistribution(
-        k=_fringe_sizes(config.histogram_kmax),
+        k=np.arange(2, config.histogram_kmax + 2),
         mass_mean=mass_mean,
         mass_se=mass_se,
         leaf_mass_mean=float(leaf_mass.mean()),

@@ -449,6 +449,14 @@ def shape_string(t) -> str:
     return _bottom_up(node, lambda n, items: "(" + ",".join(f"{a}:{sub}" for a, sub in items) + ")" if items else "*")
 
 
+def _shape_root(shape):
+    """The root node of a shape given as a tree or its root node; the empty tree is refused."""
+    root = shape.root if isinstance(shape, _Tree) else shape
+    if root is None:
+        raise ValueError("the empty tree is not a patricia shape")
+    return root
+
+
 def shape_probability(shape, d: SourceDistribution) -> float:
     """Exact probability that the patricia trie of k i.i.d. keys equals this shape.
 
@@ -462,9 +470,7 @@ def shape_probability(shape, d: SourceDistribution) -> float:
     shape with a character outside the source's alphabet is 0.0, as the
     engine never draws one.
     """
-    root = shape.root if isinstance(shape, _Tree) else shape
-    if root is None:
-        raise ValueError("the empty tree is not a patricia shape")
+    root = _shape_root(shape)
     k_factorial = math.factorial(root.leaf_count)
     shift = max(0, k_factorial.bit_length() - 64)
     acc, acc_exp = math.frexp(k_factorial / (1 << shift))  # int / int rounds correctly
@@ -507,15 +513,18 @@ class PrefixLaw:
         self._tilted_cum_head = np.cumsum(tilted[:-1])
 
     def mass(self, alpha) -> float:
-        """q_i({alpha}) for a finite string alpha (tuple of chars)."""
+        """q_i({alpha}) for a finite string alpha (tuple of chars); 0.0 when
+        alpha has a character outside the source's alphabet."""
         if isinstance(alpha, str):
             alpha = key_from_string(alpha)
+        if not all(0 <= a < self.d.m for a in alpha):
+            return 0.0
         p_alpha = math.prod(self.d.probs[a] for a in alpha)
         return p_alpha**self.i * (1.0 - self.rho_i)
 
     def length_pmf(self, n: int) -> float:
-        """P(|prefix| = n) = (1 - rho(i)) * rho(i)^n."""
-        return (1.0 - self.rho_i) * self.rho_i**n
+        """P(|prefix| = n) = (1 - rho(i)) * rho(i)^n, for an integer n >= 0."""
+        return (1.0 - self.rho_i) * self.rho_i ** integer_at_least("n", n, 0)
 
     def sample(self, rng: np.random.Generator) -> tuple[int, ...]:
         length = rng.geometric(1.0 - self.rho_i) - 1

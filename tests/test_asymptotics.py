@@ -16,7 +16,6 @@ from triefringe.asymptotics import (
     fe_k_star,
     fe_lambda,
     fourier_coefficient,
-    fourier_series,
     fringe_limit,
     fringe_mass_sum,
     fv_k_star,
@@ -309,11 +308,9 @@ class TestFourier:
         assert abs(quad.value - closed) < 1e-8
 
     def test_aperiodic_raises(self):
-        with pytest.raises(Aperiodic):
-            fourier_coefficient(SKEWED, 2, "E", 1)
         for X in "EVC":
             with pytest.raises(Aperiodic):
-                fourier_series(SKEWED, 2, X)
+                fourier_coefficient(SKEWED, 2, X, 1)
 
     def test_fc_reduces_to_fe(self):
         # aperiodic source: psi_E is constant, so psi_C = psi_E
@@ -333,18 +330,18 @@ class TestPsiEval:
         assert psi_eval(AsymptoticConstant(0.25, 0.0), 1.0) == 0.25
 
     def test_periodic(self):
-        ps = fourier_series(BIN_SYM, 2, "E", M=8)
+        ps = psi_for_k(BIN_SYM, 2, "E", M=8)
         for t in (0.0, 0.31, 2.7):
             assert psi_eval(ps, t) == pytest.approx(psi_eval(ps, t + math.log(2)), abs=1e-12)
 
     def test_real_within_tolerance(self):
-        ps = fourier_series(BIN_SYM, 2, "V", M=4)
+        ps = psi_for_k(BIN_SYM, 2, "V", M=4)
         val = ps.eval(1.234)
         assert abs(val.imag) < 1e-12
 
     def test_truncation_stability(self):
-        small = fourier_series(BIN_SYM, 2, "E", M=4)
-        big = fourier_series(BIN_SYM, 2, "E", M=8)
+        small = psi_for_k(BIN_SYM, 2, "E", M=4)
+        big = psi_for_k(BIN_SYM, 2, "E", M=8)
         tail = sum(abs(c) for c in big.coeffs[5:])
         for t in (0.1, 0.9):
             assert abs(psi_eval(small, t) - psi_eval(big, t)) <= 2 * tail + 1e-15

@@ -16,7 +16,6 @@ from triefringe.asymptotics import (
     fe_k_star,
     fe_lambda,
     fourier_coefficient,
-    fourier_series,
     fringe_limit,
     fringe_mass_sum,
     fv_k_star,
@@ -77,10 +76,17 @@ REFUSALS = [
     ("AsymptoticConstant infinite bound", lambda: AsymptoticConstant(1.0, math.inf), ValueError, "error_bound"),
     ("fe_k_star k=1", lambda: fe_k_star(SKEW, 1, -1), ValueError, "k must be >= 2"),
     ("fv_k_star k=1", lambda: fv_k_star(SKEW, 1), ValueError, "k must be >= 2"),
+    *[
+        (f"{f.__name__} s={s!r}", lambda f=f, s=s: f(SKEW, 2, s), ValueError, "s must have a finite")
+        for f in (fe_k_star, fv_k_star)
+        for s in (math.nan, math.inf, complex(0, math.inf))
+    ],
     ("sigma_constants k=1", lambda: sigma_constants(SKEW, 1), ValueError, "k must be >= 2"),
     ("link_trie_patricia k=1", lambda: link_trie_patricia(1.0, 1.0, 1, SKEW), ValueError, "k must be >= 2"),
     ("fringe_limit k=1", lambda: fringe_limit(SKEW, 1), ValueError, "k must be >= 2"),
     ("shape_limit of a leaf", lambda: shape_limit(SKEW, LEAF), ValueError, "k must be >= 2"),
+    ("shape_limit of the empty tree", lambda: shape_limit(SKEW, PatriciaTrie(None, 2)), ValueError, "empty tree"),
+    ("shape_limit of None", lambda: shape_limit(SKEW, None), ValueError, "empty tree"),
     ("fringe_mass_sum kmax=1", lambda: fringe_mass_sum(SKEW, 1), ValueError, "kmax"),
     ("psi_for_k X=Q", lambda: psi_for_k(SKEW, 2, "Q"), ValueError, "'Q'"),
     ("indnum_alphas N=0", lambda: indnum_alphas(0), ValueError, "N must be >= 1"),
@@ -93,7 +99,6 @@ REFUSALS = [
     ("fv_lambda tol=-1", lambda: fv_lambda(SKEW, 2, 3.0, -1.0), ValueError, "tol"),
     ("sigma_constants tol=-1", lambda: sigma_constants(SKEW, 2, tol=-1.0), ValueError, "tol"),
     ("psi_for_k V tol=-1", lambda: psi_for_k(SKEW, 2, "V", tol=-1.0), ValueError, "tol"),
-    ("fourier_series M=-1", lambda: fourier_series(BIN_SYM, 2, "E", M=-1), ValueError, "M must be >= 0"),
     ("psi_for_k M=-1", lambda: psi_for_k(BIN_SYM, 2, "E", M=-1), ValueError, "M must be >= 0"),
     ("sigma_constants M=-1", lambda: sigma_constants(BIN_SYM, 2, M=-1), ValueError, "M must be >= 0"),
     ("fe_lambda lam=-1", lambda: fe_lambda(SKEW, 2, -1.0), ValueError, "lam must be"),
@@ -148,6 +153,10 @@ REFUSALS = [
     ("count_patricia_shapes m=2.5", lambda: count_patricia_shapes(3, 2.5), ValueError, "m (alphabet size) must be an integer"),
     ("shape_probability of the empty tree", lambda: shape_probability(PatriciaTrie(None, 2), SKEW), ValueError, "empty"),
     ("PrefixLaw i=1", lambda: PrefixLaw(1, SKEW), ValueError, "i must be >= 2"),
+    *[
+        (f"PrefixLaw.length_pmf n={n!r}", lambda n=n: PrefixLaw(2, SKEW).length_pmf(n), ValueError, "n must be >= 0")
+        for n in (-1, 0.5, math.nan)
+    ],
     ("node_at on the empty tree", lambda: EMPTY.node_at(()), InvalidPath, "empty tree"),
 ]
 
@@ -170,7 +179,6 @@ INTEGER_ARGUMENTS = [
     ("sigma_constants k", lambda v: sigma_constants(SKEW, v), "k", 2),
     ("link_trie_patricia k", lambda v: link_trie_patricia(1.0, 1.0, v, SKEW), "k", 2),
     ("fringe_limit k", lambda v: fringe_limit(SKEW, v), "k", 2),
-    ("fourier_series M", lambda v: fourier_series(BIN_SYM, 2, "E", M=v), "M", 0),
     ("psi_for_k M", lambda v: psi_for_k(BIN_SYM, 2, "E", M=v), "M", 0),
     ("psi_for_k aperiodic M", lambda v: psi_for_k(SKEW, 2, "E", M=v), "M", 0),
     ("sigma_constants M", lambda v: sigma_constants(BIN_SYM, 2, M=v), "M", 0),

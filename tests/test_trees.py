@@ -606,6 +606,11 @@ class TestPrefixLaw:
             level = sum(law.mass(alpha) for alpha in itertools.product(range(2), repeat=n))
             assert level == pytest.approx((1 - rho) * rho**n, abs=1e-14)
 
+    def test_character_outside_the_alphabet_has_mass_zero(self):
+        law = PrefixLaw(2, SourceDistribution((0.3, 0.7)))
+        for alpha in ((-1,), (5,), (1, -1), (0, 5)):
+            assert law.mass(alpha) == 0.0
+
     def test_sampler_matches_length_law(self):
         law = PrefixLaw(2, BIN_SYM)
         rng = np.random.default_rng(99)
