@@ -39,8 +39,9 @@ MAX_SHAPE_DEPTH = 256
 
 
 class _Stats:
-    """Per-node aggregates: scalars from the fold here, or one numpy array
-    per field (one entry per node) from the simulation engine."""
+    """One node's aggregates, as the fold here computes them.  The
+    simulation engine's view gives a rule the same fields, one numpy array
+    (one entry per node) each."""
 
     __slots__ = ("leaf_count", "node_count", "outdeg", "essential", "shape_sig")
 
@@ -62,7 +63,10 @@ class TollFunction:
     The same rule serves the explicit trees here and every toll of the
     simulation engine, so it must be elementwise: given scalars it
     returns a number, given equal-length numpy arrays (one entry per node)
-    it returns an array of values or a number for all of them.  shape_sig
+    it returns an array of values or a number for all of them; the engine
+    refuses any other result with ValueError.  leaf_count and outdeg cost
+    the engine nothing, while node_count and essential each cost it one
+    sweep up its node table on a rule's first read.  shape_sig
     is only compared with ``==`` against a nested signature.  The
     comparisons (and the pickling of a forking run) recurse once per level
     of the signature, so ``phi_shape`` takes shapes of at most
@@ -201,12 +205,13 @@ def _count_at_least(st, k):
     return (st.leaf_count >= k) * 1.0
 
 
+# a fringe has more than one node exactly when its root has a child
 def _is_internal(st):
-    return (st.node_count > 1) * 1.0
+    return (st.outdeg > 0) * 1.0
 
 
 def _is_lone_leaf(st):
-    return (st.node_count == 1) * 1.0
+    return (st.outdeg == 0) * 1.0
 
 
 def _matches_signature(st, sig):
@@ -230,12 +235,14 @@ def phi_geq(k: int) -> TollFunction:
 
 
 def phi_internal() -> TollFunction:
-    """Indicator of fringe subtrees with more than one node: counts internal nodes."""
+    """Indicator of fringe subtrees with more than one node, i.e. whose
+    root has a child: counts internal nodes."""
     return TollFunction("internal", _is_internal)
 
 
 def phi_leaf() -> TollFunction:
-    """Indicator of the single-node fringe: counts leaves."""
+    """Indicator of the single-node fringe, whose root has no child:
+    counts leaves."""
     return TollFunction("leaf", _is_lone_leaf)
 
 

@@ -17,11 +17,14 @@ Grouping takes several levels per pass: each key still in a node of two
 or more keys is coded by that node and its next few characters, one
 bincount counts the keys of every cell of the deepest level, sums over
 blocks of m cells give the levels above it, and the occupied cells under
-nodes of two or more keys become the rows of each level.  Bottom-up
-sweeps give every row the aggregates the explicit-tree evaluator computes
+nodes of two or more keys become the rows of each level.  A view of the
+table gives every row the aggregates the explicit-tree evaluator computes
 per node (leaf count, node count, outdegree, essentiality bit, shape), once
 for the trie fringe and once for the compressed fringe, and each toll's own
-rule runs elementwise on those columns; shapes are matched on the table.
+rule runs elementwise on those columns.  Leaf count and outdegree are
+columns of the table; node count and essential bit are each swept up the
+table, bottom-up, only when a rule first reads them; shapes are matched on
+the table.
 Patricia nodes are the rows without exactly one child: the internal ones
 the fringe histogram counts by size, and one leaf per key.
 
@@ -89,13 +92,13 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 
 from .asymptotics import psi_eval, psi_for_k
 from .errors import DegenerateVariance, DepthExceeded, EmptyTree, LimitExceeded, WorkerStopped, finite_at_least, integer_at_least
-from .functionals import _LEAF_SIG, TollFunction, _count_is, _is_lone_leaf, _shape_key, _Stats, phi_alpha
+from .functionals import _LEAF_SIG, TollFunction, _count_is, _is_lone_leaf, _shape_key, phi_alpha
 from .source import SourceDistribution
 from .trees import DEFAULT_MAX_DEPTH, CharBlocks
 
@@ -489,66 +492,86 @@ class _Forest:
         row[self.rep[:roots]], depth[self.rep[:roots]] = self.chain_ends(np.arange(roots))
         return row, depth
 
-    def view(self, compress):
-        """Per-row aggregates of the fringe each row roots, as the oracle's _Stats.
 
-        The trie view describes the trie fringe.  With compress, the
-        patricia view describes the compressed fringe: a unary row carries
-        its only child's node count and essential bit, and a parent sums
-        its children's values from there.  Only patricia rows of this view
-        enter a toll sum or root toll, and at those rows outdeg is the row's
-        own child count.
-        """
-        unary = self.child_count == 1
-        nodes = (~unary if compress else np.ones(len(self.count), bool)).astype(np.float64)
-        essential = np.ones(len(self.count))
-        off = self.offsets
+class _View:
+    """Per-row aggregates of the fringe each row roots, the fields of the
+    oracle's _Stats as one column each.
+
+    The trie view describes the trie fringe.  With compress, the patricia
+    view describes the compressed fringe: a unary row carries its only
+    child's node count and essential bit, and a parent sums its children's
+    values from there.  Only patricia rows of this view enter a toll sum or
+    root toll, and at those rows outdeg is the row's own child count.
+    leaf_count and outdeg are the forest's own columns; node_count and
+    essential are each swept up the table when a rule first reads them.
+    """
+
+    def __init__(self, forest, compress):
+        self.forest, self.compress = forest, compress
+        self.leaf_count, self.outdeg = forest.count, forest.child_count
+        self.shape_sig = _ShapeColumn(forest, compress)
+
+    def _sweep(self, column, rule):
+        """Fill `column` up the table, deepest level first: the rows of a
+        level take rule(rows, below), `below` holding the sum of each row's
+        children's values."""
+        off = self.forest.offsets
         for t in range(len(off) - 3, -1, -1):
             rows, kids = slice(off[t], off[t + 1]), slice(off[t + 1], off[t + 2])
-            up, size = self.parent[kids] - off[t], off[t + 1] - off[t]
-            nodes[rows] += np.bincount(up, nodes[kids], size)
-            below = np.bincount(up, essential[kids], size)
-            essential[rows] = np.maximum(0.0, 1.0 - below)
-            if compress:
-                lone = np.flatnonzero(unary[rows])
-                essential[off[t] + lone] = below[lone]
-        return _Stats(self.count, nodes, self.child_count, essential, _ShapeColumn(self, compress))
+            column[rows] = rule(rows, np.bincount(self.forest.parent[kids] - off[t], column[kids], off[t + 1] - off[t]))
+        return column
+
+    @cached_property
+    def node_count(self):
+        """The nodes of each row's fringe, as floats."""
+        nodes = (self.outdeg != 1 if self.compress else np.ones(len(self.outdeg), bool)).astype(np.float64)
+        return self._sweep(nodes, lambda rows, below: nodes[rows] + below)
+
+    @cached_property
+    def essential(self):
+        """Each row's essential bit as a float: 1 where no child's fringe
+        is essential, flipped at a unary row of the patricia view, which so
+        takes its child's bit."""
+        flip = (self.outdeg == 1) & self.compress
+        return self._sweep(np.ones(len(flip)), lambda rows, below: (below == 0) ^ flip[rows])
 
 
-def _rule_values(toll, view):
-    """The toll's rule on every row of a view, as floats."""
-    return np.broadcast_to(np.asarray(toll.stats_fn(view), dtype=np.float64), view.leaf_count.shape)
+def _rule_line(line, toll, view):
+    """Write the toll's rule on every row of a view into `line`, as floats.
+    A rule returns one number or one number per row; any other result
+    raises ValueError naming the toll."""
+    value = np.asarray(toll.stats_fn(view))
+    if value.dtype.kind not in "biuf" or value.shape not in ((), line.shape):
+        raise ValueError(f"toll {toll.name!r}: its rule gave {value.dtype} of shape {value.shape}, not one number or one per node")
+    line[:] = value
 
 
 def _toll_sums(forest, tolls, paired_trie=False):
     """Per-replicate sums of each toll over the patricia trie ("pat") and over
     the trie ("trie"), each toll's value at the patricia root, i.e. the toll
     of P_n itself ("root"), and the depth of that root ("root_depth").  A
-    replicate without keys has root values 0 and root depth -1."""
-    shape = (forest.R, len(tolls))
+    replicate without keys has root values 0 and root depth -1.  Without
+    tolls no view is built."""
+    sides = ("pat", "trie")[: 1 + paired_trie]
     root_row, root_depth = forest.pat_roots()
-    has_root = root_row >= 0
-    out = {"pat": np.zeros(shape), "root": np.zeros(shape), "root_depth": root_depth}
-    if paired_trie:
-        out["trie"] = np.zeros(shape)
-    if not tolls:
-        return out
-    unary = np.flatnonzero(forest.child_count == 1)
-    pat = forest.view(True)
-    gated = np.empty(len(forest.count))
-    for j, t in enumerate(tolls):
-        # a copy with its unary rows zeroed costs less than np.where or
-        # selecting the patricia rows, leaves the rule's array (which may be
-        # a column of the view) intact, and sums a non-finite value there as 0
-        np.copyto(gated, _rule_values(t, pat))
-        gated[unary] = 0.0
-        out["pat"][:, j] = forest.per_rep(gated)
-        out["root"][has_root, j] = gated[root_row[has_root]]
-    if paired_trie:
-        pat = gated = unary = None  # the two views are never held at once
-        trie = forest.view(False)
-        for j, t in enumerate(tolls):
-            out["trie"][:, j] = forest.per_rep(_rule_values(t, trie))
+    has_root, unary = root_row >= 0, np.flatnonzero(forest.child_count == 1)
+    out = {key: np.zeros((forest.R, len(tolls))) for key in ("root", *sides)}
+    out["root_depth"] = root_depth
+    line = np.empty(len(forest.count))  # one line for every toll of both sides
+    for side in sides if tolls else ():
+        # binding the trie view drops the patricia view, and its swept
+        # columns, before the trie view sweeps: the two views' columns are
+        # never held at once
+        view = _View(forest, side == "pat")
+        for j, toll in enumerate(tolls):
+            _rule_line(line, toll, view)
+            if side == "pat":
+                # zeroing the unary rows of a copy leaves a rule's array
+                # (which may be a column of the view) intact, and sums a
+                # non-finite value there as 0
+                line[unary] = 0.0
+                out["root"][has_root, j] = line[root_row[has_root]]
+            out[side][:, j] = forest.per_rep(line)
     return out
 
 

@@ -7,6 +7,8 @@ from triefringe.errors import EmptyTree
 from triefringe.functionals import (
     MAX_SHAPE_DEPTH,
     TollFunction,
+    _is_internal,
+    _is_lone_leaf,
     brute_force_independence,
     evaluate_additive,
     evaluate_summed,
@@ -173,6 +175,51 @@ class TestPullback:
     def test_estimate_fx_reads_the_base(self):
         toll = phi_k(2)
         assert estimate_fX(pullback(toll), BIN_SYM, 2.0, 40, 5) == estimate_fX(toll, BIN_SYM, 2.0, 40, 5)
+
+
+def seen_aggregates(tree, pulled=False):
+    """The aggregates a rule sees on tree, recorded by a toll: every node's
+    own, and with pulled those of each non-unary node's patricia projection
+    too, as a pulled toll sees them."""
+    own, projected = [], []
+    tolls = [TollFunction("own", lambda st: own.append(st) or 0.0)]
+    if pulled:
+        tolls.append(pullback(TollFunction("projected", lambda st: projected.append(st) or 0.0)))
+    evaluate_additive(tolls, tree)
+    return own, projected
+
+
+class TestRuleIdentity:
+    """internal and leaf read the outdegree: a fringe has more than one
+    node exactly when its root has a child."""
+
+    @staticmethod
+    def check(aggregates):
+        for st in aggregates:
+            assert _is_internal(st) == (st.node_count > 1)
+            assert _is_lone_leaf(st) == (st.node_count == 1)
+
+    @pytest.mark.parametrize("m, kmax", [(2, 7), (3, 5)])
+    def test_every_small_shape(self, m, kmax):
+        for k in range(1, kmax + 1):
+            for shape in enumerate_patricia_shapes(k, m):
+                own, _ = seen_aggregates(shape)
+                assert len(own) == shape.node_count()
+                self.check(own)
+
+    def test_tries_with_unary_chains_and_their_projections(self):
+        rng = np.random.default_rng(43)
+        unary = 0
+        for d in (BIN_SYM, SourceDistribution((0.1, 0.9)), SourceDistribution.uniform(3)):
+            for n in (1, 2, 3, 5, 9, 17):
+                trie = build_trie(random_key_set(d, n, rng))
+                own, projected = seen_aggregates(trie, pulled=True)
+                unary += sum(st.outdeg == 1 for st in own)
+                # the projection of a non-unary node has its own child count
+                assert [st.outdeg for st in projected] == [st.outdeg for st in own if st.outdeg != 1]
+                self.check(own)
+                self.check(projected)
+        assert unary > 0
 
 
 class TestKGeqIdentity:

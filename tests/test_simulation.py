@@ -963,6 +963,94 @@ class TestTollGate:
         assert np.array_equal(fast["pat"][:, 0], fast["pat"][:, 2])
 
 
+def spy_sweeps(monkeypatch):
+    """Record every sweep of a view column: (column name, patricia view)."""
+    sweeps, sweep = [], simulation._View._sweep
+
+    def spy(view, column, rule):
+        sweeps.append((sys._getframe(1).f_code.co_name, view.compress))
+        return sweep(view, column, rule)
+
+    monkeypatch.setattr(simulation._View, "_sweep", spy)
+    return sweeps
+
+
+class TestLazyView:
+    """A view sweeps node_count and essential up the table only when a rule
+    first reads them, and once per view and block however many read them;
+    internal and leaf need no sweep, reading outdeg in its place."""
+
+    def blocked(self, monkeypatch, tolls, paired_trie=False):
+        """The sweeps of a 4-block run of tolls, and the run's block count."""
+        small_blocks(monkeypatch)
+        sweeps = spy_sweeps(monkeypatch)
+        cfg = SimulationConfig.fixed(SKEWED, 300, 10, 71, tolls, paired_trie=paired_trie)
+        run(cfg, threads=1)
+        return sweeps, len(simulation._block_bounds(cfg))
+
+    def test_counting_tolls_run_no_sweep(self, monkeypatch):
+        sweeps, blocks = self.blocked(monkeypatch, (phi_k(2), phi_internal(), phi_leaf()), paired_trie=True)
+        assert blocks == 4 and sweeps == []
+
+    def test_alpha_sweeps_once_per_view_and_block(self, monkeypatch):
+        again = TollFunction(name="alpha-again", stats_fn=phi_alpha().stats_fn)
+        sweeps, blocks = self.blocked(monkeypatch, (phi_alpha(), again), paired_trie=True)
+        assert sweeps == [("essential", True), ("essential", False)] * blocks
+
+    def test_node_count_rule_runs_the_node_sweep(self, monkeypatch):
+        sweeps, blocks = self.blocked(monkeypatch, (TollFunction(name="node-count", stats_fn=_node_count),))
+        assert sweeps == [("node_count", True)] * blocks
+
+    def test_fringe_distribution_builds_no_view(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a view was built")
+
+        monkeypatch.setattr(simulation, "_View", never)
+        assert fringe_distribution(SimulationConfig.fixed(BIN_SYM, 300, 4, 73, ())).replicates == 4
+
+    def test_internal_and_leaf_agree_with_node_count(self):
+        from triefringe.functionals import _is_internal, _is_lone_leaf
+        from triefringe.simulation import _Forest, _View, replicate_rng
+        from triefringe.trees import CharBlocks
+
+        counts = np.array([0, 1, 2, 40, 90])
+        forest = _Forest(CharBlocks(SKEWED, [replicate_rng(79, i) for i in range(5)], counts), counts, 10_000)
+        for compress in (False, True):
+            view = _View(forest, compress)
+            # a patricia view's unary rows enter no sum
+            rows = forest.child_count != 1 if compress else slice(None)
+            assert np.array_equal(_is_internal(view)[rows], (view.node_count > 1)[rows])
+            assert np.array_equal(_is_lone_leaf(view)[rows], (view.node_count == 1)[rows])
+            assert view.essential.dtype == np.float64
+
+
+def _none(st):
+    return None
+
+
+def _text(st):
+    return "1"
+
+
+def _pair(st):
+    return np.zeros(2)
+
+
+def _column(st):
+    return np.ones((len(st.leaf_count), 1))
+
+
+class TestMalformedRuleResult:
+    """A rule returns one number, or one number per node; the engine names a
+    toll whose rule returns anything else."""
+
+    @pytest.mark.parametrize("rule", [_none, _text, _pair, _column])
+    def test_refused_with_the_toll_named(self, rule):
+        cfg = SimulationConfig.fixed(SKEWED, 20, 3, 83, (phi_k(2), TollFunction(name="bad", stats_fn=rule)))
+        with pytest.raises(ValueError, match="toll 'bad': .*not one number or one per node"):
+            run(cfg, threads=1)
+
+
 def assert_roots_match(fast, slow):
     """Root outputs equal the explicit trees', and gating the root toll at
     depth 0 gives the pulled-back toll at the trie root."""
